@@ -11,7 +11,8 @@ import json
 import random
 import sys
 
-from .monoid import enumerate_monoid, normalize_mode, parse_word, word_equiv
+from .monoid import (DIM_LIMIT, enumerate_monoid, normalize_mode, parse_word,
+                     word_equiv)
 from .terms import ParseError, format_equation, parse, parse_equation, sigma_axioms
 from .setalg import algebra_from_json
 from .frames import ComplexAlgebra, frame_check, frame_from_json
@@ -31,7 +32,8 @@ def _build_parser():
     def common(p, needs_n=True):
         if needs_n:
             p.add_argument("-n", type=int, default=2, metavar="N",
-                           help="dimension (number of coordinates), >= 2")
+                           help="dimension (number of coordinates), 2 to %d"
+                            % DIM_LIMIT)
         p.add_argument("--mode", default="full",
                        choices=["pinter", "replacements", "transpositions",
                                 "full", "diag", "full_diagonal"],
@@ -96,13 +98,14 @@ def _build_parser():
 def _load_structure(path):
     with open(path) as fh:
         data = json.load(fh)
-    if "action" in data:
+    fields = data if isinstance(data, dict) else {}
+    if "action" in fields:
         frame = frame_from_json(data)
         report = frame_check(frame)
         if not report.ok:
             raise ValueError("frame fails coherence: %r" % (report.failures[:3],))
         return ComplexAlgebra(frame)
-    if "unit" in data:
+    if "unit" in fields:
         return algebra_from_json(data)
     raise ValueError("unrecognized file format (need a frame or algebra)")
 
@@ -130,8 +133,8 @@ def run(argv):
 def _dispatch(args):
     mode = normalize_mode(getattr(args, "mode", "full"))
     n = getattr(args, "n", None)
-    if n is not None and n < 2:
-        raise ValueError("need -n at least 2")
+    if n is not None and not 2 <= n <= DIM_LIMIT:
+        raise ValueError("need -n at least 2 and at most %d" % DIM_LIMIT)
 
     if args.command == "sat":
         term = parse(args.formula, n, mode)

@@ -12,17 +12,19 @@ import random
 from dataclasses import dataclass, field
 
 from .monoid import (
+    DIM_LIMIT,
     GenSym,
     canonical_word,
     compose,
     enumerate_monoid,
     generators,
+    gensym_from_token,
     has_diagonals,
-    monoid_table,
+    identity,
     normalize_mode,
     apply_point,
 )
-from .setalg import point_coords, point_index
+from .setalg import json_int, json_ints, point_coords, point_index
 
 
 class Frame:
@@ -88,11 +90,48 @@ class Frame:
         return "Frame(n=%d, mode=%s, worlds=%d)" % (self.n, self.mode, self.num_worlds)
 
 
+def action_tables(frame, max_failures=10):
+    """The action table of every monoid element, walking the right Cayley
+    graph breadth first from the identity, and the edges that disagree.
+
+    Each edge tau -> tau∘g must give tau's table followed by g's.  When no
+    edge disagrees, act(sigma∘tau) = act(sigma) followed by act(tau) for
+    every pair, by induction on the length of tau's word; this is the graph
+    Froidure and Pin walk to enumerate a finite monoid.  A coherent frame
+    keeps the tables for act_tau.  Returns (tables, failures, edges)."""
+    n = frame.n
+    start = identity(n)
+    tables = {start: tuple(range(frame.num_worlds))}
+    order = [start]
+    gens = [(g, g.tr(n), frame.act(g)) for g in generators(n, frame.mode)]
+    failures = []
+    edges = 0
+    for tau in order:                      # grows as new elements appear
+        tab = tables[tau]
+        for g, gt, gtab in gens:
+            edges += 1
+            nxt = compose(tau, gt)
+            derived = tuple(map(gtab.__getitem__, tab))
+            known = tables.get(nxt)
+            if known is None:
+                tables[nxt] = derived
+                order.append(nxt)
+            elif known != derived:
+                w = next(w for w, (a, b) in enumerate(zip(known, derived))
+                         if a != b)
+                failures.append(("coherence", tuple(tau.map), g.token(), w))
+                if len(failures) >= max_failures:
+                    return tables, failures, edges
+    if not failures:
+        frame._tau_tables.update(tables)
+    return tables, failures, edges
+
+
 @dataclass
 class FrameReport:
     ok: bool
     failures: list = field(default_factory=list)
-    pairs_checked: int = 0
+    pairs_checked: int = 0    # Cayley edges (tau, g) checked
 
     def __bool__(self):
         return self.ok
@@ -100,36 +139,16 @@ class FrameReport:
 
 def frame_check(frame, budget=2 * 10**6, max_failures=10):
     """Semantic coherence: the generated action must be a genuine right
-    action, checked over every pair of monoid elements; diagonal markings
-    must satisfy their correspondents."""
+    action, certified once per edge of the right Cayley graph
+    (`action_tables`); diagonal markings must satisfy their
+    correspondents.  Work is |monoid| * |generators| * |worlds|."""
     n, mode, m = frame.n, frame.mode, frame.num_worlds
-    monoid = enumerate_monoid(n, mode)
-    if len(monoid) ** 2 * max(m, 1) > budget:
+    size = len(enumerate_monoid(n, mode))
+    if size * len(generators(n, mode)) * max(m, 1) > budget:
         raise ValueError("coherence check exceeds budget")
-    acts = {tau: frame.act_tau(tau) for tau in monoid}
-    failures = []
-    pairs = 0
-    # canonical words may spell a generator through other generators, so
-    # the raw table must agree with the derived one or it escapes checking
-    for g in generators(n, mode):
-        if frame.act(g) != acts[g.tr(n)]:
-            failures.append(("generator", g.token()))
+    _, failures, pairs = action_tables(frame, max_failures)
     if len(failures) >= max_failures:
         return FrameReport(False, failures, pairs)
-    for sigma in monoid:
-        a_s = acts[sigma]
-        for tau in monoid:
-            a_t = acts[tau]
-            expect = acts[compose(sigma, tau)]
-            pairs += 1
-            for w in range(m):
-                if expect[w] != a_t[a_s[w]]:
-                    failures.append(
-                        ("coherence", tuple(sigma.map), tuple(tau.map), w)
-                    )
-                    break
-            if len(failures) >= max_failures:
-                return FrameReport(False, failures, pairs)
     if frame.diag is not None:
         full = (1 << m) - 1
         for i in range(n):
@@ -368,26 +387,6 @@ def _dual_atom_map(sub, big, embed):
     return out
 
 
-def _hom_failures(source, target, hmap):
-    """Exhaustive homomorphism check for small enumerable algebras."""
-    els = source.elements()
-    imgs = {z: hmap(z) for z in els}
-    bad = []
-    if imgs[source.zero] != target.zero or imgs[source.one] != target.one:
-        bad.append(("bounds",))
-    for x in els:
-        if hmap(source.compl(x)) != target.compl(imgs[x]):
-            bad.append(("compl", x))
-        for g in generators(source.n, source.mode):
-            if hmap(source.subst(g, x)) != target.subst(g, imgs[x]):
-                bad.append(("subst", g.token(), x))
-        for y in els:
-            if hmap(source.meet(x, y)) != target.meet(imgs[x], imgs[y]):
-                bad.append(("meet", x, y))
-    injective = len(set(imgs.values())) == len(els)
-    return bad, injective
-
-
 def superamalgam(A, B, C, f, h):
     """Amalgamate B and C over their common subalgebra A.
 
@@ -398,10 +397,13 @@ def superamalgam(A, B, C, f, h):
     injectivity, and the order-interpolation biconditional
     m(b) ≤ k(c) ⇔ ∃a: b ≤ f(a) and h(a) ≤ c over every pair.
     """
+    from .represent import hom_report
+
     for name, src, tgt, emb in (("f", A, B, f), ("h", A, C, h)):
-        bad, injective = _hom_failures(src, tgt, emb)
-        if bad or not injective:
-            raise ValueError("%s is not an embedding: %r" % (name, bad[:3]))
+        check = hom_report(src, tgt, emb)
+        if not check["injective"]:
+            raise ValueError("%s is not an embedding: %r"
+                             % (name, check["failures"][:3]))
 
     frame_b, atoms_b = atom_frame(B)
     frame_c, atoms_c = atom_frame(C)
@@ -428,13 +430,13 @@ def superamalgam(A, B, C, f, h):
     a_els = A.elements()
     report["square_commutes"] = all(m(f(z)) == k(h(z)) for z in a_els)
 
-    m_bad, m_inj = _hom_failures(B, D, m)
-    k_bad, k_inj = _hom_failures(C, D, k)
-    report["m_homomorphism"] = not m_bad
-    report["k_homomorphism"] = not k_bad
-    report["m_injective"] = m_inj
-    report["k_injective"] = k_inj
-    report["failures"].extend(m_bad[:3] + k_bad[:3])
+    m_check = hom_report(B, D, m)
+    k_check = hom_report(C, D, k)
+    report["m_homomorphism"] = m_check["homomorphism"]
+    report["k_homomorphism"] = k_check["homomorphism"]
+    report["m_injective"] = m_check["injective"]
+    report["k_injective"] = k_check["injective"]
+    report["failures"].extend(m_check["failures"][:3] + k_check["failures"][:3])
 
     f_imgs = [(f(z), h(z)) for z in a_els]
     supap = True
@@ -455,8 +457,8 @@ def superamalgam(A, B, C, f, h):
                     report["failures"].append(("interpolation", b, c))
     report["supap"] = supap
     report["pairs_checked"] = pairs_checked
-    report["pass"] = (report["square_commutes"] and supap and m_inj and k_inj
-                      and not m_bad and not k_bad)
+    report["pass"] = (report["square_commutes"] and supap
+                      and report["m_injective"] and report["k_injective"])
     return D, m, k, report
 
 
@@ -548,21 +550,38 @@ def frame_to_json(frame):
 
 
 def frame_from_json(data):
-    from .monoid import gensym_from_token
-
-    n = int(data["n"])
+    """A Frame from frame_to_json's format, rejecting any malformed field."""
+    n = json_int(data, "n", 1, DIM_LIMIT)
     mode = normalize_mode(data.get("mode", "full"))
-    m = int(data["worlds"])
-    action = {
-        gensym_from_token(tok): tuple(tab) for tok, tab in data["action"].items()
-    }
+    m = json_int(data, "worlds", 0, 1 << 20)
+    tables = data.get("action")
+    if not isinstance(tables, dict):
+        raise ValueError("frame file needs an \"action\" object")
+    gens = generators(n, mode)
+    action = {}
+    for tok, tab in tables.items():
+        g = gensym_from_token(tok)
+        if g not in gens:
+            raise ValueError("%s is not a generator of mode %s at n=%d"
+                             % (tok, mode, n))
+        if g in action:
+            raise ValueError("generator %s is given twice" % g.token())
+        action[g] = json_ints(tab, 0, m - 1, "action table %s" % tok)
     diag = None
     if "diag" in data:
+        if not isinstance(data["diag"], dict):
+            raise ValueError("\"diag\" must be an object")
         diag = {}
         for key, worlds in data["diag"].items():
-            i, j = (int(x) for x in key.split(","))
+            try:
+                i, j = (int(x) for x in key.split(","))
+            except ValueError:
+                raise ValueError("bad diagonal key %r; want \"i,j\"" % key) from None
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError("diagonal d(%s) is out of range for n=%d"
+                                 % (key, n))
             mask = 0
-            for w in worlds:
+            for w in json_ints(worlds, 0, m - 1, "diagonal %s" % key):
                 mask |= 1 << w
             diag[(i, j)] = mask
     return Frame(n, mode, m, action, diag)

@@ -23,7 +23,8 @@ _MODE_ALIASES = {
 
 
 def normalize_mode(mode):
-    mode = _MODE_ALIASES.get(mode, mode)
+    if isinstance(mode, str):
+        mode = _MODE_ALIASES.get(mode, mode)
     if mode not in MODES:
         raise ValueError("unknown mode: %r" % (mode,))
     return mode
@@ -33,7 +34,7 @@ def has_diagonals(mode):
     return normalize_mode(mode) == "full_diagonal"
 
 
-class NotGenerated(Exception):
+class NotGenerated(ValueError):
     """Raised when a transformation lies outside the mode's monoid."""
 
     def __init__(self, tau, mode):

@@ -7,10 +7,8 @@ mode's generators ("locally square"), which makes substitution by preimage
 well-defined inside V.
 """
 
-import itertools
-import random
-
 from .monoid import (
+    DIM_LIMIT,
     GenSym,
     NotGenerated,
     Transformation,
@@ -38,7 +36,7 @@ def point_coords(idx, n, k):
     return tuple(out)
 
 
-class NotLocallySquare(Exception):
+class NotLocallySquare(ValueError):
     """The would-be unit is not closed under some generator's action."""
 
     def __init__(self, point, sym):
@@ -102,13 +100,14 @@ class ConcreteAlgebra:
     # ---- substitution ----
 
     def _table_for(self, tau):
+        """Where each point of the unit moves under tau, keyed by point."""
         tab = self._tables.get(tau)
         if tab is None:
             n, k = self.n, self.k
-            tab = [
-                point_index(apply_point(point_coords(p, n, k), tau), k)
-                for p in range(self.num_points)
-            ]
+            tab = {
+                p: point_index(apply_point(point_coords(p, n, k), tau), k)
+                for p in self.unit_points
+            }
             self._tables[tau] = tab
         return tab
 
@@ -205,47 +204,17 @@ def diag_element(algebra, i, j):
     return algebra.diag(i, j)
 
 
-def relativization_hom(algebra, unit, rng=None, samples=2000):
+def relativization_hom(algebra, unit):
     """The map x ↦ x ∩ V from a concrete algebra onto its relativization.
 
-    Returns (B, report); the report records the Boolean/substitution
-    homomorphism laws, checked exhaustively on small algebras and on
-    sampled pairs otherwise.
+    Returns (B, report), the report being the exact certificate of
+    represent.hom_report for this bit gather.
     """
+    from .represent import hom_report
+
     B = make_relativized(algebra.n, algebra.k, unit, algebra.mode)
-
-    def f(x):
-        return x & B.unit
-
-    rng = rng or random.Random(0)
-    small = len(algebra.unit_points) <= 8
-    if small:
-        els = algebra.elements()
-        pairs = list(itertools.product(els, repeat=2))
-        singles = els
-    else:
-        singles = [algebra.random_element(rng) for _ in range(samples)]
-        pairs = [(algebra.random_element(rng), algebra.random_element(rng))
-                 for _ in range(samples)]
-    failures = []
-    for x, y in pairs:
-        if f(algebra.meet(x, y)) != B.meet(f(x), f(y)):
-            failures.append(("meet", x, y))
-        if f(algebra.join(x, y)) != B.join(f(x), f(y)):
-            failures.append(("join", x, y))
-    gsyms = generators(algebra.n, algebra.mode)
-    for x in singles:
-        if f(algebra.compl(x)) != B.compl(f(x)):
-            failures.append(("compl", x))
-        for g in gsyms:
-            if f(algebra.subst(g, x)) != B.subst(g, f(x)):
-                failures.append(("subst", g.token(), x))
-    report = {
-        "homomorphism": not failures,
-        "method": "exhaustive" if small else "sampled",
-        "failures": failures[:10],
-    }
-    return B, report
+    pts = B.unit_points
+    return B, hom_report(algebra, B, lambda x: x & B.unit, gather=(pts, pts))
 
 
 def generate_subalgebra(algebra, gens, budget=1 << 16):
@@ -366,10 +335,38 @@ def algebra_to_json(algebra):
     }
 
 
+def _int_in(value, lo, hi):
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and lo <= value <= hi)
+
+
+def json_int(data, key, lo, hi):
+    """data[key] as an int in [lo, hi]; ValueError for anything else."""
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object")
+    if not _int_in(data.get(key), lo, hi):
+        raise ValueError("field %r must be an integer in [%d, %d], got %r"
+                         % (key, lo, hi, data.get(key)))
+    return data[key]
+
+
+def json_ints(values, lo, hi, what):
+    """A JSON list of ints in [lo, hi], as a tuple; ValueError otherwise."""
+    if not isinstance(values, list) or not all(
+            _int_in(v, lo, hi) for v in values):
+        raise ValueError("%s must be a list of integers in [%d, %d]"
+                         % (what, lo, hi))
+    return tuple(values)
+
+
 def algebra_from_json(data):
+    """A ConcreteAlgebra from algebra_to_json's format, rejecting any
+    malformed field and any unit point outside ⁿk."""
+    n = json_int(data, "n", 1, DIM_LIMIT)
+    k = json_int(data, "k", 0, 10**6)
+    if k**n > 10**6:
+        raise ValueError("point space %d exceeds budget" % (k**n,))
     mask = 0
-    for p in data["unit"]:
+    for p in json_ints(data.get("unit"), 0, k**n - 1, "unit"):
         mask |= 1 << p
-    return ConcreteAlgebra(
-        int(data["n"]), int(data["k"]), data.get("mode", "full"), unit=mask
-    )
+    return ConcreteAlgebra(n, k, data.get("mode", "full"), unit=mask)

@@ -539,19 +539,27 @@ def bijective_stabilizer(n, allowed):
     )
 
 
+def check_submonoid(n, allowed):
+    """`allowed` as a sorted list, once it is known to contain the identity
+    and to be closed under composition; ValueError otherwise."""
+    from .monoid import compose, identity
+
+    aset = set(allowed)
+    if identity(n) not in aset:
+        raise ValueError("T must contain the identity")
+    for s in aset:
+        for t in aset:
+            if compose(s, t) not in aset:
+                raise ValueError("T is not closed under composition")
+    return sorted(aset)
+
+
 def quasi_axioms(n, allowed):
     """Quasi-equations: a zero meet of substituted variables stays zero when
     every subscript is shifted by a bijective stabilizer element."""
-    allowed = sorted(set(allowed))
-    from .monoid import compose, identity
+    allowed = check_submonoid(n, allowed)
+    from .monoid import compose
 
-    if identity(n) not in allowed:
-        raise ValueError("T must contain the identity")
-    aset = set(allowed)
-    for s in allowed:
-        for t in allowed:
-            if compose(s, t) not in aset:
-                raise ValueError("T is not closed under composition")
     out = []
     xs = {sigma: Var(idx) for idx, sigma in enumerate(allowed)}
     for xi in bijective_stabilizer(n, allowed):

@@ -136,3 +136,67 @@ def ref_alternating_set(worlds, step):
         if pre == set(ws) - chosen:
             return chosen
     return None
+
+
+def ref_hom_sweep(source, target, h, gens):
+    """Exhaustive reference for a homomorphism check: every element and
+    every pair of an enumerable source, under the full signature given by
+    the generator symbols `gens`.  Returns (homomorphism, injective), with
+    injective meaning all images distinct."""
+    els = source.elements()
+    imgs = {z: h(z) for z in els}
+
+    def laws():
+        yield imgs[source.zero] == target.zero
+        yield imgs[source.one] == target.one
+        if source.mode == "full_diagonal":
+            for i in range(source.n):
+                for j in range(source.n):
+                    yield h(source.diag(i, j)) == target.diag(i, j)
+        for x in els:
+            hx = imgs[x]
+            yield h(source.compl(x)) == target.compl(hx)
+            for g in gens:
+                yield h(source.subst(g, x)) == target.subst(g, hx)
+            for y in els:
+                yield imgs[source.meet(x, y)] == target.meet(hx, imgs[y])
+                yield imgs[source.join(x, y)] == target.join(hx, imgs[y])
+
+    return all(laws()), len(set(imgs.values())) == len(els)
+
+
+def ref_frame_coherent(frame):
+    """Pairwise reference for action coherence: with act(tau) folded along a
+    shortest word, act(sigma*tau) must be act(sigma) followed by act(tau)
+    for every pair of monoid elements, and each generator's own table must
+    be the fold of its word.  Diagonal markings are not examined."""
+    n, m = frame.n, frame.num_worlds
+    gens = [(ref_gen_tuple(g.kind, g.i, g.j, n), frame.action[g])
+            for g in frame.action]
+    words = {tuple(range(n)): ()}
+    frontier = [tuple(range(n))]
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for idx, (gt, _) in enumerate(gens):
+                c = ref_compose(t, gt)
+                if c not in words:
+                    words[c] = words[t] + (idx,)
+                    nxt.append(c)
+        frontier = nxt
+
+    def fold(word):
+        tab = list(range(m))
+        for idx in word:
+            table = gens[idx][1]
+            tab = [table[w] for w in tab]
+        return tab
+
+    acts = {t: fold(w) for t, w in words.items()}
+    if any(acts[gt] != list(table) for gt, table in gens):
+        return False
+    for s, a_s in acts.items():
+        for t, a_t in acts.items():
+            if acts[ref_compose(s, t)] != [a_t[a_s[w]] for w in range(m)]:
+                return False
+    return True

@@ -105,6 +105,12 @@ def test_dimension_floor(capsys):
     assert "at least 2" in err
 
 
+def test_dimension_ceiling(capsys):
+    assert run(["sat", "-n", "9", "p0"]) == 2
+    _, err = _lines(capsys)
+    assert "at most 6" in err
+
+
 def test_malformed_formula(capsys):
     assert run(["sat", "-n", "2", "p0 &"]) == 2
     _, err = _lines(capsys)
@@ -206,6 +212,41 @@ def test_quasi_command(tmp_path, capsys):
     assert out[0] == "FAIL"
     payload = json.loads("\n".join(out[1:]))
     assert payload["holds"] is False
+
+
+def test_quasi_rejects_a_frame_without_transpositions(tmp_path, capsys):
+    """T = all permutations needs s_tau for every permutation tau, which a
+    replacements-mode signature lacks: an input error, not a traceback."""
+    frm = _write(tmp_path, "repl.json",
+                 frame_to_json(point_frame(3, 2, "replacements")))
+    assert run(["quasi", frm]) == 2
+    out, err = _lines(capsys)
+    assert out == []
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_algebra_file_rejects_unit_points_outside_the_square(tmp_path, capsys):
+    path = _write(tmp_path, "alg.json", {"n": 2, "k": 2, "unit": [0, 99]})
+    assert run(["represent", path]) == 2
+    out, err = _lines(capsys)
+    assert out == []
+    assert "unit" in err
+
+
+def test_frame_file_without_action_is_an_input_error(tmp_path, capsys):
+    path = _write(tmp_path, "frame.json", {"n": 2, "mode": "full", "worlds": 2})
+    assert run(["frame-check", path]) == 2
+    _, err = _lines(capsys)
+    assert "action" in err
+
+
+def test_frame_file_rejects_unknown_generator_tokens(tmp_path, capsys):
+    data = frame_to_json(point_frame(3, 2, "full"))
+    data["action"]["s[7|8]"] = list(range(data["worlds"]))
+    path = _write(tmp_path, "frame.json", data)
+    assert run(["frame-check", path]) == 2
+    _, err = _lines(capsys)
+    assert "s[7|8]" in err
 
 
 # ---------------------------------------------------------------- the rest

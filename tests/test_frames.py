@@ -25,6 +25,8 @@ from substal.setalg import Subalgebra, generate_subalgebra, small_algebra
 from substal.monoid import generators, repl, swap
 from substal.terms import equation_holds_exhaustive, sigma_axioms, word_pair
 
+from oracles import ref_frame_coherent
+
 
 def test_point_frames_pass_frame_check():
     for n, k, mode in [(2, 2, "full"), (2, 3, "full"), (3, 2, "full"),
@@ -285,6 +287,40 @@ def test_random_coherent_frames():
             assert frame_check(frame).ok
     with pytest.raises(ValueError):
         random_coherent_frame(2, "full_diagonal", rng=rng)
+
+
+def _perturbed(frame, rng):
+    """A copy with one world of one generator table sent elsewhere."""
+    g = rng.choice(sorted(frame.action, key=lambda s: s.token()))
+    tab = list(frame.act(g))
+    w = rng.randrange(frame.num_worlds)
+    tab[w] = rng.choice([v for v in range(frame.num_worlds) if v != tab[w]])
+    action = dict(frame.action)
+    action[g] = tab
+    return Frame(frame.n, frame.mode, frame.num_worlds, action)
+
+
+def test_frame_check_agrees_with_pair_sweep():
+    """The Cayley-edge certificate and the pairwise coherence sweep agree
+    on point frames, random coherent frames and perturbed copies."""
+    rng = random.Random(77)
+    frames = [point_frame(n, k, mode) for n, k, mode in
+              [(2, 2, "full"), (2, 3, "full"), (3, 2, "full"),
+               (3, 2, "transpositions"), (3, 2, "replacements")]]
+    for mode in ("full", "transpositions", "replacements"):
+        frames += [random_coherent_frame(rng.choice([2, 3]), mode,
+                                         max_worlds=6, rng=rng)
+                   for _ in range(6)]
+    verdicts = set()
+    for frame in frames:
+        candidates = [frame]
+        if frame.num_worlds > 1:
+            candidates += [_perturbed(frame, rng) for _ in range(3)]
+        for candidate in candidates:
+            ok = frame_check(candidate).ok
+            assert ok == ref_frame_coherent(candidate), candidate
+            verdicts.add(ok)
+    assert verdicts == {True, False}
 
 
 def test_frame_json_round_trip():

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from substal.monoid import Transformation, enumerate_monoid, identity
+from substal.frames import ComplexAlgebra, point_frame, random_coherent_frame
+from substal.monoid import Transformation, enumerate_monoid, generators, identity
 from substal.represent import (ProductAlgebra, SubMonoidCtx, atom_below,
                                canonical_extension, check_complete_additivity,
                                check_psi, check_psi_witnesses, check_quasi,
@@ -13,6 +14,8 @@ from substal.represent import (ProductAlgebra, SubMonoidCtx, atom_below,
                                represent_at, special_quasi_witness)
 from substal.setalg import (Subalgebra, generate_subalgebra, make_relativized,
                             point_index, small_algebra)
+
+from oracles import ref_hom_sweep
 
 SWAP = Transformation((1, 0))
 
@@ -79,8 +82,8 @@ def test_full_representation_exact():
     report = rep.report
     assert report["homomorphism"]
     assert report["injective"]
-    assert report["injective_method"] == "all-distinct"
-    assert report["direct_check"] == "exhaustive"
+    assert report["injective_method"] == "atom-blocks"
+    assert report["direct_check"] == "atom-certificate"
     assert report["identity_in_image"]
     assert report["atom_cover"]
     assert len(report["blocks"]) == 4
@@ -333,16 +336,16 @@ def test_hom_report_exhaustive_identity():
     report = hom_report(alg, alg, lambda z: z)
     assert report["homomorphism"]
     assert report["injective"]
-    assert report["method"] == "exhaustive"
+    assert report["method"] == "atom-certificate"
     assert report["failures"] == []
 
 
 def test_hom_report_sampled_large_source():
-    alg = small_algebra(2, 4)   # 65536 elements forces sampling
+    alg = small_algebra(2, 4)   # 65536 elements: certified from atoms alone
     pts = list(range(16))
     report = hom_report(alg, alg, lambda z: z, gather=(pts, pts))
     assert report["homomorphism"]
-    assert report["method"] in ("sampled", "sampled-vectorized")
+    assert report["method"] == "atom-certificate"
     assert report["injective"]
     assert report["injective_method"] == "atom-images-nonzero"
 
@@ -352,6 +355,82 @@ def test_hom_report_catches_a_broken_map():
     report = hom_report(alg, alg, lambda z: z & 7)   # clips the top point
     assert not report["homomorphism"]
     assert report["failures"]
+
+
+def _gather(src, dst):
+    def h(z):
+        out = 0
+        for s, d in zip(src, dst):
+            if z >> s & 1:
+                out |= 1 << d
+        return out
+    return h
+
+
+def _mutations(src, dst, rng):
+    """The gather itself, then copies with one pair dropped, two
+    destination bits swapped, one pair redirected onto another's
+    destination bit, one destination bit duplicated from a second source
+    bit, and every source bit sent to every destination bit."""
+    yield src, dst
+    i = rng.randrange(len(dst))
+    yield src[:i] + src[i + 1:], dst[:i] + dst[i + 1:]
+    if len(dst) > 1:
+        j = rng.choice([j for j in range(len(dst)) if j != i])
+        swapped = list(dst)
+        swapped[i], swapped[j] = dst[j], dst[i]
+        yield src, swapped
+        redirected = list(dst)
+        redirected[i] = dst[j]
+        yield src, redirected
+        yield src + [src[i]], dst + [dst[j]]
+    pairs = [(s, d) for s in set(src) for d in set(dst)]
+    yield [s for s, _ in pairs], [d for _, d in pairs]
+
+
+def _certificate_cases(rng):
+    """(source, target, map, gather or None) for represent_at and
+    diag_represent at every atom of small point-frame, random-frame and
+    subalgebra sources, each gather also mutated."""
+    sources = [ComplexAlgebra(point_frame(2, 2, mode))
+               for mode in ("full", "transpositions", "replacements")]
+    sources += [ComplexAlgebra(random_coherent_frame(
+        rng.choice([2, 3]), rng.choice(["full", "transpositions"]),
+        max_worlds=5, rng=rng)) for _ in range(6)]
+    alg = small_algebra(2, 2)
+    sources.append(Subalgebra(alg, generate_subalgebra(alg, [1])))
+    reps = [represent_at(source, x) for source in sources
+            for x in source.atoms()]
+    diagonal = ComplexAlgebra(point_frame(2, 2, "full_diagonal"))
+    reps += [diag_represent(diagonal, x) for x in diagonal.atoms()]
+    for rep in reps:
+        if rep.gather is None:
+            yield rep.source, rep.target, rep.image, None
+            continue
+        for src, dst in _mutations(list(rep.gather[0]), list(rep.gather[1]),
+                                   rng):
+            yield rep.source, rep.target, _gather(src, dst), (src, dst)
+
+
+def test_hom_certificate_agrees_with_pair_sweep():
+    """The atom certificate and the exhaustive pair sweep give the same
+    verdict on correct maps, mutated gathers, and maps bent at one element
+    (which are no longer additive)."""
+    rng = random.Random(2024)
+    verdicts = set()
+    for source, target, h, gather in _certificate_cases(rng):
+        gens = generators(source.n, source.mode)
+        z0 = rng.choice(source.elements())
+        flip = 1 << rng.choice([p for p in range(target.one.bit_length())
+                                if target.one >> p & 1])
+        bent = lambda z, h=h: h(z) ^ flip if z == z0 else h(z)
+        for fn, given in ((h, gather), (bent, None)):
+            report = hom_report(source, target, fn, gather=given)
+            hom, distinct = ref_hom_sweep(source, target, fn, gens)
+            assert report["homomorphism"] == hom, (source, report)
+            assert report["injective"] == (hom and distinct), (source, report)
+            verdicts.add((hom, hom and distinct))
+    assert verdicts == {(True, True), (True, False), (False, False)}
 
 
 # ------------------------------------------------------------- product shape
