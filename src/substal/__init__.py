@@ -68,7 +68,7 @@ from .frames import (
     random_coherent_frame,
     superamalgam,
 )
-from .logic import Model, model_check, prop_sat, satisfiable, unfold, valid
+from .logic import BDD, Model, model_check, satisfiable, unfold, valid
 from .represent import (
     RepMap,
     SubMonoidCtx,

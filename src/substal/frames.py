@@ -21,10 +21,10 @@ from .monoid import (
     gensym_from_token,
     has_diagonals,
     identity,
+    monoid_size,
     normalize_mode,
-    apply_point,
 )
-from .setalg import json_int, json_ints, point_coords, point_index
+from .setalg import json_int, json_ints
 
 
 class Frame:
@@ -38,9 +38,8 @@ class Frame:
             if g not in action:
                 raise ValueError("frame action is missing %s" % g.token())
             tab = tuple(action[g])
-            if len(tab) != num_worlds or any(
-                not (0 <= w < num_worlds) for w in tab
-            ):
+            if len(tab) != num_worlds or tab and not (
+                    0 <= min(tab) and max(tab) < num_worlds):
                 raise ValueError("bad action table for %s" % g.token())
             self.action[g] = tab
         self.diag = None
@@ -143,7 +142,7 @@ def frame_check(frame, budget=2 * 10**6, max_failures=10):
     (`action_tables`); diagonal markings must satisfy their
     correspondents.  Work is |monoid| * |generators| * |worlds|."""
     n, mode, m = frame.n, frame.mode, frame.num_worlds
-    size = len(enumerate_monoid(n, mode))
+    size = monoid_size(n, mode)
     if size * len(generators(n, mode)) * max(m, 1) > budget:
         raise ValueError("coherence check exceeds budget")
     _, failures, pairs = action_tables(frame, max_failures)
@@ -175,24 +174,32 @@ def frame_check(frame, budget=2 * 10**6, max_failures=10):
 
 
 def point_frame(n, k, mode="full"):
-    """The frame of all points of ⁿk under the right generator action."""
+    """The frame of all points of ⁿk under the right generator action.
+
+    World p is the point whose coordinate i is the base-k digit i of p.  A
+    generator g rewrites only the coordinates it moves, so it sends p to
+    p + sum over moved i of (digit g(i) - digit i) * k^i."""
     mode = normalize_mode(mode)
     num = k**n
-    coords = [point_coords(p, n, k) for p in range(num)]
+    worlds = range(num)
+    digits = [[p // k**i % k for p in worlds] for i in range(n)]
     action = {}
     for g in generators(n, mode):
-        gt = g.tr(n)
-        action[g] = tuple(point_index(apply_point(q, gt), k) for q in coords)
+        tab = worlds
+        for i, src in enumerate(g.tr(n).map):
+            if src != i:
+                weight = k**i
+                tab = [t + (a - b) * weight
+                       for t, a, b in zip(tab, digits[src], digits[i])]
+        action[g] = tuple(tab)
     diag = None
     if has_diagonals(mode):
         diag = {}
         for i in range(n):
             for j in range(i + 1, n):
-                mask = 0
-                for p, q in enumerate(coords):
-                    if q[i] == q[j]:
-                        mask |= 1 << p
-                diag[(i, j)] = mask
+                bits = "".join("1" if a == b else "0" for a, b in
+                               zip(reversed(digits[i]), reversed(digits[j])))
+                diag[(i, j)] = int(bits or "0", 2)
     return Frame(n, mode, num, action, diag)
 
 

@@ -6,123 +6,253 @@ q unfolds into a propositional formula over (variable, reached point)
 atoms.  Which points are reached — and which diagonal tests hold — depends
 only on the coincidence pattern of q's coordinates, so satisfiability
 reduces to one propositional check per partition of the coordinate set.
+
+Generic point.  A term without diagonal constants unfolds at q exactly as
+it does at the discrete point d = (0, 1, ..., n-1), with every atom
+(v, tau) renamed to (v, q∘tau): a word whose composite is tau moves d to
+tau and q to q∘tau.  So a model at q pulls back to a model at d, and when
+the unfolding at d is unsatisfiable the term is unsatisfiable at every
+kernel; one check decides it.  Only when d is satisfiable are the
+partitions swept, in restricted-growth order, so the witness reported is
+the first kernel that has one.  A term with diagonals is always swept.
+
+Propositional core.  The unfoldings of one decision are built into one
+reduced ordered BDD (Bryant, 1986).  Nodes are hash-consed in a unique
+table; conjunction, disjunction and negation are memoised; the unfolding
+is memoised on (subterm, point); a constant conjunct or disjunct that
+decides its chain skips the siblings still to come; variables are ordered
+by first appearance.  Unfolding and every BDD operation run on explicit
+stacks, so neither the depth of a term nor the height of a BDD meets the
+recursion limit.  A satisfying assignment is one path to the TRUE
+terminal that takes the true branch wherever that does not lead to FALSE,
+and the points of its atoms are the points the decision touched.
 Witnesses are rebuilt as concrete models and re-verified.
 """
 
 from dataclasses import dataclass
 
-from .monoid import apply_point, normalize_mode, num_blocks, partitions
+from .monoid import normalize_mode, num_blocks, partitions
 from .terms import (Compl, Diag, Join, Meet, One, Sub, Var, Zero, eval_term,
-                    iff, variables)
+                    iff, subterms, variables)
 from .setalg import point_index
 from .frames import ComplexAlgebra, point_frame
 
-TRUE = ("true",)
-FALSE = ("false",)
+FALSE, TRUE = 0, 1
+_LEAF = 1 << 62           # the level of both terminals, below every variable
 
 
-def unfold(term, point, n, mode="full"):
-    """Propositional unfolding of `term` at the tuple `point`."""
-    if isinstance(term, Var):
-        return ("atom", (term.index, point))
-    if isinstance(term, Zero):
-        return FALSE
-    if isinstance(term, One):
-        return TRUE
-    if isinstance(term, Meet):
-        return ("and", unfold(term.left, point, n, mode),
-                unfold(term.right, point, n, mode))
-    if isinstance(term, Join):
-        return ("or", unfold(term.left, point, n, mode),
-                unfold(term.right, point, n, mode))
-    if isinstance(term, Compl):
-        return ("not", unfold(term.arg, point, n, mode))
-    if isinstance(term, Sub):
-        moved = apply_point(point, term.sym.tr(n))
-        return unfold(term.arg, moved, n, mode)
-    if isinstance(term, Diag):
-        return TRUE if point[term.i] == point[term.j] else FALSE
-    raise TypeError("not a term: %r" % (term,))
+class BDD:
+    """A hash-consed reduced ordered BDD over (variable, point) atoms.
 
+    Node 0 is FALSE and node 1 is TRUE.  Any other node u tests the atom
+    `atoms[level[u]]` and continues at `low[u]` when it is false and at
+    `high[u]` when it is true.  Levels are handed out in the order atoms
+    are first asked for."""
 
-def prop_atoms(f):
-    out = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g[0] == "atom":
-            out.add(g[1])
-        elif g[0] == "not":
-            stack.append(g[1])
-        elif g[0] in ("and", "or"):
-            stack.append(g[1])
-            stack.append(g[2])
-    return out
+    def __init__(self):
+        self.level = [_LEAF, _LEAF]
+        self.low = [FALSE, TRUE]
+        self.high = [FALSE, TRUE]
+        self.atoms = []
+        self._atom_node = {}
+        self._unique = {}
+        self._apply_memo = ({}, {})     # by absorbing terminal: and, or
+        self._neg_memo = {}
+        self.unfolded = {}              # (id(subterm), point) -> node
+        self._terms = []                # keeps those ids from being reused
 
+    def _node(self, level, low, high):
+        if low == high:
+            return low
+        key = (level, low, high)
+        u = self._unique.get(key)
+        if u is None:
+            u = len(self.level)
+            self.level.append(level)
+            self.low.append(low)
+            self.high.append(high)
+            self._unique[key] = u
+        return u
 
-def _simplify(f, key, value):
-    """Partially evaluate one atom and fold constants."""
-    kind = f[0]
-    if kind == "atom":
-        if f[1] == key:
-            return TRUE if value else FALSE
-        return f
-    if kind == "not":
-        s = _simplify(f[1], key, value)
-        if s == TRUE:
-            return FALSE
-        if s == FALSE:
-            return TRUE
-        return ("not", s)
-    if kind in ("and", "or"):
-        a = _simplify(f[1], key, value)
-        b = _simplify(f[2], key, value)
-        if kind == "and":
-            if a == FALSE or b == FALSE:
-                return FALSE
-            if a == TRUE:
-                return b
-            if b == TRUE:
-                return a
-        else:
-            if a == TRUE or b == TRUE:
-                return TRUE
-            if a == FALSE:
-                return b
-            if b == FALSE:
-                return a
-        return (kind, a, b)
-    return f
+    def atom(self, atom):
+        u = self._atom_node.get(atom)
+        if u is None:
+            self.atoms.append(atom)
+            u = self._atom_node[atom] = self._node(len(self.atoms) - 1, FALSE, TRUE)
+        return u
 
+    def conj(self, f, g):
+        return self.apply(f, g, FALSE)
 
-def _first_atom(f):
-    if f[0] == "atom":
-        return f[1]
-    if f[0] == "not":
-        return _first_atom(f[1])
-    if f[0] in ("and", "or"):
-        return _first_atom(f[1]) or _first_atom(f[2])
-    return None
+    def disj(self, f, g):
+        return self.apply(f, g, TRUE)
 
+    def apply(self, f, g, absorb):
+        """f AND g when `absorb` is FALSE, f OR g when it is TRUE, by Shannon
+        expansion on the top level of the two operands."""
+        unit = TRUE - absorb
+        memo = self._apply_memo[absorb]
+        level, low, high, node = self.level, self.low, self.high, self._node
+        todo = [(f, g)]
+        done = []
+        while todo:
+            item = todo.pop()
+            if len(item) == 3:             # both cofactors are on `done`
+                top, f, g = item
+                hi = done.pop()
+                r = memo[f, g] = node(top, done.pop(), hi)
+                done.append(r)
+                continue
+            f, g = item
+            if f == absorb or g == absorb:
+                r = absorb
+            elif f == unit or f == g:
+                r = g
+            elif g == unit:
+                r = f
+            else:
+                if f > g:
+                    f, g = g, f
+                r = memo.get((f, g))
+                if r is None:
+                    lf, lg = level[f], level[g]
+                    top = min(lf, lg)
+                    f0, f1 = (low[f], high[f]) if lf == top else (f, f)
+                    g0, g1 = (low[g], high[g]) if lg == top else (g, g)
+                    todo.append((top, f, g))
+                    todo.append((f1, g1))
+                    todo.append((f0, g0))
+                    continue
+            done.append(r)
+        return done[0]
 
-def prop_sat(f):
-    """Splitting solver; returns a satisfying {atom: bool} or None."""
+    def neg(self, f):
+        memo = self._neg_memo
+        level, low, high, node = self.level, self.low, self.high, self._node
+        todo = [f]
+        done = []
+        while todo:
+            u = todo.pop()
+            if u < 0:                      # ~u: both branches are on `done`
+                u = ~u
+                hi = done.pop()
+                r = node(level[u], done.pop(), hi)
+                memo[u] = r
+                memo[r] = u
+            elif u <= TRUE:
+                r = TRUE - u
+            else:
+                r = memo.get(u)
+                if r is None:
+                    todo.append(~u)
+                    todo.append(high[u])
+                    todo.append(low[u])
+                    continue
+            done.append(r)
+        return done[0]
 
-    def go(g, asg):
-        if g == TRUE:
-            return asg
-        if g == FALSE:
+    def path(self, f):
+        """{atom: value} along one path from f to TRUE that takes the true
+        branch wherever that does not lead to FALSE; None when f is FALSE.
+        Atoms off the path are free."""
+        if f == FALSE:
             return None
-        a = _first_atom(g)
-        for value in (True, False):
-            found = go(_simplify(g, a, value), {**asg, a: value})
-            if found is not None:
-                return found
-        return None
+        out = {}
+        while f > TRUE:
+            atom = self.atoms[self.level[f]]
+            if self.high[f] != FALSE:
+                out[atom] = True
+                f = self.high[f]
+            else:
+                out[atom] = False
+                f = self.low[f]
+        return out
 
-    # fold constants before the first split
-    g = _simplify(f, None, False)
-    return go(g, {})
+
+_EVAL, _CHAIN, _NEG = range(3)
+
+
+def unfold(term, point, n, bdd):
+    """The node of `bdd` that is the truth of `term` at the tuple `point`.
+
+    A chain of meets (or of joins) is unfolded as one list of its distinct
+    operands, left to right, and folded from the right.  Levels are handed
+    out left to right, so a chain over fresh variables grows one level per
+    fold instead of being rebuilt under each new variable.  An operand
+    equal to the chain's absorbing constant ends the chain at once."""
+    memo = bdd.unfolded
+    bdd._terms.append(term)
+    moves = {}
+    todo = [(_EVAL, term, point)]
+    done = []
+    while todo:
+        frame = todo.pop()
+        op, t, p = frame[0], frame[1], frame[2]
+        if op == _EVAL:
+            while isinstance(t, Sub):
+                step = moves.get(t.sym)
+                if step is None:
+                    step = moves[t.sym] = t.sym.tr(n).map
+                p = tuple(map(p.__getitem__, step))
+                t = t.arg
+            r = memo.get((id(t), p))
+            if r is None:
+                if isinstance(t, Var):
+                    r = bdd.atom((t.index, p))
+                elif isinstance(t, (Meet, Join)):
+                    operands = _chain(t)
+                    todo.append((_CHAIN, t, p, operands, 0, []))
+                    todo.append((_EVAL, operands[0], p))
+                    continue
+                elif isinstance(t, Compl):
+                    todo.append((_NEG, t, p))
+                    todo.append((_EVAL, t.arg, p))
+                    continue
+                elif isinstance(t, Zero):
+                    r = FALSE
+                elif isinstance(t, One):
+                    r = TRUE
+                elif isinstance(t, Diag):
+                    r = TRUE if p[t.i] == p[t.j] else FALSE
+                else:
+                    raise TypeError("not a term: %r" % (t,))
+        elif op == _CHAIN:                 # operand i's node is on `done`
+            _, t, p, operands, i, nodes = frame
+            absorb = FALSE if isinstance(t, Meet) else TRUE
+            r = done.pop()
+            if r != absorb:
+                if r != TRUE - absorb:
+                    nodes.append(r)
+                if i + 1 < len(operands):
+                    todo.append((_CHAIN, t, p, operands, i + 1, nodes))
+                    todo.append((_EVAL, operands[i + 1], p))
+                    continue
+                r = TRUE - absorb
+                for u in reversed(nodes):
+                    r = bdd.apply(u, r, absorb)
+            memo[id(t), p] = r
+        else:
+            r = memo[id(t), p] = bdd.neg(done.pop())
+        done.append(r)
+    return done[0]
+
+
+def _chain(term):
+    """The distinct operands of the chain of meets (or joins) at `term`,
+    left to right."""
+    kind = type(term)
+    out = []
+    seen = set()
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if type(t) is kind:
+            stack.append(t.right)
+            stack.append(t.left)
+        elif id(t) not in seen:
+            seen.add(id(t))
+            out.append(t)
+    return out
 
 
 @dataclass
@@ -169,11 +299,15 @@ def satisfiable(term, n, mode="full"):
     model when returned.
     """
     mode = normalize_mode(mode)
+    bdd = BDD()
+    if not any(isinstance(t, Diag) for t in subterms(term)):
+        # the generic point decides a diagonal-free term (module docstring)
+        if unfold(term, tuple(range(n)), n, bdd) == FALSE:
+            return False, None
     for part in partitions(n):
         base = max(1, num_blocks(part))
         point = tuple(part)
-        f = unfold(term, point, n, mode)
-        assignment = prop_sat(f)
+        assignment = bdd.path(unfold(term, point, n, bdd))
         if assignment is None:
             continue
         model, world, touched = _witness_model(n, mode, point, base, assignment)

@@ -7,6 +7,7 @@ sigma(tau(i))``, and points act on the right: ``(q.tau)(i) = q(tau(i))``,
 so applying a composite equals applying its factors left to right.
 """
 
+import math
 import re
 from collections import deque
 from functools import lru_cache
@@ -232,6 +233,18 @@ def monoid_table(n, mode, limit=DIM_LIMIT):
 def enumerate_monoid(n, mode, limit=DIM_LIMIT):
     """All transformations generated by the mode's symbols, BFS order."""
     return list(monoid_table(n, normalize_mode(mode), limit))
+
+
+def monoid_size(n, mode):
+    """The number of transformations the mode generates: all n^n maps in
+    the full modes, the n! permutations from transpositions, and from
+    replacements every non-injective map plus the identity."""
+    mode = normalize_mode(mode)
+    if mode == "transpositions":
+        return math.factorial(n)
+    if mode == "replacements":
+        return n**n - math.factorial(n) + 1
+    return n**n
 
 
 def _perm_cycles_word(pi):

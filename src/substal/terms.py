@@ -113,36 +113,61 @@ def sub_tau(tau, arg, mode="full"):
     return word_term(canonical_word(tau, mode), arg)
 
 
+def subterms(term):
+    """The distinct subterm objects of `term`, children before parents.
+
+    The walk keeps its own stack, so a term of any depth is read without
+    recursion, and a subterm shared by several parents is listed once."""
+    order = []
+    seen = set()
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if t is _LISTED:
+            order.append(stack.pop())
+            continue
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        stack.append(t)
+        stack.append(_LISTED)
+        cls = type(t)
+        if cls is Meet or cls is Join:
+            stack.append(t.right)
+            stack.append(t.left)
+        elif cls is Compl or cls is Sub:
+            stack.append(t.arg)
+    return order
+
+
+_LISTED = object()     # marks a subterm whose children are all listed
+
+
 def variables(term):
-    if isinstance(term, Var):
-        return {term.index}
-    if isinstance(term, (Meet, Join)):
-        return variables(term.left) | variables(term.right)
-    if isinstance(term, Compl):
-        return variables(term.arg)
-    if isinstance(term, Sub):
-        return variables(term.arg)
-    return set()
+    return {t.index for t in subterms(term) if isinstance(t, Var)}
+
+
+def _count(term, own):
+    """Sum of own(t) over the term read as a tree (a shared subterm counts
+    once per occurrence)."""
+    total = {}
+    for t in subterms(term):
+        if isinstance(t, (Meet, Join)):
+            inner = total[id(t.left)] + total[id(t.right)]
+        elif isinstance(t, (Compl, Sub)):
+            inner = total[id(t.arg)]
+        else:
+            inner = 0
+        total[id(t)] = own(t) + inner
+    return total[id(term)]
 
 
 def term_size(term):
-    if isinstance(term, (Meet, Join)):
-        return 1 + term_size(term.left) + term_size(term.right)
-    if isinstance(term, Compl):
-        return 1 + term_size(term.arg)
-    if isinstance(term, Sub):
-        return 1 + term_size(term.arg)
-    return 1
+    return _count(term, lambda t: 1)
 
 
 def modality_count(term):
-    if isinstance(term, (Meet, Join)):
-        return modality_count(term.left) + modality_count(term.right)
-    if isinstance(term, Compl):
-        return modality_count(term.arg)
-    if isinstance(term, Sub):
-        return 1 + modality_count(term.arg)
-    return 0
+    return _count(term, lambda t: isinstance(t, Sub))
 
 
 class ParseError(ValueError):
@@ -176,12 +201,18 @@ def _tokenize(text):
     return tokens
 
 
+# Prefix chains and operator chains are read in loops; only parentheses
+# recurse, so their depth is bounded.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text, n, mode):
         self.tokens = _tokenize(text)
         self.k = 0
         self.n = n
         self.mode = normalize_mode(mode)
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.k][0]
@@ -205,11 +236,15 @@ class _Parser:
         return t
 
     def implication(self):
-        left = self.disjunction()
-        if self.peek() == "imp":
+        # right-associative: a -> b -> c is a -> (b -> c)
+        parts = [self.disjunction()]
+        while self.peek() == "imp":
             self.take()
-            return implies(left, self.implication())
-        return left
+            parts.append(self.disjunction())
+        out = parts.pop()
+        while parts:
+            out = implies(parts.pop(), out)
+        return out
 
     def disjunction(self):
         out = self.conjunction()
@@ -226,12 +261,12 @@ class _Parser:
         return out
 
     def unary(self):
-        kind = self.peek()
-        if kind == "neg":
-            self.take()
-            return Compl(self.unary())
-        if kind == "sub":
-            _, text, pos = self.take()
+        prefix = []            # None for ~, else the generator symbol
+        while self.peek() in ("neg", "sub"):
+            kind, text, pos = self.take()
+            if kind == "neg":
+                prefix.append(None)
+                continue
             g = gensym_from_token(text)
             if not mode_allows(self.mode, g):
                 raise ParseError(
@@ -239,8 +274,11 @@ class _Parser:
                 )
             if g.j >= self.n or g.i >= self.n:
                 raise ParseError("%s is out of range for n=%d" % (g.token(), self.n), pos)
-            return Sub(g, self.unary())
-        return self.atom()
+            prefix.append(g)
+        out = self.atom()
+        for g in reversed(prefix):
+            out = Compl(out) if g is None else Sub(g, out)
+        return out
 
     def atom(self):
         kind, text, pos = self.take()
@@ -258,8 +296,13 @@ class _Parser:
                 raise ParseError("%s is out of range for n=%d" % (text, self.n), pos)
             return Diag(i, j)
         if kind == "lpar":
+            # each open parenthesis costs a few Python frames
+            if self.depth >= MAX_NESTING:
+                raise ParseError("parentheses nest deeper than %d" % MAX_NESTING, pos)
+            self.depth += 1
             t = self.implication()
             self.expect("rpar")
+            self.depth -= 1
             return t
         raise ParseError("unexpected token %r" % text, pos)
 
@@ -286,29 +329,38 @@ _PREC = {"join": 2, "meet": 3, "unary": 4}
 
 
 def format_term(term):
-    def fmt(t, prec):
+    # each subterm's text with its binding strength; a parent parenthesizes
+    # a child that binds more loosely than the place it sits in
+    out = {}
+    for t in subterms(term):
         if isinstance(t, Var):
-            return "p%d" % t.index
-        if isinstance(t, Zero):
-            return "0"
-        if isinstance(t, One):
-            return "1"
-        if isinstance(t, Diag):
-            return "d(%d,%d)" % (t.i, t.j)
-        if isinstance(t, Compl):
-            return "~" + fmt(t.arg, _PREC["unary"])
-        if isinstance(t, Sub):
-            return t.sym.token() + " " + fmt(t.arg, _PREC["unary"])
-        if isinstance(t, Meet):
+            out[id(t)] = ("p%d" % t.index, _PREC["unary"])
+        elif isinstance(t, Zero):
+            out[id(t)] = ("0", _PREC["unary"])
+        elif isinstance(t, One):
+            out[id(t)] = ("1", _PREC["unary"])
+        elif isinstance(t, Diag):
+            out[id(t)] = ("d(%d,%d)" % (t.i, t.j), _PREC["unary"])
+        elif isinstance(t, Compl):
+            out[id(t)] = ("~" + _placed(out[id(t.arg)], _PREC["unary"]),
+                          _PREC["unary"])
+        elif isinstance(t, Sub):
+            out[id(t)] = (t.sym.token() + " " + _placed(out[id(t.arg)], _PREC["unary"]),
+                          _PREC["unary"])
+        elif isinstance(t, (Meet, Join)):
             # the parser associates left, so a right-nested child needs parens
-            body = fmt(t.left, _PREC["meet"]) + " & " + fmt(t.right, _PREC["meet"] + 1)
-            return "(" + body + ")" if prec > _PREC["meet"] else body
-        if isinstance(t, Join):
-            body = fmt(t.left, _PREC["join"]) + " | " + fmt(t.right, _PREC["join"] + 1)
-            return "(" + body + ")" if prec > _PREC["join"] else body
-        raise TypeError(t)
+            prec = _PREC["meet" if isinstance(t, Meet) else "join"]
+            sep = " & " if isinstance(t, Meet) else " | "
+            out[id(t)] = (_placed(out[id(t.left)], prec) + sep
+                          + _placed(out[id(t.right)], prec + 1), prec)
+        else:
+            raise TypeError(t)
+    return out[id(term)][0]
 
-    return fmt(term, 0)
+
+def _placed(text_prec, prec):
+    text, own = text_prec
+    return "(" + text + ")" if prec > own else text
 
 
 def format_equation(eq):
@@ -317,29 +369,28 @@ def format_equation(eq):
 
 def eval_term(algebra, term, assignment):
     """Evaluate a term in any algebra handle under a variable assignment."""
-    if isinstance(term, Var):
-        return assignment[term.index]
-    if isinstance(term, Zero):
-        return algebra.zero
-    if isinstance(term, One):
-        return algebra.one
-    if isinstance(term, Meet):
-        return algebra.meet(
-            eval_term(algebra, term.left, assignment),
-            eval_term(algebra, term.right, assignment),
-        )
-    if isinstance(term, Join):
-        return algebra.join(
-            eval_term(algebra, term.left, assignment),
-            eval_term(algebra, term.right, assignment),
-        )
-    if isinstance(term, Compl):
-        return algebra.compl(eval_term(algebra, term.arg, assignment))
-    if isinstance(term, Sub):
-        return algebra.subst(term.sym, eval_term(algebra, term.arg, assignment))
-    if isinstance(term, Diag):
-        return algebra.diag(term.i, term.j)
-    raise TypeError(term)
+    value = {}
+    for t in subterms(term):
+        if isinstance(t, Var):
+            v = assignment[t.index]
+        elif isinstance(t, Meet):
+            v = algebra.meet(value[id(t.left)], value[id(t.right)])
+        elif isinstance(t, Join):
+            v = algebra.join(value[id(t.left)], value[id(t.right)])
+        elif isinstance(t, Compl):
+            v = algebra.compl(value[id(t.arg)])
+        elif isinstance(t, Sub):
+            v = algebra.subst(t.sym, value[id(t.arg)])
+        elif isinstance(t, Zero):
+            v = algebra.zero
+        elif isinstance(t, One):
+            v = algebra.one
+        elif isinstance(t, Diag):
+            v = algebra.diag(t.i, t.j)
+        else:
+            raise TypeError(t)
+        value[id(t)] = v
+    return value[id(term)]
 
 
 def equation_holds_exhaustive(algebra, eq, budget=10**6):

@@ -200,3 +200,60 @@ def ref_frame_coherent(frame):
             if acts[ref_compose(s, t)] != [a_t[a_s[w]] for w in range(m)]:
                 return False
     return True
+
+
+def ref_kernel_satisfiable(term, n):
+    """Exact satisfiability over the square point algebras of dimension n,
+    kernel by kernel.  The truth of a term at a point depends only on the
+    valuation at the points its substitutions reach from there, so one
+    representative point per set partition of the coordinates is tried
+    under every valuation of those points.  No kernel is skipped."""
+    from substal import terms as T
+
+    def move(t, q):
+        g = ref_gen_tuple(t.sym.kind, t.sym.i, t.sym.j, n)
+        return tuple(q[g[i]] for i in range(n))
+
+    def reach(t, q, acc):
+        if isinstance(t, T.Var):
+            acc.add((t.index, q))
+        elif isinstance(t, (T.Meet, T.Join)):
+            reach(t.left, q, acc)
+            reach(t.right, q, acc)
+        elif isinstance(t, T.Compl):
+            reach(t.arg, q, acc)
+        elif isinstance(t, T.Sub):
+            reach(t.arg, move(t, q), acc)
+
+    def truth(t, q, true_atoms):
+        if isinstance(t, T.Var):
+            return (t.index, q) in true_atoms
+        if isinstance(t, T.Zero):
+            return False
+        if isinstance(t, T.One):
+            return True
+        if isinstance(t, T.Diag):
+            return q[t.i] == q[t.j]
+        if isinstance(t, T.Meet):
+            return truth(t.left, q, true_atoms) and truth(t.right, q, true_atoms)
+        if isinstance(t, T.Join):
+            return truth(t.left, q, true_atoms) or truth(t.right, q, true_atoms)
+        if isinstance(t, T.Compl):
+            return not truth(t.arg, q, true_atoms)
+        if isinstance(t, T.Sub):
+            return truth(t.arg, move(t, q), true_atoms)
+        raise TypeError(t)
+
+    for part in ref_set_partitions(n):
+        q = [0] * n
+        for label, block in enumerate(sorted(part, key=min)):
+            for i in block:
+                q[i] = label
+        q = tuple(q)
+        atoms = set()
+        reach(term, q, atoms)
+        atoms = sorted(atoms)
+        for bits in itertools.product((False, True), repeat=len(atoms)):
+            if truth(term, q, {a for a, b in zip(atoms, bits) if b}):
+                return True
+    return False

@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+import time
 
 from substal.cli import run
 from substal.frames import Frame, frame_to_json, point_frame
+from substal.monoid import generators
 from substal.setalg import algebra_to_json, make_relativized, small_algebra
 
 
@@ -55,6 +57,71 @@ def test_valid_axiom_sweep(capsys):
     assert len(results) == 36
     assert all(entry["valid"] for entry in results)
     assert {"tag", "equation", "valid"} == set(results[0])
+
+
+def test_diagonal_sat_is_not_decided_at_the_discrete_point(capsys):
+    # d(0,1) fails at the point (0, 1) and holds at (0, 0)
+    assert run(["sat", "-n", "2", "--mode", "diag", "d(0,1)"]) == 0
+    out, _ = _lines(capsys)
+    assert out[0] == "SAT"
+    assert json.loads("\n".join(out[1:]))["partition"] == [0, 0]
+
+
+def test_deep_formulas_get_a_verdict(capsys):
+    assert run(["sat", "-n", "2", "s[0,1] " * 1200 + "p0"]) == 0
+    out, err = _lines(capsys)
+    assert out[0] == "SAT" and err == ""
+
+    wide = " & ".join("p%d" % v for v in range(1500))
+    assert run(["sat", "-n", "2", wide]) == 0
+    out, err = _lines(capsys)
+    assert out[0] == "SAT" and err == ""
+    assert len(json.loads("\n".join(out[1:]))["valuation"]) == 1500
+
+    assert run(["valid", "-n", "2", "~" * 1501 + "p0 | p0"]) == 0
+    out, _ = _lines(capsys)
+    assert out == ["VALID"]
+
+
+def test_deep_parentheses_are_an_input_error(capsys):
+    assert run(["sat", "-n", "2", "(" * 500 + "p0" + ")" * 500]) == 2
+    _, err = _lines(capsys)
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def _xor(a, b):
+    return "((%s & ~%s) | (~%s & %s))" % (a, b, a, b)
+
+
+def _balanced_xor(items):
+    if len(items) == 1:
+        return items[0]
+    mid = len(items) // 2
+    return _xor(_balanced_xor(items[:mid]), _balanced_xor(items[mid:]))
+
+
+def _iff(a, b):
+    return "((%s -> %s) & (%s -> %s))" % (a, b, b, a)
+
+
+def test_parity_pair_at_sixteen_literals(capsys):
+    """x0 ^ ... ^ x15, each literal behind a substitution word, against the
+    reversed and so re-bracketed chain (VALID), and against that chain with
+    its middle literal dropped (INVALID)."""
+    words = ["", "s[0,1] ", "s[1|2] s[0,1] "]
+    lits = ["%sp%d" % (words[v % 3], v) for v in range(16)]
+    left = _balanced_xor(lits)
+    reverse = lits[::-1]
+    same = _iff(left, _balanced_xor(reverse))
+    del reverse[8]
+    dropped = _iff(left, _balanced_xor(reverse))
+    for formula, code, verdict in ((same, 0, "VALID"), (dropped, 1, "INVALID")):
+        t0 = time.monotonic()
+        assert run(["valid", "-n", "3", formula]) == code
+        elapsed = time.monotonic() - t0
+        out, _ = _lines(capsys)
+        assert out[0] == verdict
+        assert elapsed < 1.0, "%s took %.2fs" % (verdict, elapsed)
 
 
 def test_valid_needs_formula_or_axioms(capsys):
@@ -148,6 +215,19 @@ def test_frame_check_files(tmp_path, capsys):
     payload = json.loads("\n".join(out[1:]))
     assert payload["ok"] is False
     assert payload["failures"]
+
+
+def test_frame_check_refuses_an_over_budget_monoid_quickly(tmp_path, capsys):
+    # |M| = 6^6 for the full monoid, so the work bound is exceeded; the
+    # size comes from its closed form, not from enumerating the monoid
+    one = Frame(6, "full", 1, {g: (0,) for g in generators(6, "full")})
+    path = _write(tmp_path, "one.json", frame_to_json(one))
+    t0 = time.monotonic()
+    assert run(["frame-check", path]) == 2
+    elapsed = time.monotonic() - t0
+    _, err = _lines(capsys)
+    assert "budget" in err
+    assert elapsed < 0.5, "took %.2fs" % elapsed
 
 
 def test_frame_check_missing_file(capsys):

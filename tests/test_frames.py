@@ -25,7 +25,7 @@ from substal.setalg import Subalgebra, generate_subalgebra, small_algebra
 from substal.monoid import generators, repl, swap
 from substal.terms import equation_holds_exhaustive, sigma_axioms, word_pair
 
-from oracles import ref_frame_coherent
+from oracles import ref_frame_coherent, ref_gen_tuple
 
 
 def test_point_frames_pass_frame_check():
@@ -35,6 +35,35 @@ def test_point_frames_pass_frame_check():
         report = frame_check(point_frame(n, k, mode))
         assert report.ok, (n, k, mode, report.failures)
         assert report.pairs_checked > 0
+
+
+def test_point_frame_matches_reference_tables():
+    """Action tables and diagonals against points moved one by one: world
+    index sum q[i] * k^i, and g sends q to (q[g(0)], ..., q[g(n-1)])."""
+    for n in range(1, 5):
+        for k in range(1, 4):
+            points = list(itertools.product(range(k), repeat=n))
+
+            def index(q):
+                return sum(v * k**i for i, v in enumerate(q))
+
+            for mode in ("replacements", "transpositions", "full",
+                         "full_diagonal"):
+                frame = point_frame(n, k, mode)
+                assert frame.num_worlds == k**n
+                for g in generators(n, mode):
+                    gt = ref_gen_tuple(g.kind, g.i, g.j, n)
+                    want = [None] * len(points)
+                    for q in points:
+                        want[index(q)] = index(tuple(q[gt[i]] for i in range(n)))
+                    assert list(frame.act(g)) == want, (n, k, mode, g)
+                if mode != "full_diagonal":
+                    assert frame.diag is None
+                    continue
+                for i in range(n):
+                    for j in range(n):
+                        want = sum(1 << index(q) for q in points if q[i] == q[j])
+                        assert frame.diag_mask(i, j) == want, (n, k, i, j)
 
 
 def test_trivial_one_world_frame_passes():

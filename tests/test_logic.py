@@ -7,39 +7,50 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from substal.frames import point_frame
-from substal.logic import (FALSE, TRUE, Model, equation_valid, model_check,
-                           prop_atoms, prop_sat, satisfiable, unfold, valid)
+from substal.logic import (BDD, FALSE, TRUE, Model, equation_valid,
+                           model_check, satisfiable, unfold, valid)
 from substal.monoid import apply_point, generators
 from substal.setalg import point_index, small_algebra
 from substal.terms import (Compl, Diag, Join, Meet, One, Sub, Var, Zero,
                            equation_holds_exhaustive, modality_count, parse,
                            parse_equation, sigma_axioms, variables)
 
+from oracles import (brute_formula_satisfiable, ref_eval,
+                     ref_kernel_satisfiable)
+
+
+def _truth(bdd, node, asg):
+    """The value of a BDD node under a total {atom: bool} assignment."""
+    while node > TRUE:
+        atom = bdd.atoms[bdd.level[node]]
+        node = bdd.high[node] if asg[atom] else bdd.low[node]
+    return node == TRUE
+
 
 # ---------------------------------------------------------------- unfolding
 
 def test_unfold_follows_the_point_action():
     t = parse("p0 & s[0|1] ~p0", 2)
-    assert unfold(t, (0, 1), 2) == (
-        "and",
-        ("atom", (0, (0, 1))),
-        ("not", ("atom", (0, (1, 1)))),
-    )
+    bdd = BDD()
+    assert unfold(t, (0, 1), 2, bdd) == bdd.conj(
+        bdd.atom((0, (0, 1))), bdd.neg(bdd.atom((0, (1, 1)))))
     # on the diagonal the replacement is invisible, so both conjuncts
     # land on the same atom and contradict each other
-    assert unfold(t, (0, 0), 2) == (
-        "and",
-        ("atom", (0, (0, 0))),
-        ("not", ("atom", (0, (0, 0)))),
-    )
+    assert unfold(t, (0, 0), 2, bdd) == FALSE
+    assert bdd.atoms == [(0, (0, 1)), (0, (1, 1)), (0, (0, 0))]
 
 
 def test_unfold_constants_and_diagonals():
-    assert unfold(One(), (0, 1), 2) == TRUE
-    assert unfold(Zero(), (0, 1), 2) == FALSE
-    assert unfold(Diag(0, 1), (0, 1), 2, "full_diagonal") == FALSE
-    assert unfold(Diag(0, 1), (0, 0), 2, "full_diagonal") == TRUE
-    assert unfold(Diag(1, 1), (0, 1), 2, "full_diagonal") == TRUE
+    bdd = BDD()
+    assert unfold(One(), (0, 1), 2, bdd) == TRUE
+    assert unfold(Zero(), (0, 1), 2, bdd) == FALSE
+    assert unfold(Diag(0, 1), (0, 1), 2, bdd) == FALSE
+    assert unfold(Diag(0, 1), (0, 0), 2, bdd) == TRUE
+    assert unfold(Diag(1, 1), (0, 1), 2, bdd) == TRUE
+    # a false conjunct settles its chain before the sibling is read
+    assert unfold(parse("0 & p0", 2), (0, 1), 2, bdd) == FALSE
+    assert unfold(parse("1 | p0", 2), (0, 1), 2, bdd) == TRUE
+    assert bdd.atoms == []
 
 
 @given(
@@ -50,20 +61,23 @@ def test_unfold_constants_and_diagonals():
 def test_unfold_words_move_the_point_left_to_right(q, g1, g2):
     t = Sub(g1, Sub(g2, Var(0)))
     moved = apply_point(apply_point(q, g1.tr(3)), g2.tr(3))
-    assert unfold(t, q, 3) == ("atom", (0, moved))
+    bdd = BDD()
+    assert unfold(t, q, 3, bdd) == bdd.atom((0, moved))
+    assert bdd.atoms == [(0, moved)]
 
 
 # ------------------------------------------------------- propositional core
 
-def test_prop_sat_examples():
-    a = ("atom", (0, (0, 0)))
-    b = ("atom", (1, (0, 0)))
-    assert prop_sat(("and", a, ("not", a))) is None
-    asg = prop_sat(("and", a, ("not", b)))
+def test_bdd_path_examples():
+    bdd = BDD()
+    a = bdd.atom((0, (0, 0)))
+    b = bdd.atom((1, (0, 0)))
+    assert bdd.path(bdd.conj(a, bdd.neg(a))) is None
+    asg = bdd.path(bdd.conj(a, bdd.neg(b)))
     assert asg[(0, (0, 0))] is True
     assert asg[(1, (0, 0))] is False
-    assert prop_sat(FALSE) is None
-    assert prop_sat(TRUE) == {}
+    assert bdd.path(FALSE) is None
+    assert bdd.path(TRUE) == {}
 
 
 def _eval_prop(f, asg):
@@ -86,7 +100,7 @@ def _random_prop(rng, budget):
         roll = rng.random()
         if roll < 0.8:
             return ("atom", rng.randrange(4))
-        return TRUE if roll < 0.9 else FALSE
+        return ("true",) if roll < 0.9 else ("false",)
     if rng.random() < 0.3:
         return ("not", _random_prop(rng, budget - 1))
     cut = rng.randint(1, budget - 1)
@@ -94,17 +108,35 @@ def _random_prop(rng, budget):
     return (op, _random_prop(rng, cut), _random_prop(rng, budget - cut))
 
 
-def test_prop_sat_matches_truth_tables():
+def _build(bdd, f):
+    kind = f[0]
+    if kind in ("true", "false"):
+        return TRUE if kind == "true" else FALSE
+    if kind == "atom":
+        return bdd.atom(f[1])
+    if kind == "not":
+        return bdd.neg(_build(bdd, f[1]))
+    op = bdd.conj if kind == "and" else bdd.disj
+    return op(_build(bdd, f[1]), _build(bdd, f[2]))
+
+
+def test_bdd_matches_truth_tables():
     rng = random.Random(2718)
     for _ in range(300):
         f = _random_prop(rng, 6)
-        atoms = sorted(prop_atoms(f))
-        brute = any(
-            _eval_prop(f, dict(zip(atoms, bits)))
-            for bits in itertools.product((False, True), repeat=len(atoms))
-        )
-        asg = prop_sat(f)
+        bdd = BDD()
+        node = _build(bdd, f)
+        atoms = list(range(4))
+        tables = [dict(zip(atoms, bits))
+                  for bits in itertools.product((False, True), repeat=4)]
+        for total in tables:
+            assert _truth(bdd, node, total) == _eval_prop(f, total)
+        brute = any(_eval_prop(f, total) for total in tables)
+        asg = bdd.path(node)
         assert (asg is not None) == brute
+        # reduced and canonical: the constants are the only (un)satisfiable nodes
+        assert (node == FALSE) == (not brute)
+        assert (node == TRUE) == all(_eval_prop(f, t) for t in tables)
         if asg is not None:
             # the partial assignment must satisfy f however it is extended
             for fill in (False, True):
@@ -180,28 +212,15 @@ def test_truth_lemma_on_point_frames():
             for v, mask in valuation.items()
         }
         q = tuple(rng.randrange(k) for _ in range(n))
+        bdd = BDD()
+        node = unfold(term, q, n, bdd)
         asg = {
             atom: point_index(atom[1], k) in member.get(atom[0], set())
-            for atom in prop_atoms(unfold(term, q, n, mode))
+            for atom in bdd.atoms
         }
-        expected = _eval_prop_total(unfold(term, q, n, mode), asg)
+        expected = _truth(bdd, node, asg)
         got = model_check(Model(frames[key], valuation), term, point_index(q, k))
         assert got == expected
-
-
-def _eval_prop_total(f, asg):
-    kind = f[0]
-    if kind == "true":
-        return True
-    if kind == "false":
-        return False
-    if kind == "atom":
-        return asg[f[1]]
-    if kind == "not":
-        return not _eval_prop_total(f[1], asg)
-    if kind == "and":
-        return _eval_prop_total(f[1], asg) and _eval_prop_total(f[2], asg)
-    return _eval_prop_total(f[1], asg) or _eval_prop_total(f[2], asg)
 
 
 # -------------------------------------------------------------- satisfiable
@@ -216,7 +235,7 @@ def test_satisfiable_needs_a_split_point():
     assert wit["valuation"] == {"p0": [point_index((0, 1), 2)]}
     assert len(wit["touched"]) == 2
     # over a collapsed point the same formula is contradictory
-    assert prop_sat(unfold(parse("p0 & s[0|1] ~p0", 2), (0, 0), 2)) is None
+    assert unfold(parse("p0 & s[0|1] ~p0", 2), (0, 0), 2, BDD()) == FALSE
 
 
 def test_satisfiable_examples():
@@ -295,3 +314,65 @@ def test_equation_validity_agrees_with_exhaustive_checks():
         ok, _ = equation_valid(eq, 2)
         brute = all(equation_holds_exhaustive(alg, eq) for alg in algebras)
         assert ok == brute
+
+
+# ------------------------------------------------------------- generic point
+
+def _witness_holds_independently(term, n, wit):
+    """The witness model, read by the reference evaluator of the oracles."""
+    k = wit["k"]
+
+    def coords(idx):
+        return tuple(idx // k**i % k for i in range(n))
+
+    valuation = {int(name[1:]): frozenset(coords(w) for w in worlds)
+                 for name, worlds in wit["valuation"].items()}
+    return tuple(wit["point"]) in ref_eval(term, n, k, valuation)
+
+
+def test_diagonal_free_verdicts_agree_with_brute_force():
+    """Seeded diagonal-free terms at n = 3, 4: the verdict matches an exact
+    kernel-by-kernel search, and every witness holds under the reference
+    evaluator.  At n = 3 a term over one variable is also searched over
+    all valuations of the width-1 and width-2 algebras, which finds a model
+    only when one exists."""
+    rng = random.Random(4242)
+    counts = {True: 0, False: 0}
+    for _ in range(400):
+        n = rng.choice((3, 4))
+        mode = rng.choice(("replacements", "transpositions", "full"))
+        gens = generators(n, mode)
+        term = _random_term(rng, n, mode, rng.randint(2, 9), gens)
+        if rng.random() < 0.5:
+            # a conjunction is more often unsatisfiable
+            term = Meet(term, _random_term(rng, n, mode, rng.randint(2, 6), gens))
+        ok, wit = satisfiable(term, n, mode)
+        assert ok == ref_kernel_satisfiable(term, n), term
+        counts[ok] += 1
+        if ok:
+            assert _witness_holds_independently(term, n, wit)
+        if n == 3 and len(variables(term)) <= 1:
+            if brute_formula_satisfiable(term, n, (1, 2)):
+                assert ok, term
+    assert min(counts.values()) > 60
+
+
+def test_generic_point_is_not_applied_to_diagonals():
+    """d(0,1) is false at the discrete point but holds on the diagonal, so
+    the one-check shortcut must not decide a term with diagonals."""
+    bdd = BDD()
+    assert unfold(Diag(0, 1), (0, 1), 2, bdd) == FALSE
+    ok, wit = satisfiable(Diag(0, 1), 2, "full_diagonal")
+    assert ok and wit["partition"] == [0, 0]
+    ok, _ = satisfiable(Meet(Diag(0, 1), Compl(Diag(1, 2))), 3, "full_diagonal")
+    assert ok
+
+
+def test_sweep_reports_the_first_kernel_with_a_model():
+    """A diagonal-free term satisfiable at the discrete point is swept in
+    restricted-growth order: p0 & s[0,1] ~p0 needs coordinates 0 and 1
+    apart, and (0, 1, 0) is the first such kernel at n = 3."""
+    ok, wit = satisfiable(parse("p0 & s[0,1] ~p0", 3), 3)
+    assert ok
+    assert wit["partition"] == [0, 1, 0]
+    assert wit["k"] == 2

@@ -17,6 +17,7 @@ from substal.monoid import (
     gensym_from_token,
     hat,
     identity,
+    monoid_size,
     monoid_table,
     num_blocks,
     parse_word,
@@ -214,3 +215,9 @@ def test_num_blocks():
     assert num_blocks((0, 0, 0)) == 1
     assert num_blocks((0, 1, 0, 2)) == 3
     assert num_blocks(()) == 0
+
+
+def test_monoid_size_closed_forms():
+    for n in range(1, 6):
+        for mode in ("replacements", "transpositions", "full", "full_diagonal"):
+            assert monoid_size(n, mode) == len(enumerate_monoid(n, mode)), (n, mode)
