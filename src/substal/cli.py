@@ -10,6 +10,7 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import dataclass
 
 from .monoid import (DIM_LIMIT, enumerate_monoid, normalize_mode, parse_word,
                      word_equiv)
@@ -21,78 +22,21 @@ from .represent import SubMonoidCtx, check_quasi, complete_representation
 from . import gallery
 
 
-def _build_parser():
-    top = argparse.ArgumentParser(
-        prog="substal",
-        description="decision procedures and representation checks for "
-                    "finite substitution algebras",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_n=True):
-        if needs_n:
-            p.add_argument("-n", type=int, default=2, metavar="N",
-                           help="dimension (number of coordinates), 2 to %d"
-                            % DIM_LIMIT)
-        p.add_argument("--mode", default="full",
-                       choices=["pinter", "replacements", "transpositions",
-                                "full", "diag", "full_diagonal"],
-                       help="signature: which substitution operators exist")
-        p.add_argument("--json", action="store_true", dest="as_json",
-                       help="emit a JSON report after the verdict line")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for any sampled verification")
-        p.add_argument("--budget", type=int, default=None,
-                       help="work bound override for exhaustive checks")
-
-    p = sub.add_parser("sat", help="decide satisfiability of a formula")
-    common(p)
-    p.add_argument("formula")
-
-    p = sub.add_parser("valid", help="decide validity of a formula "
-                                     "(or the whole axiom set)")
-    common(p)
-    p.add_argument("formula", nargs="?", default=None)
-    p.add_argument("--axioms", action="store_true",
-                   help="check every axiom instance instead of a formula")
-
-    p = sub.add_parser("eq", help="decide an equation lhs = rhs")
-    common(p)
-    p.add_argument("equation")
-
-    p = sub.add_parser("word", help="compare two substitution words")
-    common(p)
-    p.add_argument("word1")
-    p.add_argument("word2")
-
-    p = sub.add_parser("frame-check", help="verify a frame file's coherence")
-    common(p, needs_n=False)
-    p.add_argument("file")
-
-    p = sub.add_parser("represent",
-                       help="build and verify the complete representation "
-                            "of an algebra or frame file")
-    common(p, needs_n=False)
-    p.add_argument("file")
-
-    p = sub.add_parser("axioms", help="list the axiom instances")
-    common(p)
-
-    p = sub.add_parser("quasi",
-                       help="check the quasi-equations (T = all permutations) "
-                            "on an algebra or frame file")
-    common(p, needs_n=False)
-    p.add_argument("file")
-
-    p = sub.add_parser("gallery", help="run a counterexample exhibit")
-    common(p)
-    p.add_argument("exhibit",
-                   choices=["not-a-variety", "rectangles", "truncation"])
-    p.add_argument("-k", type=int, default=2, help="base size for rectangles")
-    p.add_argument("--bound", type=int, default=8,
-                   help="entry bound for the truncation exhibit")
-
-    return top
+# Arguments shared by several commands, as (flags, add_argument keywords).
+_N = (("-n",), dict(type=int, default=2, metavar="N",
+                    help="dimension (number of coordinates), 2 to %d"
+                         % DIM_LIMIT))
+_MODE = (("--mode",), dict(default="full",
+                           choices=["pinter", "replacements", "transpositions",
+                                    "full", "diag", "full_diagonal"],
+                           help="signature: which substitution operators exist"))
+_JSON = (("--json",), dict(action="store_true", dest="as_json",
+                           help="emit a JSON report after the verdict line"))
+_SEED = (("--seed",), dict(type=int, default=0,
+                           help="seed for any sampled verification"))
+_BUDGET = (("--budget",), dict(type=int, default=None,
+                               help="work bound override for exhaustive checks"))
+_FILE = (("file",), {})
 
 
 def _load_structure(path):
@@ -117,127 +61,197 @@ def _emit(verdict, payload, as_json):
     return 0 if verdict in ("SAT", "VALID", "EQUIVALENT", "PASS") else 1
 
 
+def _sat(args):
+    mode = normalize_mode(args.mode)
+    term = parse(args.formula, args.n, mode)
+    sat, witness = satisfiable(term, args.n, mode)
+    if sat:
+        print("SAT")
+        print(json.dumps(witness, indent=2, sort_keys=True))
+        return 0
+    print("UNSAT")
+    return 1
+
+
+def _valid(args):
+    n, mode = args.n, normalize_mode(args.mode)
+    if args.axioms:
+        results = []
+        all_ok = True
+        for eq in sigma_axioms(n, mode):
+            ok, _ = equation_valid(eq, n, mode)
+            all_ok = all_ok and ok
+            results.append({"tag": eq.tag, "equation": format_equation(eq),
+                            "valid": ok})
+        verdict = "VALID" if all_ok else "INVALID"
+        return _emit(verdict, results, args.as_json)
+    if args.formula is None:
+        raise ValueError("give a formula or --axioms")
+    ok, witness = valid(parse(args.formula, n, mode), n, mode)
+    return _counterexample(ok, witness)
+
+
+def _eq(args):
+    mode = normalize_mode(args.mode)
+    eq = parse_equation(args.equation, args.n, mode)
+    return _counterexample(*equation_valid(eq, args.n, mode))
+
+
+def _counterexample(ok, witness):
+    if ok:
+        print("VALID")
+        return 0
+    print("INVALID")
+    if witness is not None:
+        print(json.dumps(witness, indent=2, sort_keys=True))
+    return 1
+
+
+def _word(args):
+    mode = normalize_mode(args.mode)
+    w1 = parse_word(args.word1, args.n, mode)
+    w2 = parse_word(args.word2, args.n, mode)
+    same = word_equiv(w1, w2, args.n)
+    return _emit("EQUIVALENT" if same else "DISTINCT", None, False)
+
+
+def _frame_check(args):
+    with open(args.file) as fh:
+        frame = frame_from_json(json.load(fh))
+    kwargs = {}
+    if args.budget:
+        kwargs["budget"] = args.budget
+    report = frame_check(frame, **kwargs)
+    payload = {"ok": report.ok, "pairs_checked": report.pairs_checked,
+               "failures": report.failures[:10]}
+    return _emit("PASS" if report.ok else "FAIL", payload, args.as_json)
+
+
+def _represent(args):
+    algebra = _load_structure(args.file)
+    rep = complete_representation(algebra, rng=random.Random(args.seed))
+    ok = (rep.report["homomorphism"] and rep.report["injective"]
+          and rep.report["atom_cover"])
+    payload = rep.to_json() if args.as_json else None
+    return _emit("PASS" if ok else "FAIL", payload, args.as_json)
+
+
+def _axioms(args):
+    eqs = sigma_axioms(args.n, normalize_mode(args.mode))
+    print("%d axioms" % len(eqs))
+    if args.as_json:
+        print(json.dumps([{"tag": e.tag, "equation": format_equation(e)}
+                          for e in eqs], indent=2))
+    else:
+        for eq in eqs:
+            print("%-28s %s" % (eq.tag, format_equation(eq)))
+    return 0
+
+
+def _quasi(args):
+    algebra = _load_structure(args.file)
+    perms = [t for t in enumerate_monoid(algebra.n, "transpositions")]
+    ctx = SubMonoidCtx(algebra.n, perms)
+    kwargs = {}
+    if args.budget:
+        kwargs["budget"] = args.budget
+    ok = check_quasi(algebra, ctx, **kwargs)
+    return _emit("PASS" if ok else "FAIL",
+                 {"holds": ok, "T": "all permutations"}, args.as_json)
+
+
+def _gallery(args):
+    if args.exhibit == "not-a-variety":
+        report = gallery.not_a_variety_witness(args.n)
+    elif args.exhibit == "rectangles":
+        report = gallery.product_identities(args.k, n=args.n)
+    else:
+        report = gallery.counter2_truncation(
+            gallery.TruncationSpec(args.n, args.bound))
+    return _emit("PASS" if report["pass"] else "FAIL", report, args.as_json)
+
+
+@dataclass(frozen=True)
+class Command:
+    name: str
+    help: str
+    arguments: tuple      # (flags, add_argument keywords), in usage order
+    handler: object       # parsed arguments -> exit code
+
+
+COMMANDS = {c.name: c for c in (
+    Command("sat", "decide satisfiability of a formula",
+            (_N, _MODE, (("formula",), {})), _sat),
+    Command("valid", "decide validity of a formula (or the whole axiom set)",
+            (_N, _MODE, _JSON, (("formula",), dict(nargs="?", default=None)),
+             (("--axioms",), dict(
+                 action="store_true",
+                 help="check every axiom instance instead of a formula"))),
+            _valid),
+    Command("eq", "decide an equation lhs = rhs",
+            (_N, _MODE, (("equation",), {})), _eq),
+    Command("word", "compare two substitution words",
+            (_N, _MODE, (("word1",), {}), (("word2",), {})), _word),
+    Command("frame-check", "verify a frame file's coherence",
+            (_JSON, _BUDGET, _FILE), _frame_check),
+    Command("represent", "build and verify the complete representation of "
+                         "an algebra or frame file",
+            (_JSON, _SEED, _FILE), _represent),
+    Command("axioms", "list the axiom instances", (_N, _MODE, _JSON), _axioms),
+    Command("quasi", "check the quasi-equations (T = all permutations) on an "
+                     "algebra or frame file",
+            (_JSON, _BUDGET, _FILE), _quasi),
+    Command("gallery", "run a counterexample exhibit",
+            (_N, _JSON,
+             (("exhibit",), dict(choices=["not-a-variety", "rectangles",
+                                          "truncation"])),
+             (("-k",), dict(type=int, default=2, help="base size for rectangles")),
+             (("--bound",), dict(type=int, default=8,
+                                 help="entry bound for the truncation exhibit"))),
+            _gallery),
+)}
+
+
+def _parser(commands):
+    """The substal parser with a subparser for each of `commands`."""
+    top = argparse.ArgumentParser(
+        prog="substal",
+        description="decision procedures and representation checks for "
+                    "finite substitution algebras",
+    )
+    # A partial parser spells out every command in its usage line, so that
+    # its usage text is the full parser's; the full parser derives the same
+    # text from its choices and keeps "command" as the name in its errors.
+    every = len(commands) == len(COMMANDS)
+    sub = top.add_subparsers(
+        dest="command", required=True,
+        metavar=None if every else "{%s}" % ",".join(COMMANDS))
+    for command in commands:
+        p = sub.add_parser(command.name, help=command.help)
+        for flags, keywords in command.arguments:
+            p.add_argument(*flags, **keywords)
+    return top
+
+
 def run(argv):
+    # Build only the subparser argv[0] names.  Anything else (no argv, -h,
+    # an option, an unknown word) gets every command, so that help and
+    # the error list them all.
+    command = COMMANDS.get(argv[0]) if argv else None
+    parser = _parser([command] if command else list(COMMANDS.values()))
     try:
-        args = _build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
     try:
-        return _dispatch(args)
+        n = getattr(args, "n", None)
+        if n is not None and not 2 <= n <= DIM_LIMIT:
+            raise ValueError("need -n at least 2 and at most %d" % DIM_LIMIT)
+        return COMMANDS[args.command].handler(args)
     except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-
-
-def _dispatch(args):
-    mode = normalize_mode(getattr(args, "mode", "full"))
-    n = getattr(args, "n", None)
-    if n is not None and not 2 <= n <= DIM_LIMIT:
-        raise ValueError("need -n at least 2 and at most %d" % DIM_LIMIT)
-
-    if args.command == "sat":
-        term = parse(args.formula, n, mode)
-        sat, witness = satisfiable(term, n, mode)
-        if sat:
-            print("SAT")
-            print(json.dumps(witness, indent=2, sort_keys=True))
-            return 0
-        print("UNSAT")
-        return 1
-
-    if args.command == "valid":
-        if args.axioms:
-            results = []
-            all_ok = True
-            for eq in sigma_axioms(n, mode):
-                ok, _ = equation_valid(eq, n, mode)
-                all_ok = all_ok and ok
-                results.append({"tag": eq.tag, "equation": format_equation(eq),
-                                "valid": ok})
-            verdict = "VALID" if all_ok else "INVALID"
-            return _emit(verdict, results, args.as_json)
-        if args.formula is None:
-            raise ValueError("give a formula or --axioms")
-        term = parse(args.formula, n, mode)
-        ok, witness = valid(term, n, mode)
-        if ok:
-            print("VALID")
-            return 0
-        print("INVALID")
-        if witness is not None:
-            print(json.dumps(witness, indent=2, sort_keys=True))
-        return 1
-
-    if args.command == "eq":
-        eq = parse_equation(args.equation, n, mode)
-        ok, witness = equation_valid(eq, n, mode)
-        if ok:
-            print("VALID")
-            return 0
-        print("INVALID")
-        if witness is not None:
-            print(json.dumps(witness, indent=2, sort_keys=True))
-        return 1
-
-    if args.command == "word":
-        w1 = parse_word(args.word1, n, mode)
-        w2 = parse_word(args.word2, n, mode)
-        same = word_equiv(w1, w2, n)
-        return _emit("EQUIVALENT" if same else "DISTINCT", None, False)
-
-    if args.command == "frame-check":
-        with open(args.file) as fh:
-            frame = frame_from_json(json.load(fh))
-        kwargs = {}
-        if args.budget:
-            kwargs["budget"] = args.budget
-        report = frame_check(frame, **kwargs)
-        payload = {"ok": report.ok, "pairs_checked": report.pairs_checked,
-                   "failures": report.failures[:10]}
-        return _emit("PASS" if report.ok else "FAIL", payload, args.as_json)
-
-    if args.command == "represent":
-        algebra = _load_structure(args.file)
-        rep = complete_representation(algebra, rng=random.Random(args.seed))
-        ok = (rep.report["homomorphism"] and rep.report["injective"]
-              and rep.report["atom_cover"])
-        payload = rep.to_json() if args.as_json else None
-        return _emit("PASS" if ok else "FAIL", payload, args.as_json)
-
-    if args.command == "axioms":
-        eqs = sigma_axioms(n, mode)
-        print("%d axioms" % len(eqs))
-        if args.as_json:
-            print(json.dumps([{"tag": e.tag, "equation": format_equation(e)}
-                              for e in eqs], indent=2))
-        else:
-            for eq in eqs:
-                print("%-28s %s" % (eq.tag, format_equation(eq)))
-        return 0
-
-    if args.command == "quasi":
-        algebra = _load_structure(args.file)
-        perms = [t for t in enumerate_monoid(algebra.n, "transpositions")]
-        ctx = SubMonoidCtx(algebra.n, perms)
-        kwargs = {}
-        if args.budget:
-            kwargs["budget"] = args.budget
-        ok = check_quasi(algebra, ctx, **kwargs)
-        return _emit("PASS" if ok else "FAIL",
-                     {"holds": ok, "T": "all permutations"}, args.as_json)
-
-    if args.command == "gallery":
-        if args.exhibit == "not-a-variety":
-            report = gallery.not_a_variety_witness(n)
-        elif args.exhibit == "rectangles":
-            report = gallery.product_identities(args.k, n=n)
-        else:
-            report = gallery.counter2_truncation(
-                gallery.TruncationSpec(n, args.bound))
-        return _emit("PASS" if report["pass"] else "FAIL", report, args.as_json)
-
-    raise ValueError("unknown command %r" % (args.command,))
 
 
 def main():

@@ -29,11 +29,12 @@ and the points of its atoms are the points the decision touched.
 Witnesses are rebuilt as concrete models and re-verified.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .monoid import normalize_mode, num_blocks, partitions
 from .terms import (Compl, Diag, Join, Meet, One, Sub, Var, Zero, eval_term,
-                    iff, subterms, variables)
+                    iff, subterms)
 from .setalg import point_index
 from .frames import ComplexAlgebra, point_frame
 
@@ -269,9 +270,7 @@ def model_check(model, term, world):
 
     Variables the valuation does not mention denote the empty set.
     """
-    valuation = dict(model.valuation)
-    for v in variables(term):
-        valuation.setdefault(v, 0)
+    valuation = defaultdict(int, model.valuation)
     value = eval_term(model.algebra(), term, valuation)
     return bool(value >> world & 1)
 
@@ -300,7 +299,14 @@ def satisfiable(term, n, mode="full"):
     """
     mode = normalize_mode(mode)
     bdd = BDD()
-    if not any(isinstance(t, Diag) for t in subterms(term)):
+    var_indices = set()
+    has_diag = False
+    for t in subterms(term):
+        if type(t) is Var:
+            var_indices.add(t.index)
+        elif type(t) is Diag:
+            has_diag = True
+    if not has_diag:
         # the generic point decides a diagonal-free term (module docstring)
         if unfold(term, tuple(range(n)), n, bdd) == FALSE:
             return False, None
@@ -311,7 +317,7 @@ def satisfiable(term, n, mode="full"):
         if assignment is None:
             continue
         model, world, touched = _witness_model(n, mode, point, base, assignment)
-        for v in variables(term):
+        for v in var_indices:
             model.valuation.setdefault(v, 0)
         if not model_check(model, term, world):
             raise AssertionError(

@@ -159,29 +159,20 @@ class RepMap:
     def images_of_atoms(self):
         return [self.image(x) for x in self.source.atoms()]
 
-    def to_json(self, element_limit=4096):
+    def to_json(self):
+        """The report, the target, the points of each source atom and the
+        points of its image.  The atoms determine every other image: a
+        homomorphism sends z to the union of the images of the atoms
+        below z."""
         data = {"report": {
             k: self.report.get(k)
             for k in ("homomorphism", "injective", "atom_cover")}}
         if hasattr(self.target, "to_json"):
             data["target"] = self.target.to_json()
-        try:
-            size = self.source.size()
-        except ValueError:
-            size = None
-        if size is not None and size <= element_limit:
-            els = self.source.elements()
-            data["images"] = {
-                str(idx): _mask_points(self.image(z), self.target)
-                for idx, z in enumerate(els)
-            }
-            data["elements"] = {str(idx): _mask_points(z, self.source)
-                                for idx, z in enumerate(els)}
-        else:
-            data["atom_images"] = [
-                _mask_points(self.image(x), self.target)
-                for x in self.source.atoms()
-            ]
+        atoms = self.source.atoms()
+        data["atoms"] = [_mask_points(x, self.source) for x in atoms]
+        data["atom_images"] = [_mask_points(self.image(x), self.target)
+                               for x in atoms]
         return data
 
 

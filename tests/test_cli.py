@@ -1,10 +1,12 @@
 """Command-line protocol: verdict-first lines, JSON payloads, exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
 import time
 
+from substal import cli
 from substal.cli import run
 from substal.frames import Frame, frame_to_json, point_frame
 from substal.monoid import generators
@@ -187,6 +189,116 @@ def test_malformed_formula(capsys):
 def test_usage_errors_exit_2(capsys):
     assert run([]) == 2
     assert run(["gallery", "no-such-exhibit"]) == 2
+    capsys.readouterr()
+
+
+# ------------------------------------------------------------ parser parity
+
+# one valid argv per command, using every option the command takes
+VALID_ARGV = {
+    "sat": ["sat", "-n", "3", "--mode", "diag", "p0"],
+    "valid": ["valid", "-n", "2", "--mode", "pinter", "--json", "--axioms"],
+    "eq": ["eq", "-n", "2", "--mode", "replacements", "p0 = p0"],
+    "word": ["word", "-n", "4", "--mode", "full", "s[0|1]", "s[0,1]"],
+    "frame-check": ["frame-check", "--json", "--budget", "9", "f.json"],
+    "represent": ["represent", "--json", "--seed", "3", "f.json"],
+    "axioms": ["axioms", "-n", "5", "--mode", "transpositions", "--json"],
+    "quasi": ["quasi", "--json", "--budget", "9", "f.json"],
+    "gallery": ["gallery", "truncation", "-n", "3", "--json", "-k", "4",
+                "--bound", "5"],
+}
+
+# options each command accepted and ignored before it declared only what
+# its handler reads
+DROPPED = {
+    "sat": ["--json", "--seed", "--budget"],
+    "valid": ["--seed", "--budget"],
+    "eq": ["--json", "--seed", "--budget"],
+    "word": ["--json", "--seed", "--budget"],
+    "frame-check": ["--mode", "--seed"],
+    "represent": ["--mode", "--budget"],
+    "axioms": ["--seed", "--budget"],
+    "quasi": ["--mode", "--seed"],
+    "gallery": ["--mode", "--seed", "--budget"],
+}
+
+
+def _full_parser():
+    return cli._parser(list(cli.COMMANDS.values()))
+
+
+def _outcome(parse, argv, capsys):
+    """(exit code or "parsed", stdout, stderr) of one parse."""
+    try:
+        parse(list(argv))
+        code = "parsed"
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_the_table_parsers_agree_on_valid_argv():
+    assert set(VALID_ARGV) == set(cli.COMMANDS)
+    for name, argv in VALID_ARGV.items():
+        lazy = cli._parser([cli.COMMANDS[name]]).parse_args(argv)
+        assert lazy == _full_parser().parse_args(argv)
+        assert lazy.command == name
+
+
+def test_the_table_parsers_agree_on_help_and_errors(capsys):
+    for name, argv in VALID_ARGV.items():
+        cases = [[name, "-h"], argv + ["--mode", "bogus"], argv + ["-n", "x"],
+                 argv + ["--no-such-option"], [name], argv[:-1]]
+        for case in cases:
+            lazy = _outcome(cli._parser([cli.COMMANDS[name]]).parse_args,
+                            case, capsys)
+            full = _outcome(_full_parser().parse_args, case, capsys)
+            assert lazy == full, case
+            if full[0] != "parsed":
+                assert full[0] in (0, 2) and (full[1] or full[2])
+                assert _outcome(run, case, capsys)[1:] == full[1:], case
+                assert run(list(case)) == full[0]
+                capsys.readouterr()
+
+
+def test_top_level_calls_list_every_command(capsys):
+    for argv, code in (([], 2), (["-h"], 0), (["bogus"], 2)):
+        assert run(argv) == code
+        out, err = capsys.readouterr()
+        for name in cli.COMMANDS:
+            assert name in out + err, (argv, name)
+    assert len(cli.COMMANDS) == 9
+
+
+def test_commands_reject_the_options_they_ignored(capsys):
+    values = {"--json": [], "--seed": ["1"], "--budget": ["5"],
+              "--mode": ["full"]}
+    for name, options in DROPPED.items():
+        assert set(options).isdisjoint(
+            flag for flags, _ in cli.COMMANDS[name].arguments for flag in flags)
+        for option in options:
+            assert run(VALID_ARGV[name] + [option] + values[option]) == 2
+            _, err = capsys.readouterr()
+            assert "unrecognized arguments: " + option in err
+
+
+def test_a_call_builds_only_the_subparser_it_names(monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert run(["valid", "-n", "2", "p0 -> p0"]) == 0
+    assert built == ["valid"]
+    # built afresh for each call, and never at import
+    assert run(["valid", "-n", "2", "p0 -> p0"]) == 0
+    assert built == ["valid", "valid"]
+    assert not any(isinstance(v, argparse.ArgumentParser)
+                   for v in vars(cli).values())
     capsys.readouterr()
 
 

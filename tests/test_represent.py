@@ -123,8 +123,34 @@ def test_rep_map_to_json():
     data = rep.to_json()
     assert set(data["report"]) == {"homomorphism", "injective", "atom_cover"}
     assert data["target"]["blocks"] == 4
-    assert set(data["images"]) == {str(i) for i in range(16)}
-    assert data["elements"]["0"] == []
+    assert data["atoms"] == [[0], [1], [2], [3]]
+    assert len(data["atom_images"]) == 4
+    assert "images" not in data and "elements" not in data
+
+
+def _bits(mask):
+    return {p for p in range(mask.bit_length()) if mask >> p & 1}
+
+
+def test_rep_map_json_atom_images_rebuild_every_image():
+    """Each image is the union of the emitted images of the atoms whose
+    points lie inside the element, including atoms of several points."""
+    alg = small_algebra(2, 2)
+    diagonal = (1 << point_index((0, 0), 2)) | (1 << point_index((1, 1), 2))
+    sources = [alg, ComplexAlgebra(point_frame(2, 2, "full")),
+               Subalgebra(alg, generate_subalgebra(alg, [diagonal]))]
+    for source in sources:
+        rep = full_representation(source)
+        data = rep.to_json()
+        assert len(data["atoms"]) == len(data["atom_images"]) == len(source.atoms())
+        ats = source.atoms()
+        for z in (ats[0] | ats[-1], source.one):
+            assert z not in ats
+            rebuilt = set()
+            for pts, image in zip(data["atoms"], data["atom_images"]):
+                if set(pts) <= _bits(z):
+                    rebuilt |= set(image)
+            assert rebuilt == _bits(rep.image(z))
 
 
 # ------------------------------------------------------------- psi and friends
