@@ -24,7 +24,8 @@ from .monoid import (
     monoid_size,
     normalize_mode,
 )
-from .setalg import json_int, json_ints
+from .setalg import (coordinate_runs, diagonal_mask, json_int, json_ints,
+                     mask_points, points_mask)
 
 
 class Frame:
@@ -194,12 +195,9 @@ def point_frame(n, k, mode="full"):
         action[g] = tuple(tab)
     diag = None
     if has_diagonals(mode):
-        diag = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                bits = "".join("1" if a == b else "0" for a, b in
-                               zip(reversed(digits[i]), reversed(digits[j])))
-                diag[(i, j)] = int(bits or "0", 2)
+        runs = coordinate_runs(n, k)
+        diag = {(i, j): diagonal_mask(runs, k, i, j)
+                for i in range(n) for j in range(i + 1, n)}
     return Frame(n, mode, num, action, diag)
 
 
@@ -550,7 +548,7 @@ def frame_to_json(frame):
     }
     if frame.diag is not None:
         data["diag"] = {
-            "%d,%d" % key: [w for w in range(frame.num_worlds) if mask >> w & 1]
+            "%d,%d" % key: mask_points(mask & (1 << frame.num_worlds) - 1)
             for key, mask in sorted(frame.diag.items())
         }
     return data
@@ -587,8 +585,6 @@ def frame_from_json(data):
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError("diagonal d(%s) is out of range for n=%d"
                                  % (key, n))
-            mask = 0
-            for w in json_ints(worlds, 0, m - 1, "diagonal %s" % key):
-                mask |= 1 << w
-            diag[(i, j)] = mask
+            diag[(i, j)] = points_mask(
+                json_ints(worlds, 0, m - 1, "diagonal %s" % key))
     return Frame(n, mode, m, action, diag)

@@ -11,7 +11,9 @@ import itertools
 from dataclasses import dataclass
 
 from .monoid import Transformation, generators, swap
-from .setalg import make_relativized, point_coords, point_index, small_algebra
+from .setalg import (coordinate_masks, coordinate_runs, diagonal_mask,
+                     make_relativized, point_coords, point_index, points_mask,
+                     small_algebra)
 
 
 def alternating_coloring(worlds, g):
@@ -108,9 +110,7 @@ def not_a_variety_witness(n):
         for tau in swaps:
             if tuple(q[tau(j)] for j in range(n)) not in pset:
                 closed = False
-    x_mask = 0
-    for q in chosen:
-        x_mask |= 1 << point_index(q, k)
+    x_mask = points_mask(point_index(q, k) for q in chosen)
     instances += 1
     holds = algebra.subst(f, x_mask) == algebra.compl(x_mask)
     if not holds:
@@ -150,16 +150,6 @@ def not_a_variety_witness(n):
     }
 
 
-def _coord_masks(n, k):
-    """masks[m][v] = points whose m-th coordinate is v."""
-    masks = [[0] * k for _ in range(n)]
-    for idx in range(k ** n):
-        q = point_coords(idx, n, k)
-        for m in range(n):
-            masks[m][q[m]] |= 1 << idx
-    return masks
-
-
 def _rect(masks, subsets, n, k):
     """The product set ∏ X_m as a point mask; subsets are masks over k."""
     out = (1 << (k ** n)) - 1
@@ -177,7 +167,7 @@ def product_identities(k, n=2):
     over ⁿk: how replacements, transpositions, and complement act on
     product sets, plus the empty-overlap and diagonal-cover corollaries."""
     algebra = small_algebra(n, k, "full")
-    masks = _coord_masks(n, k)
+    masks = coordinate_masks(n, k)
     full = (1 << k) - 1
     unit = algebra.one
     failures = []
@@ -223,11 +213,7 @@ def product_identities(k, n=2):
     # the two corollaries used downstream: X × ∼X (× U …) never meets the
     # diagonal, and together such rectangles tile its complement
     tau10 = Transformation(tuple(0 if t == 1 else t for t in range(n)))
-    diag01 = 0
-    for idx in range(k ** n):
-        q = point_coords(idx, n, k)
-        if q[0] == q[1]:
-            diag01 |= 1 << idx
+    diag01 = diagonal_mask(coordinate_runs(n, k), k, 0, 1)
     union = 0
     for x in subsets:
         box = [full] * n

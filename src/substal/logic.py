@@ -26,7 +26,14 @@ stacks, so neither the depth of a term nor the height of a BDD meets the
 recursion limit.  A satisfying assignment is one path to the TRUE
 terminal that takes the true branch wherever that does not lead to FALSE,
 and the points of its atoms are the points the decision touched.
-Witnesses are rebuilt as concrete models and re-verified.
+
+Re-check.  A witness is rebuilt as a valuation in the full set algebra
+℘(ⁿk) of its kernel's base k (setalg.ConcreteAlgebra) and the whole term
+is evaluated there over every point, independently of the unfolding.  Each
+substitution is one word-parallel preimage on the bitmask: a few masks
+and shifts per generator, with no table of point moves
+(the kernel and its fold along canonical words are in setalg's
+docstring).
 """
 
 from collections import defaultdict
@@ -35,8 +42,7 @@ from dataclasses import dataclass
 from .monoid import normalize_mode, num_blocks, partitions
 from .terms import (Compl, Diag, Join, Meet, One, Sub, Var, Zero, eval_term,
                     iff, subterms)
-from .setalg import point_index
-from .frames import ComplexAlgebra, point_frame
+from .setalg import ConcreteAlgebra, mask_points, point_index
 
 FALSE, TRUE = 0, 1
 _LEAF = 1 << 62           # the level of both terminals, below every variable
@@ -258,11 +264,8 @@ def _chain(term):
 
 @dataclass
 class Model:
-    frame: object
-    valuation: dict        # var index -> bitmask over worlds
-
-    def algebra(self):
-        return ComplexAlgebra(self.frame)
+    algebra: object        # the algebra handle the model is evaluated in
+    valuation: dict        # var index -> bitmask over its points or worlds
 
 
 def model_check(model, term, world):
@@ -271,20 +274,20 @@ def model_check(model, term, world):
     Variables the valuation does not mention denote the empty set.
     """
     valuation = defaultdict(int, model.valuation)
-    value = eval_term(model.algebra(), term, valuation)
+    value = eval_term(model.algebra, term, valuation)
     return bool(value >> world & 1)
 
 
 def _witness_model(n, mode, point, base, assignment):
-    """Rebuild a kernel witness as a concrete point model."""
-    frame = point_frame(n, base, mode)
+    """Rebuild a kernel witness as a model in ℘(ⁿbase), the full square."""
+    algebra = ConcreteAlgebra(n, base, mode, validate=False)
     valuation = {}
     touched = set()
     for (var, q), value in assignment.items():
         touched.add(q)
         if value:
             valuation[var] = valuation.get(var, 0) | (1 << point_index(q, base))
-    model = Model(frame, valuation)
+    model = Model(algebra, valuation)
     world = point_index(point, base)
     return model, world, touched
 
@@ -326,24 +329,13 @@ def satisfiable(term, n, mode="full"):
             "k": base,
             "point": list(point),
             "world": world,
-            "valuation": {"p%d" % v: _points_of(mask) for v, mask in
+            "valuation": {"p%d" % v: mask_points(mask) for v, mask in
                           sorted(model.valuation.items())},
             "partition": list(part),
             "touched": sorted(touched),
         }
         return True, witness
     return False, None
-
-
-def _points_of(mask):
-    out = []
-    p = 0
-    while mask:
-        if mask & 1:
-            out.append(p)
-        mask >>= 1
-        p += 1
-    return out
 
 
 def valid(term, n, mode="full"):

@@ -21,7 +21,8 @@ from .monoid import (
     has_diagonals,
     identity,
 )
-from .setalg import ConcreteAlgebra, point_index, small_algebra
+from .setalg import (ConcreteAlgebra, mask_points, point_index, points_mask,
+                     small_algebra)
 from .frames import ComplexAlgebra, action_tables, atom_frame
 from .terms import bijective_stabilizer, check_submonoid, quasi_axioms, eval_term
 from .gallery import alternating_coloring
@@ -170,21 +171,9 @@ class RepMap:
         if hasattr(self.target, "to_json"):
             data["target"] = self.target.to_json()
         atoms = self.source.atoms()
-        data["atoms"] = [_mask_points(x, self.source) for x in atoms]
-        data["atom_images"] = [_mask_points(self.image(x), self.target)
-                               for x in atoms]
+        data["atoms"] = [mask_points(x) for x in atoms]
+        data["atom_images"] = [mask_points(self.image(x)) for x in atoms]
         return data
-
-
-def _mask_points(mask, algebra):
-    out = []
-    p = 0
-    while mask:
-        if mask & 1:
-            out.append(p)
-        mask >>= 1
-        p += 1
-    return out
 
 
 def represent_at(algebra, a, rng=None):
@@ -197,7 +186,7 @@ def represent_at(algebra, a, rng=None):
     taus = enumerate_monoid(n, mode)
     unit_pts = [point_index(tau.map, n) for tau in taus]
     target = ConcreteAlgebra(n, n, mode,
-                             unit=_mask_of(unit_pts), validate=False)
+                             unit=points_mask(unit_pts), validate=False)
 
     world = None
     acts = None
@@ -222,13 +211,6 @@ def represent_at(algebra, a, rng=None):
     id_pt = point_index(identity(n).map, n)
     report["identity_in_image"] = bool(h(a) >> id_pt & 1)
     return RepMap(algebra, target, h, atom=atom, report=report, gather=gather)
-
-
-def _mask_of(points):
-    m = 0
-    for p in points:
-        m |= 1 << p
-    return m
 
 
 class ProductAlgebra:
@@ -566,9 +548,7 @@ def special_quasi_witness(algebra, f):
     chosen, obstruction = alternating_coloring(worlds, lambda w: step[w])
     if chosen is None:
         return None
-    mask = 0
-    for w in chosen:
-        mask |= 1 << w
+    mask = points_mask(chosen)
     assert algebra.subst(f, mask) == algebra.compl(mask)
     return mask
 

@@ -5,13 +5,31 @@ indexed by the little-endian point index (coordinate 0 is the least
 significant digit).  The unit must be closed under the right action of the
 mode's generators ("locally square"), which makes substitution by preimage
 well-defined inside V.
+
+Substitution is word-parallel.  The coordinate mask C(i,a), the points
+whose coordinate i is a, is a run of k^i ones at a·k^i repeated with
+period k^(i+1).  Over the whole square the preimage Ŝ_g(x) = {q : q∘g ∈ x}
+of a generator is a few whole-mask operations:
+
+- s[i|j]: ⋁_b ((x ∧ C(i,b) ∧ C(j,b)) · Σ_a 2^(a·k^i)) >> b·k^i, which
+  copies each point with q_i = q_j = b to every value of coordinate i.
+  The blocks are shifted to q_i = 0 and joined first, then spread by k
+  shifts, which is the product with Σ_a 2^(a·k^i) without its
+  multiplication cost on a long mask;
+- s[i,j], i < j: each block x ∧ C(i,b) ∧ C(j,a) shifted left by
+  (b−a)(k^j−k^i), right when that is negative, which swaps the digits;
+- d(i,j) = ⋁_a C(i,a) ∧ C(j,a).
+
+Any other transformation τ of the monoid folds the generator kernels right
+to left along canonical_word(τ), since S_{σ∘τ} = S_σ∘S_τ.  The unit is
+masked in once, at the end: S_τ(x) = V ∧ Ŝ_τ(x).
 """
+
+from functools import cached_property
 
 from .monoid import (
     DIM_LIMIT,
     GenSym,
-    NotGenerated,
-    Transformation,
     apply_point,
     canonical_word,
     enumerate_monoid,
@@ -36,6 +54,79 @@ def point_coords(idx, n, k):
     return tuple(out)
 
 
+def mask_points(mask):
+    """The positions of the set bits of a non-negative mask, ascending."""
+    return [p for p, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def points_mask(points):
+    """The mask with a bit at each given position (repeats allowed)."""
+    points = list(points)
+    if not points:
+        return 0
+    if min(points) < 0:
+        raise ValueError("negative point index")
+    digits = bytearray(b"0") * (max(points) + 1)
+    for p in points:
+        digits[p] = 49                  # ord("1")
+    return int(digits[::-1], 2)
+
+
+def coordinate_runs(n, k):
+    """runs[i] = C(i,0), the points of ⁿk whose coordinate i is 0: a run of
+    k^i ones repeated with period k^(i+1).  C(i,a) is runs[i] << a·k^i."""
+    num = k**n
+    if not num:
+        return [0] * n
+    full = (1 << num) - 1
+    return [((1 << k**i) - 1) * (full // ((1 << k**(i + 1)) - 1))
+            for i in range(n)]
+
+
+def coordinate_masks(n, k):
+    """masks[i][a] = C(i,a), the points of ⁿk whose coordinate i is a."""
+    return [[run << a * k**i for a in range(k)]
+            for i, run in enumerate(coordinate_runs(n, k))]
+
+
+def diagonal_mask(runs, k, i, j):
+    """d(i,j) over the whole square: ⋁_a C(i,a) ∧ C(j,a)."""
+    out = 0
+    for a in range(k):
+        out |= (runs[i] << a * k**i) & (runs[j] << a * k**j)
+    return out
+
+
+def preimage(g, x, n, k, runs):
+    """Ŝ_g(x) = {q ∈ ⁿk : q∘g ∈ x} for a generator g, over the whole
+    square, by the word-parallel kernel of the module docstring."""
+    g.tr(n)                             # range check
+    ri, rj = k**g.i, k**g.j
+    ci, cj = runs[g.i], runs[g.j]
+    out = 0
+    if g.kind == "replacement":
+        # the points with q_i = q_j = b, moved to q_i = 0, then copied to
+        # every value of coordinate i
+        y = 0
+        for b in range(k):
+            y |= (x & ci << b * ri & cj << b * rj) >> b * ri
+        for a in range(k):
+            out |= y << a * ri
+        return out
+    stride = rj - ri
+    for b in range(k):
+        xb = x & ci << b * ri
+        if not xb:
+            continue
+        cja = cj
+        for a in range(k):
+            block = xb & cja
+            cja <<= rj
+            shift = (b - a) * stride
+            out |= block << shift if shift >= 0 else block >> -shift
+    return out
+
+
 class NotLocallySquare(ValueError):
     """The would-be unit is not closed under some generator's action."""
 
@@ -48,14 +139,14 @@ class NotLocallySquare(ValueError):
 
 
 def _closure_witness(n, k, unit_mask, mode):
-    num = k**n
+    """The first (point, generator), generators in order and points
+    ascending, whose move leaves the unit: the lowest point of
+    V ∧ ¬Ŝ_g(V); None when V is closed."""
+    runs = coordinate_runs(n, k)
     for g in generators(n, mode):
-        gt = g.tr(n)
-        for p in range(num):
-            if unit_mask >> p & 1:
-                q = point_coords(p, n, k)
-                if not unit_mask >> point_index(apply_point(q, gt), k) & 1:
-                    return q, g
+        escaped = unit_mask & ~preimage(g, unit_mask, n, k, runs)
+        if escaped:
+            return point_coords((escaped & -escaped).bit_length() - 1, n, k), g
     return None
 
 
@@ -78,13 +169,20 @@ class ConcreteAlgebra:
         self.unit = unit
         self.zero = 0
         self.one = unit
-        self.unit_points = [p for p in range(self.num_points) if unit >> p & 1]
         if validate:
             witness = _closure_witness(n, k, unit, self.mode)
             if witness is not None:
                 raise NotLocallySquare(*witness)
         self._tables = {}
         self._diag = {}
+
+    @cached_property
+    def unit_points(self):
+        return mask_points(self.unit)
+
+    @cached_property
+    def _runs(self):
+        return coordinate_runs(self.n, self.k)
 
     # ---- Boolean structure ----
 
@@ -113,18 +211,13 @@ class ConcreteAlgebra:
 
     def subst(self, g, x):
         """S_g(x) = {q in V : q∘g in x}; g a generator symbol or any
-        transformation of the mode's monoid."""
-        if isinstance(g, GenSym):
-            tau = g.tr(self.n)
-        else:
-            canonical_word(g, self.mode)  # raises NotGenerated outside the monoid
-            tau = g
-        tab = self._table_for(tau)
-        out = 0
-        for p in self.unit_points:
-            if x >> tab[p] & 1:
-                out |= 1 << p
-        return out
+        transformation of the mode's monoid, folded along its canonical
+        word (module docstring)."""
+        # canonical_word raises NotGenerated outside the monoid
+        word = (g,) if isinstance(g, GenSym) else canonical_word(g, self.mode)
+        for sym in reversed(word):
+            x = preimage(sym, x, self.n, self.k, self._runs)
+        return x & self.unit
 
     def diag(self, i, j):
         if not has_diagonals(self.mode):
@@ -132,12 +225,8 @@ class ConcreteAlgebra:
         key = (min(i, j), max(i, j))
         mask = self._diag.get(key)
         if mask is None:
-            mask = 0
-            for p in self.unit_points:
-                q = point_coords(p, self.n, self.k)
-                if q[i] == q[j]:
-                    mask |= 1 << p
-            self._diag[key] = mask
+            mask = self._diag[key] = (diagonal_mask(self._runs, self.k, *key)
+                                      & self.unit)
         return mask
 
     # ---- enumeration ----
@@ -193,10 +282,7 @@ def make_relativized(n, k, unit, mode="full", budget=10**6):
     if k**n > budget:
         raise ValueError("point space %d exceeds budget" % (k**n,))
     if not isinstance(unit, int):
-        mask = 0
-        for p in unit:
-            mask |= 1 << p
-        unit = mask
+        unit = points_mask(unit)
     return ConcreteAlgebra(n, k, mode, unit=unit, validate=True)
 
 
@@ -366,7 +452,5 @@ def algebra_from_json(data):
     k = json_int(data, "k", 0, 10**6)
     if k**n > 10**6:
         raise ValueError("point space %d exceeds budget" % (k**n,))
-    mask = 0
-    for p in json_ints(data.get("unit"), 0, k**n - 1, "unit"):
-        mask |= 1 << p
+    mask = points_mask(json_ints(data.get("unit"), 0, k**n - 1, "unit"))
     return ConcreteAlgebra(n, k, data.get("mode", "full"), unit=mask)

@@ -109,6 +109,27 @@ def ref_eval(term, n, k, valuation):
     return ev(term)
 
 
+def ref_preimage(unit, xs, t):
+    """{q in unit : q.t in xs}, points as tuples and t as a tuple."""
+    return frozenset(q for q in unit
+                     if tuple(q[t[i]] for i in range(len(t))) in xs)
+
+
+def ref_closure_witness(unit, gens, n, k):
+    """The first (point, generator position) whose move leaves the unit,
+    generators in the given order and points by ascending little-endian
+    index; None when the unit is closed.  gens are (kind, i, j) triples."""
+    def index(q):
+        return sum(v * k**i for i, v in enumerate(q))
+
+    for pos, (kind, i, j) in enumerate(gens):
+        gt = ref_gen_tuple(kind, i, j, n)
+        for q in sorted(unit, key=index):
+            if tuple(q[gt[m]] for m in range(n)) not in unit:
+                return q, pos
+    return None
+
+
 def brute_formula_satisfiable(term, n, bases):
     """Valuation search: does term take a nonempty value in some width-k
     full point algebra, k in bases?"""

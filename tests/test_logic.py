@@ -6,7 +6,7 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from substal.frames import point_frame
+from substal.frames import ComplexAlgebra, point_frame
 from substal.logic import (BDD, FALSE, TRUE, Model, equation_valid,
                            model_check, satisfiable, unfold, valid)
 from substal.monoid import apply_point, generators
@@ -150,7 +150,7 @@ def test_bdd_matches_truth_tables():
 def test_model_check_examples():
     frame = point_frame(2, 2, "full")
     w = point_index((0, 1), 2)
-    model = Model(frame, {0: 1 << w})
+    model = Model(ComplexAlgebra(frame), {0: 1 << w})
     assert model_check(model, parse("p0", 2), w)
     # the replacement moves (0, 1) to (1, 1), which is outside V(p0)
     assert not model_check(model, parse("s[0|1] p0", 2), w)
@@ -160,7 +160,7 @@ def test_model_check_examples():
 
 def test_model_check_unknown_variable_is_empty():
     frame = point_frame(2, 2, "full")
-    model = Model(frame, {})
+    model = Model(ComplexAlgebra(frame), {})
     assert not model_check(model, parse("p7", 2), 0)
     assert model_check(model, parse("~p7", 2), 0)
 
@@ -219,7 +219,8 @@ def test_truth_lemma_on_point_frames():
             for atom in bdd.atoms
         }
         expected = _truth(bdd, node, asg)
-        got = model_check(Model(frames[key], valuation), term, point_index(q, k))
+        got = model_check(Model(ComplexAlgebra(frames[key]), valuation), term,
+                          point_index(q, k))
         assert got == expected
 
 
@@ -269,7 +270,7 @@ def test_satisfiable_witnesses_check_out():
             int(name[1:]): sum(1 << p for p in points)
             for name, points in wit["valuation"].items()
         }
-        model = Model(point_frame(n, wit["k"], mode), valuation)
+        model = Model(ComplexAlgebra(point_frame(n, wit["k"], mode)), valuation)
         assert model_check(model, term, wit["world"])
     assert seen_sat > 100
 

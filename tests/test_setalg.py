@@ -3,28 +3,42 @@
 import itertools
 import random
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
-from substal.monoid import NotGenerated, Transformation, repl, swap
+from substal.cli import run
+from substal.gallery import not_a_variety_witness
+from substal.monoid import (NotGenerated, Transformation, apply_point,
+                            generators, repl, swap)
 from substal.setalg import (
     ConcreteAlgebra,
     NotLocallySquare,
     Subalgebra,
+    _closure_witness,
     algebra_from_json,
     algebra_to_json,
     boolean_closure,
+    coordinate_masks,
     generate_subalgebra,
     is_locally_square,
     make_relativized,
+    mask_points,
     point_coords,
     point_index,
+    points_mask,
     relativization_hom,
     small_algebra,
     subalgebra_size_bound,
     substitution_orbit,
 )
-from substal.monoid import apply_point
+from substal.terms import Diag, Sub, Var, parse
+
+from oracles import (ref_closure_witness, ref_eval, ref_gen_tuple, ref_hat,
+                     ref_monoid_closure, ref_preimage)
+
+MODES = ("replacements", "transpositions", "full", "full_diagonal")
 
 
 def test_point_encoding_round_trip():
@@ -227,3 +241,191 @@ def test_json_round_trip():
     full = algebra_from_json({"n": 2, "k": 2, "mode": "full",
                               "unit": [0, 1, 2, 3]})
     assert full.unit == 15
+
+
+# ----------------------------------------------- word-parallel substitution
+
+def _index(q, k):
+    return sum(v * k**i for i, v in enumerate(q))
+
+
+def _square(n, k):
+    return frozenset(itertools.product(range(k), repeat=n))
+
+
+def _points(mask, n, k):
+    return frozenset(q for q in _square(n, k) if mask >> _index(q, k) & 1)
+
+
+def _mask(points, k):
+    return sum(1 << _index(q, k) for q in points)
+
+
+def _triples(n, mode):
+    return [(g.kind, g.i, g.j) for g in generators(n, mode)]
+
+
+def _monoid(n, mode):
+    return ref_monoid_closure(
+        n, [ref_gen_tuple(kind, i, j, n) for kind, i, j in _triples(n, mode)])
+
+
+def _check_algebra(n, k, mode, unit, rng):
+    """subst on every generator and monoid element, and diag on every
+    pair, against preimages of points moved one by one."""
+    alg = ConcreteAlgebra(n, k, mode, unit=_mask(unit, k))
+    full = unit == _square(n, k)
+    monoid = _monoid(n, mode)
+    for _ in range(2):
+        x = rng.getrandbits(k**n)       # bits outside the unit included
+        xs = _points(x, n, k)
+        for g in generators(n, mode):
+            gt = ref_gen_tuple(g.kind, g.i, g.j, n)
+            got = alg.subst(g, x)
+            assert got == _mask(ref_preimage(unit, xs, gt), k), (n, k, mode, g)
+            if full:
+                assert _points(got, n, k) == ref_eval(Sub(g, Var(0)), n, k,
+                                                      {0: xs})
+        for t in monoid:
+            assert alg.subst(Transformation(t), x) == \
+                _mask(ref_preimage(unit, xs, t), k), (n, k, mode, t)
+    if mode == "full_diagonal":
+        for i in range(n):
+            for j in range(n):
+                want = frozenset(q for q in unit if q[i] == q[j])
+                assert alg.diag(i, j) == _mask(want, k), (n, k, i, j)
+                if full:
+                    assert _points(alg.diag(i, j), n, k) == \
+                        ref_eval(Diag(i, j), n, k, {})
+
+
+def test_subst_and_diag_match_the_reference_on_squares_and_orbits():
+    """n <= 4, k <= 3, every mode; the full square, the orbit of two seeded
+    points under the mode's monoid, and the empty unit."""
+    rng = random.Random(2024)
+    for n in range(1, 5):
+        for k in range(1, 4):
+            for mode in MODES:
+                seeds = [tuple(rng.randrange(k) for _ in range(n))
+                         for _ in range(2)]
+                orbit = frozenset(tuple(q[t[i]] for i in range(n))
+                                  for q in seeds for t in _monoid(n, mode))
+                for unit in (_square(n, k), orbit, frozenset()):
+                    _check_algebra(n, k, mode, unit, rng)
+
+
+def test_subst_matches_the_reference_on_the_not_a_variety_units():
+    rng = random.Random(5)
+    for n in (2, 3, 4):
+        report = not_a_variety_witness(n)
+        k = report["base"]
+        unit = frozenset(tuple(p // k**i % k for i in range(n))
+                         for p in report["unit"])
+        assert unit != _square(n, k)
+        _check_algebra(n, k, report["mode"], unit, rng)
+
+
+def test_subst_folds_a_word_right_to_left():
+    """S_{g1...gm}(x) = S_g1(...S_gm(x)...) for hat(g1...gm) = g1*...*gm."""
+    rng = random.Random(11)
+    for n, k, mode in [(3, 3, "full"), (4, 2, "full"), (3, 2, "replacements"),
+                       (4, 3, "transpositions")]:
+        alg = small_algebra(n, k, mode)
+        gens = generators(n, mode)
+        for _ in range(30):
+            word = [rng.choice(gens) for _ in range(rng.randint(1, 5))]
+            x = rng.getrandbits(k**n)
+            nested = x
+            for g in reversed(word):
+                nested = alg.subst(g, nested)
+            tau = ref_hat([(g.kind, g.i, g.j) for g in word], n)
+            want = _mask(ref_preimage(_square(n, k), _points(x, n, k), tau), k)
+            assert nested == want
+            assert alg.subst(Transformation(tau), x) == want
+
+
+def test_subst_edge_cases_k1_empty_unit_and_k0():
+    one = small_algebra(3, 1, "full_diagonal")
+    for g in generators(3, "full_diagonal"):
+        assert one.subst(g, 1) == 1 and one.subst(g, 0) == 0
+    assert one.diag(0, 2) == 1
+    empty = ConcreteAlgebra(3, 2, "full_diagonal", unit=0)
+    for g in generators(3, "full_diagonal"):
+        assert empty.subst(g, 0b10110) == 0
+    assert empty.diag(0, 1) == 0 and empty.unit_points == []
+    for mode in MODES:
+        alg = algebra_from_json({"n": 3, "k": 0, "mode": mode, "unit": []})
+        assert alg.num_points == 0 and alg.size() == 1
+        for g in generators(3, mode):
+            assert alg.subst(g, 0) == 0 and alg.subst(g, 7) == 0
+        assert alg.subst(Transformation((0, 1, 2)), 5) == 0
+        if mode == "full_diagonal":
+            assert alg.diag(1, 2) == 0
+    assert coordinate_masks(3, 0) == [[], [], []]
+
+
+def test_coordinate_masks_match_the_reference():
+    for n in range(1, 5):
+        for k in range(1, 4):
+            masks = coordinate_masks(n, k)
+            for i in range(n):
+                for a in range(k):
+                    want = frozenset(q for q in _square(n, k) if q[i] == a)
+                    assert masks[i][a] == _mask(want, k)
+
+
+def test_mask_points_round_trip():
+    rng = random.Random(8)
+    assert mask_points(0) == [] and points_mask([]) == 0
+    assert mask_points(0b1011) == [0, 1, 3]
+    assert points_mask([3, 0, 3, 1]) == 0b1011
+    for _ in range(50):
+        mask = rng.getrandbits(rng.randint(1, 5000))
+        pts = mask_points(mask)
+        assert pts == [p for p in range(mask.bit_length()) if mask >> p & 1]
+        assert points_mask(pts) == mask
+    with pytest.raises(ValueError):
+        points_mask([2, -1])
+
+
+def test_closure_witness_matches_the_reference_loop():
+    rng = random.Random(99)
+    for n in range(1, 4):
+        for k in range(1, 4):
+            square = sorted(_square(n, k))
+            for mode in MODES:
+                gens = generators(n, mode)
+                for _ in range(6):
+                    unit = frozenset(q for q in square if rng.random() < 0.7)
+                    want = ref_closure_witness(unit, _triples(n, mode), n, k)
+                    got = _closure_witness(n, k, _mask(unit, k), mode)
+                    if want is None:
+                        assert got is None
+                    else:
+                        assert got == (want[0], gens[want[1]])
+                orbit = frozenset(tuple(q[t[i]] for i in range(n))
+                                  for q in square[:1] for t in _monoid(n, mode))
+                assert _closure_witness(n, k, _mask(orbit, k), mode) is None
+
+
+def test_cli_sat_witness_on_a_4096_point_square_rereads_under_ref_eval(capsys):
+    """sat -n 6 --mode diag on the pinned 4-block kernel (0,1,2,3,0,1): the
+    witness lives in ℘(⁶4), and ref_eval puts its point in the term."""
+    point = (0, 1, 2, 3, 0, 1)
+    pins = ["d(%d,%d)" % (i, j) if point[i] == point[j] else
+            "~d(%d,%d)" % (i, j) for i in range(6) for j in range(i + 1, 6)]
+    lits = ["s[0|4] p0", "~s[1,2] p1", "s[5|3] s[0,1] p2", "~s[2|0] p0",
+            "s[3,5] ~p3"]
+    text = " & ".join(pins + lits)
+    assert run(["sat", "-n", "6", "--mode", "diag", text]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "SAT"
+    witness = json.loads("\n".join(out[1:]))
+    assert witness["k"] == 4 and witness["partition"] == list(point)
+    assert witness["point"] == list(point)
+    assert witness["world"] == _index(point, 4)
+    valuation = {
+        int(name[1:]): frozenset(tuple(p // 4**i % 4 for i in range(6))
+                                 for p in pts)
+        for name, pts in witness["valuation"].items()}
+    assert point in ref_eval(parse(text, 6, "diag"), 6, 4, valuation)
