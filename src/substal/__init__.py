@@ -42,8 +42,10 @@ from .terms import (
     sigma_axioms,
 )
 from .setalg import (
+    ComplexAlgebra,
     ConcreteAlgebra,
     NotLocallySquare,
+    Square,
     Subalgebra,
     algebra_from_json,
     algebra_to_json,
@@ -54,11 +56,9 @@ from .setalg import (
     small_algebra,
 )
 from .frames import (
-    ComplexAlgebra,
     Equivariant,
     Frame,
     atom_frame,
-    complex_algebra,
     disjoint_union,
     frame_check,
     frame_from_json,
@@ -77,7 +77,6 @@ from .represent import (
     check_quasi,
     complete_representation,
     diag_represent,
-    f_xi_filter,
     full_representation,
     represent_at,
 )

@@ -3,11 +3,13 @@ substitution monoid, plus the complex-algebra / atom-frame duality.
 
 The action of a composite runs factors left to right over worlds (the
 anti-homomorphism dual to the right point action): the table of sigma∘tau
-sends w to table_tau[table_sigma[w]].  Substitution in the complex algebra
-is action preimage: S_g(X) = {w : act_g(w) in X}.
+sends w to table_tau[table_sigma[w]].  A Frame is one of the two spaces of
+setalg.ComplexAlgebra (the square ⁿk is the other): Cm(F) = ComplexAlgebra(F)
+is every subset of its worlds, with substitution by action preimage,
+S_g(X) = {w : act_g(w) in X}.  point_frame is the square's action written
+out as tables.
 """
 
-import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -24,11 +26,14 @@ from .monoid import (
     monoid_size,
     normalize_mode,
 )
-from .setalg import (coordinate_runs, diagonal_mask, json_int, json_ints,
-                     mask_points, points_mask)
+from .setalg import (ComplexAlgebra, Square, json_int, json_ints, mask_points,
+                     points_mask)
 
 
 class Frame:
+    """A space of worlds 0..num_worlds-1 with a table per generator and,
+    in a diagonal mode, the worlds of each diagonal d(i,j)."""
+
     def __init__(self, n, mode, num_worlds, action, diag=None):
         self.n = n
         self.mode = normalize_mode(mode)
@@ -60,7 +65,7 @@ class Frame:
                     if (i, j) not in norm:
                         raise ValueError("missing diagonal marking d(%d,%d)" % (i, j))
                     self.diag[(i, j)] = norm[(i, j)]
-        self._tau_tables = {}
+        self._moves = {}
 
     def act(self, g):
         return self.action[g]
@@ -72,12 +77,30 @@ class Frame:
             tab = [gt[w] for w in tab]
         return tuple(tab)
 
-    def act_tau(self, tau):
-        cached = self._tau_tables.get(tau)
+    def moves(self, tau, worlds=None):
+        """The world table of a generator symbol or of any element of the
+        mode's monoid, folded along its canonical word.  It covers every
+        world, `worlds` among them."""
+        if isinstance(tau, GenSym):
+            return self.action[tau]
+        cached = self._moves.get(tau)
         if cached is None:
             cached = self.act_word(canonical_word(tau, self.mode))
-            self._tau_tables[tau] = cached
+            self._moves[tau] = cached
         return cached
+
+    def preimage(self, g, x):
+        """{w : act_g(w) in x}, g a generator symbol or a monoid element."""
+        tab = self.moves(g)
+        out = 0
+        for w in range(self.num_worlds):
+            if x >> tab[w] & 1:
+                out |= 1 << w
+        return out
+
+    def coherent(self):
+        """Is the generated action a right action (`action_tables`)?"""
+        return not action_tables(self, max_failures=1)[1]
 
     def diag_mask(self, i, j):
         if self.diag is None:
@@ -123,7 +146,7 @@ def action_tables(frame, max_failures=10):
                 if len(failures) >= max_failures:
                     return tables, failures, edges
     if not failures:
-        frame._tau_tables.update(tables)
+        frame._moves.update(tables)
     return tables, failures, edges
 
 
@@ -175,88 +198,16 @@ def frame_check(frame, budget=2 * 10**6, max_failures=10):
 
 
 def point_frame(n, k, mode="full"):
-    """The frame of all points of ⁿk under the right generator action.
-
-    World p is the point whose coordinate i is the base-k digit i of p.  A
-    generator g rewrites only the coordinates it moves, so it sends p to
-    p + sum over moved i of (digit g(i) - digit i) * k^i."""
-    mode = normalize_mode(mode)
-    num = k**n
-    worlds = range(num)
-    digits = [[p // k**i % k for p in worlds] for i in range(n)]
-    action = {}
-    for g in generators(n, mode):
-        tab = worlds
-        for i, src in enumerate(g.tr(n).map):
-            if src != i:
-                weight = k**i
-                tab = [t + (a - b) * weight
-                       for t, a, b in zip(tab, digits[src], digits[i])]
-        action[g] = tuple(tab)
+    """The frame of all points of ⁿk under the right generator action:
+    the tables and diagonals of the square space (setalg.Square), world p
+    being the point whose coordinate i is the base-k digit i of p."""
+    square = Square(n, k, mode)
+    action = {g: square.moves(g) for g in generators(n, square.mode)}
     diag = None
-    if has_diagonals(mode):
-        runs = coordinate_runs(n, k)
-        diag = {(i, j): diagonal_mask(runs, k, i, j)
+    if has_diagonals(square.mode):
+        diag = {(i, j): square.diag_mask(i, j)
                 for i in range(n) for j in range(i + 1, n)}
-    return Frame(n, mode, num, action, diag)
-
-
-class ComplexAlgebra:
-    """Cm(F): all subsets of the frame's worlds, substitution by preimage."""
-
-    def __init__(self, frame):
-        self.frame = frame
-        self.n = frame.n
-        self.mode = frame.mode
-        self.num_worlds = frame.num_worlds
-        self.zero = 0
-        self.one = (1 << frame.num_worlds) - 1
-        self.unit = self.one
-
-    def meet(self, a, b):
-        return a & b
-
-    def join(self, a, b):
-        return a | b
-
-    def compl(self, a):
-        return self.one ^ a
-
-    def subst(self, g, x):
-        tab = self.frame.act(g) if isinstance(g, GenSym) else self.frame.act_tau(g)
-        out = 0
-        for w in range(self.num_worlds):
-            if x >> tab[w] & 1:
-                out |= 1 << w
-        return out
-
-    def diag(self, i, j):
-        return self.frame.diag_mask(i, j)
-
-    def size(self):
-        return 1 << self.num_worlds
-
-    def atoms(self):
-        return [1 << w for w in range(self.num_worlds)]
-
-    def elements(self, limit=20):
-        if self.num_worlds > limit:
-            raise ValueError(
-                "too many elements to enumerate (2^%d)" % self.num_worlds
-            )
-        return list(range(1 << self.num_worlds))
-
-    def random_element(self, rng):
-        if self.num_worlds == 0:
-            return 0
-        return rng.getrandbits(self.num_worlds)
-
-    def __repr__(self):
-        return "ComplexAlgebra(%r)" % (self.frame,)
-
-
-def complex_algebra(frame):
-    return ComplexAlgebra(frame)
+    return Frame(n, square.mode, square.num_worlds, action, diag)
 
 
 def atom_frame(algebra):

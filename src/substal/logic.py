@@ -280,7 +280,7 @@ def model_check(model, term, world):
 
 def _witness_model(n, mode, point, base, assignment):
     """Rebuild a kernel witness as a model in ℘(ⁿbase), the full square."""
-    algebra = ConcreteAlgebra(n, base, mode, validate=False)
+    algebra = ConcreteAlgebra(n, base, mode)
     valuation = {}
     touched = set()
     for (var, q), value in assignment.items():

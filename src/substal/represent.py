@@ -3,54 +3,49 @@
 Every ultrafilter of a finite algebra is principal, so representations are
 driven by atoms: at an atom u, the map h(z) = {tau : s_tau(z) in F_u} lands
 in the set algebra over the monoid's own points, and the per-atom maps
-combine into an injective complete representation on a disjoint union of
-square units.  Every map is verified exactly by `hom_report`, from the
+combine into an injective complete representation on stacked copies of
+that square unit.  Every map is verified exactly by `hom_report`, from the
 images of the atoms alone, at every size.
+
+On a set algebra (setalg.ComplexAlgebra, over a frame or the square) the
+atom of a world w lies below s_tau(z) exactly when w·tau lies in z, so
+every map here is a bit gather read off the world tables
+`algebra.moves(tau)`.  Any other handle is read through its canonical
+extension, Cm of its atom frame: the map is then the gather composed with
+the isomorphism onto that copy.
 """
 
-import itertools
-import random
 from dataclasses import dataclass, field
 
 from .monoid import (
     NotGenerated,
     canonical_word,
-    compose,
     enumerate_monoid,
     generators,
     has_diagonals,
     identity,
 )
-from .setalg import (ConcreteAlgebra, mask_points, point_index, points_mask,
-                     small_algebra)
-from .frames import ComplexAlgebra, action_tables, atom_frame
-from .terms import bijective_stabilizer, check_submonoid, quasi_axioms, eval_term
+from .setalg import (ComplexAlgebra, ConcreteAlgebra, algebra_to_json,
+                     mask_points, point_index, points_mask, small_algebra)
+from .frames import atom_frame
+from .terms import bijective_stabilizer, check_submonoid
 from .gallery import alternating_coloring
+
+
+def _set_algebra(algebra):
+    """Does the handle act on worlds, as a setalg.ComplexAlgebra does?"""
+    return isinstance(algebra, ComplexAlgebra)
 
 
 def atom_below(algebra, a):
     if a == algebra.zero:
         raise ValueError("zero element has no atom below it")
-    if isinstance(algebra, (ConcreteAlgebra, ComplexAlgebra)):
+    if _set_algebra(algebra):
         return a & -a
     for x in algebra.atoms():
         if algebra.meet(x, a) == x:
             return x
     raise ValueError("no atom below element %r" % (a,))
-
-
-def _atom_world(algebra, atom):
-    """Bit position of an atom in a frame- or point-backed algebra."""
-    return atom.bit_length() - 1
-
-
-def _source_acts(algebra, world, taus):
-    """For frame/point-backed algebras: where the world moves under each tau."""
-    if isinstance(algebra, ComplexAlgebra):
-        return [algebra.frame.act_tau(tau)[world] for tau in taus]
-    if isinstance(algebra, ConcreteAlgebra):
-        return [algebra._table_for(tau)[world] for tau in taus]
-    return None
 
 
 def _gather_fn(src_bits, dst_bits):
@@ -64,6 +59,36 @@ def _gather_fn(src_bits, dst_bits):
         return out
 
     return h
+
+
+def _on_worlds(algebra):
+    """(worlds, iso): a set algebra is its own algebra over worlds, with
+    iso None; any other handle gives its canonical extension and the
+    isomorphism onto it."""
+    if _set_algebra(algebra):
+        return algebra, None
+    ext, rep = canonical_extension(algebra)
+    if not rep.report["bijective"]:
+        raise ValueError("the algebra is not isomorphic to its canonical "
+                         "extension: %r" % (rep.report["failures"][:3],))
+    return ext, rep.image
+
+
+def _world_moves(algebra, atom, taus):
+    """Where the world of `atom` goes under each tau, and the isomorphism
+    of `_on_worlds`."""
+    worlds, iso = _on_worlds(algebra)
+    w = (iso(atom) if iso else atom).bit_length() - 1
+    return [worlds.moves(tau)[w] for tau in taus], iso
+
+
+def _gathered(iso, src_bits, dst_bits):
+    """The gather z ↦ {dst : src in z} as (map, gather), read through iso
+    when there is one (the map is then no gather of the algebra's bits)."""
+    h = _gather_fn(src_bits, dst_bits)
+    if iso is None:
+        return h, (src_bits, dst_bits)
+    return (lambda z: h(iso(z))), None
 
 
 def hom_report(source, target, h, gather=None):
@@ -157,151 +182,58 @@ class RepMap:
     report: dict = field(default_factory=dict)
     gather: tuple = None          # (src_bits, dst_bits) when image is a gather
 
-    def images_of_atoms(self):
-        return [self.image(x) for x in self.source.atoms()]
-
     def to_json(self):
         """The report, the target, the points of each source atom and the
         points of its image.  The atoms determine every other image: a
         homomorphism sends z to the union of the images of the atoms
-        below z."""
+        below z.  A target over c stacked squares is given as c blocks and
+        the algebra file of the first."""
         data = {"report": {
             k: self.report.get(k)
             for k in ("homomorphism", "injective", "atom_cover")}}
-        if hasattr(self.target, "to_json"):
-            data["target"] = self.target.to_json()
+        square = self.target.space
+        if hasattr(square, "copies"):
+            first = self.target.unit & (1 << square.k**square.n) - 1
+            data["target"] = {"blocks": square.copies, "block": algebra_to_json(
+                ConcreteAlgebra(square.n, square.k, square.mode, unit=first))}
         atoms = self.source.atoms()
         data["atoms"] = [mask_points(x) for x in atoms]
         data["atom_images"] = [mask_points(self.image(x)) for x in atoms]
         return data
 
 
-def represent_at(algebra, a, rng=None):
+def represent_at(algebra, a):
     """The representation h(z) = {tau : s_tau(z) in F} at the principal
     ultrafilter of an atom below a, into the set algebra over the monoid's
-    own points (the full ⁿn square in full mode).  rng is accepted and
-    unused: the certificate is exact."""
+    own points (the full ⁿn square in full mode)."""
     atom = atom_below(algebra, a)
     n, mode = algebra.n, algebra.mode
     taus = enumerate_monoid(n, mode)
     unit_pts = [point_index(tau.map, n) for tau in taus]
-    target = ConcreteAlgebra(n, n, mode,
-                             unit=points_mask(unit_pts), validate=False)
-
-    world = None
-    acts = None
-    if isinstance(algebra, (ConcreteAlgebra, ComplexAlgebra)):
-        world = _atom_world(algebra, atom)
-        acts = _source_acts(algebra, world, taus)
-
-    if acts is not None:
-        gather = (acts, unit_pts)
-        h = _gather_fn(*gather)
-    else:
-        gather = None
-
-        def h(z):
-            out = 0
-            for tau, pt in zip(taus, unit_pts):
-                if algebra.meet(atom, algebra.subst(tau, z)) == atom:
-                    out |= 1 << pt
-            return out
-
+    target = ConcreteAlgebra(n, n, mode, unit=points_mask(unit_pts))
+    acts, iso = _world_moves(algebra, atom, taus)
+    h, gather = _gathered(iso, acts, unit_pts)
     report = hom_report(algebra, target, h, gather=gather)
     id_pt = point_index(identity(n).map, n)
     report["identity_in_image"] = bool(h(a) >> id_pt & 1)
     return RepMap(algebra, target, h, atom=atom, report=report, gather=gather)
 
 
-class ProductAlgebra:
-    """A finite product of equal-shaped concrete algebras, laid out as
-    consecutive bit blocks (the set algebra over the disjoint union of
-    the factors' units)."""
-
-    def __init__(self, blocks):
-        if not blocks:
-            raise ValueError("need at least one block")
-        b0 = blocks[0]
-        if any((b.n, b.k, b.mode, b.unit) != (b0.n, b0.k, b0.mode, b0.unit)
-               for b in blocks):
-            raise ValueError("blocks must be identical copies")
-        self.blocks = list(blocks)
-        self.n = b0.n
-        self.mode = b0.mode
-        self.span = b0.num_points
-        self.zero = 0
-        self.one = 0
-        for idx, b in enumerate(self.blocks):
-            self.one |= b.unit << (idx * self.span)
-        self.unit = self.one
-
-    def _map_blocks(self, fn, *masks):
-        out = 0
-        span = self.span
-        window = (1 << span) - 1
-        for idx, b in enumerate(self.blocks):
-            parts = [(m >> (idx * span)) & window for m in masks]
-            out |= fn(b, *parts) << (idx * span)
-        return out
-
-    def meet(self, a, b):
-        return a & b
-
-    def join(self, a, b):
-        return a | b
-
-    def compl(self, a):
-        return self.one ^ a
-
-    def subst(self, g, x):
-        return self._map_blocks(lambda b, part: b.subst(g, part), x)
-
-    def diag(self, i, j):
-        return self._map_blocks(lambda b: b.diag(i, j))
-
-    def size(self):
-        per = len(self.blocks[0].unit_points)
-        return 1 << (per * len(self.blocks))
-
-    def atoms(self):
-        out = []
-        for idx, b in enumerate(self.blocks):
-            out.extend(a << (idx * self.span) for a in b.atoms())
-        return out
-
-    def elements(self, limit=20):
-        per = len(self.blocks[0].unit_points)
-        if per * len(self.blocks) > limit:
-            raise ValueError("too many elements to enumerate")
-        parts = [b.elements() for b in self.blocks]
-        out = []
-        for combo in itertools.product(*parts):
-            m = 0
-            for idx, part in enumerate(combo):
-                m |= part << (idx * self.span)
-            out.append(m)
-        return out
-
-    def to_json(self):
-        from .setalg import algebra_to_json
-
-        return {"blocks": len(self.blocks), "block": algebra_to_json(self.blocks[0])}
-
-    def __repr__(self):
-        return "ProductAlgebra(%d copies of %r)" % (len(self.blocks), self.blocks[0])
-
-
 def full_representation(algebra):
     """Product of represent_at over every atom: an injective homomorphism
-    into one algebra over a disjoint union of monoid-point squares.  The
-    product map is certified directly as well; it is a gather whenever
-    every block is one."""
+    into the set algebra over one copy of the monoid-point square per
+    atom.  The product map is certified directly as well; it is a gather
+    whenever every block is one."""
     if algebra.one == algebra.zero:
         raise ValueError("trivial algebra has no atoms to represent at")
     ats = algebra.atoms()
     reps = [represent_at(algebra, x) for x in ats]
-    target = ProductAlgebra([r.target for r in reps])
-    span = target.span
+    block = reps[0].target
+    span = block.num_points
+    unit = 0
+    for idx in range(len(reps)):
+        unit |= block.unit << (idx * span)
+    target = ConcreteAlgebra(block.n, block.k, block.mode, unit=unit)
 
     if all(r.gather is not None for r in reps):
         src, dst = [], []
@@ -341,32 +273,33 @@ def full_representation(algebra):
     return RepMap(algebra, target, h, atom=None, report=report, gather=gather)
 
 
-def complete_representation(algebra, rng=None):
+def complete_representation(algebra):
     """full_representation plus the completeness facts: atom images
-    partition every copy, and each substitution is completely additive
-    (spot-checked on elements drawn from rng)."""
+    partition every copy, and each substitution is completely additive."""
     rep = full_representation(algebra)
     rep.report["complete"] = rep.report["atom_cover"]
-    rep.report["completely_additive"] = check_complete_additivity(algebra,
-                                                                  rng=rng)
+    rep.report["completely_additive"] = check_complete_additivity(algebra)
     return rep
 
 
-def check_complete_additivity(algebra, sample=32, rng=None):
-    """s_g of a join of atoms equals the join of the s_g-images (finite
-    complete additivity, checked on the unit and sampled elements)."""
-    rng = rng or random.Random(0)
+def check_complete_additivity(algebra):
+    """s_g of a join of atoms equals the join of the s_g-images, for every
+    generator and every element.  A set algebra has it by construction,
+    each substitution being a preimage; any other handle is checked on
+    every join of its atoms, which is every element of a finite algebra."""
+    if _set_algebra(algebra):
+        return True
     ats = algebra.atoms()
-    gens = generators(algebra.n, algebra.mode)
-    tests = [algebra.one]
-    for _ in range(sample):
-        tests.append(algebra.random_element(rng))
-    for z in tests:
-        parts = [x for x in ats if algebra.meet(x, z) == x]
-        for g in gens:
-            total = algebra.zero
-            for x in parts:
-                total = algebra.join(total, algebra.subst(g, x))
+    if len(ats) > 20:
+        raise ValueError("too many elements to check (2^%d)" % len(ats))
+    for g in generators(algebra.n, algebra.mode):
+        images = [algebra.subst(g, x) for x in ats]
+        for bits in range(1 << len(ats)):
+            z = total = algebra.zero
+            for idx, (x, sx) in enumerate(zip(ats, images)):
+                if bits >> idx & 1:
+                    z = algebra.join(z, x)
+                    total = algebra.join(total, sx)
             if total != algebra.subst(g, z):
                 return False
     return True
@@ -390,18 +323,13 @@ def check_psi_witnesses(algebra):
     return out
 
 
-def canonical_extension(algebra, rng=None):
+def canonical_extension(algebra):
     """Cm(atom frame) with the natural isomorphism z ↦ {atoms below z};
-    for finite algebras this is a (complete) isomorphic copy.  rng is
-    accepted and unused."""
+    for finite algebras this is a (complete) isomorphic copy."""
     frame, ats = atom_frame(algebra)
     ext = ComplexAlgebra(frame)
-    positions = None
-    if isinstance(algebra, (ConcreteAlgebra, ComplexAlgebra)):
-        positions = [a.bit_length() - 1 for a in ats]
-
-    if positions is not None:
-        gather = (positions, list(range(len(ats))))
+    if _set_algebra(algebra):
+        gather = ([a.bit_length() - 1 for a in ats], list(range(len(ats))))
         iso = _gather_fn(*gather)
     else:
         gather = None
@@ -419,11 +347,10 @@ def canonical_extension(algebra, rng=None):
     return ext, rep
 
 
-def diag_represent(algebra, a, rng=None):
+def diag_represent(algebra, a):
     """Quotient representation of a diagonal algebra at an atom: indices i,j
     are merged when d(i,j) lies in the ultrafilter; the target is the full
-    diagonal set algebra over ⁿm for m the number of merged blocks.  rng is
-    accepted and unused."""
+    diagonal set algebra over ⁿm for m the number of merged blocks."""
     if not has_diagonals(algebra.mode):
         raise ValueError("diag_represent needs full_diagonal mode")
     atom = atom_below(algebra, a)
@@ -449,60 +376,26 @@ def diag_represent(algebra, a, rng=None):
     m = len(blocks)
 
     taus = enumerate_monoid(n, algebra.mode)
-    world = None
-    if isinstance(algebra, (ConcreteAlgebra, ComplexAlgebra)):
-        world = _atom_world(algebra, atom)
-        acts = _source_acts(algebra, world, taus)
-    else:
-        acts = None
-
-    def bar(tau):
-        return point_index(tuple(block_of[v] for v in tau.map), m)
-
+    acts, iso = _world_moves(algebra, atom, taus)
     groups = {}
     for idx, tau in enumerate(taus):
-        groups.setdefault(bar(tau), []).append(idx)
+        bar = point_index(tuple(block_of[v] for v in tau.map), m)
+        groups.setdefault(bar, []).append(idx)
 
     # well-definedness: all representatives of a quotient point must agree
     witnesses = []
-    if acts is not None:
-        for pt, idxs in groups.items():
-            base = acts[idxs[0]]
-            for idx in idxs[1:]:
-                if acts[idx] != base:
-                    witnesses.append((taus[idxs[0]], taus[idx]))
-    else:
-        els = algebra.elements()
-        for pt, idxs in groups.items():
-            t0 = taus[idxs[0]]
-            for idx in idxs[1:]:
-                t1 = taus[idx]
-                for z in els:
-                    in0 = algebra.meet(atom, algebra.subst(t0, z)) == atom
-                    in1 = algebra.meet(atom, algebra.subst(t1, z)) == atom
-                    if in0 != in1:
-                        witnesses.append((t0, t1))
-                        break
+    for pt, idxs in groups.items():
+        base = acts[idxs[0]]
+        for idx in idxs[1:]:
+            if acts[idx] != base:
+                witnesses.append((taus[idxs[0]], taus[idx]))
     if witnesses:
         raise ValueError("quotient map not well defined; witness %r" % (witnesses[0],))
 
     target = small_algebra(n, m, "full_diagonal")
     dst_bits = sorted(groups)
-    if acts is not None:
-        src_bits = [acts[groups[pt][0]] for pt in dst_bits]
-        gather = (src_bits, dst_bits)
-        f = _gather_fn(*gather)
-    else:
-        gather = None
-        reps = {pt: taus[groups[pt][0]] for pt in dst_bits}
-
-        def f(z):
-            out = 0
-            for pt in dst_bits:
-                if algebra.meet(atom, algebra.subst(reps[pt], z)) == atom:
-                    out |= 1 << pt
-            return out
-
+    f, gather = _gathered(iso, [acts[groups[pt][0]] for pt in dst_bits],
+                          dst_bits)
     report = hom_report(algebra, target, f, gather=gather)
     report["well_defined"] = True
     report["blocks"] = blocks
@@ -524,28 +417,14 @@ class SubMonoidCtx:
         self.G = bijective_stabilizer(n, self.T)
 
 
-def _step_table(algebra, f):
-    """Point/world map of s_f on a frame- or point-backed algebra."""
-    if isinstance(algebra, ConcreteAlgebra):
-        tab = algebra._table_for(f)
-        return algebra.unit_points, {p: tab[p] for p in algebra.unit_points}
-    if isinstance(algebra, ComplexAlgebra):
-        tab = algebra.frame.act_tau(f)
-        worlds = list(range(algebra.num_worlds))
-        return worlds, {w: tab[w] for w in worlds}
-    return None
-
-
 def special_quasi_witness(algebra, f):
-    """An element X with s_f(X) = −X in a concrete algebra, or None.
+    """An element X with s_f(X) = −X in a set algebra, or None.
 
-    Found by alternating 2-coloring along the cycles of the point map
-    q ↦ q∘f (f must act bijectively); exact, no search."""
-    stepped = _step_table(algebra, f)
-    if stepped is None:
-        raise ValueError("needs a frame- or point-backed algebra")
-    worlds, step = stepped
-    chosen, obstruction = alternating_coloring(worlds, lambda w: step[w])
+    Found by alternating 2-coloring along the cycles of the world map
+    w ↦ w·f over the unit (f must act bijectively); exact, no search."""
+    step = algebra.moves(f)
+    chosen, obstruction = alternating_coloring(algebra.unit_points,
+                                               step.__getitem__)
     if chosen is None:
         return None
     mask = points_mask(chosen)
@@ -553,119 +432,30 @@ def special_quasi_witness(algebra, f):
     return mask
 
 
-def check_quasi(algebra, ctx, budget=10**6):
+def check_quasi(algebra, ctx):
     """Do the quasi-equations attached to ctx hold in the algebra?
 
     Two families: the stabilizer schemas (a zero meet of substituted
     variables stays zero under any xi in G), and the alternating forms
-    s_f(x) = −x → 0 = 1 for f in G.  On frame/point-backed algebras both
-    are decided exactly without exhaustive search (coloring for the
-    alternating form; the coherence of the action for the schemas).  Other
-    handles are checked by exhaustive assignment within budget.  Every
-    s_tau, tau in T, must exist in the algebra's signature; ValueError
-    otherwise.
+    s_f(x) = −x → 0 = 1 for f in G.  Both are decided exactly on the set
+    algebra over worlds, a handle without a world action being read through
+    its canonical extension: coloring for the alternating forms, the
+    coherence of the action for the schemas.  Every s_tau, tau in T, must
+    exist in the algebra's signature; ValueError otherwise.
     """
-    n = algebra.n
     for tau in ctx.T:
         try:
             canonical_word(tau, algebra.mode)
         except NotGenerated as exc:
             raise ValueError("the quasi-equations need s_tau for every tau "
                              "in T: %s" % exc) from None
-    trivial = algebra.one == algebra.zero
-    concrete = isinstance(algebra, (ConcreteAlgebra, ComplexAlgebra))
-
-    for f in ctx.G:
-        if trivial:
-            continue
-        if concrete:
+    algebra, _ = _on_worlds(algebra)
+    if algebra.one != algebra.zero:
+        for f in ctx.G:
             if special_quasi_witness(algebra, f) is not None:
                 return False
-        else:
-            els = algebra.elements()
-            if len(els) > budget:
-                raise ValueError("budget exceeded")
-            for x in els:
-                if algebra.subst(f, x) == algebra.compl(x):
-                    return False
-
-    if concrete:
-        # a coherent action makes every stabilizer schema hold: pulling a
-        # world back along act_xi turns a conclusion witness into a premise
-        # witness.  The point action q.tau of a set algebra is a right
-        # action by definition; a frame's action is certified on the edges
-        # of its Cayley graph.
-        if isinstance(algebra, ConcreteAlgebra):
-            return True
-        _, failures, _ = action_tables(algebra.frame, max_failures=1)
-        return not failures
-
-    els = algebra.elements()
-    for quasi in quasi_axioms(n, ctx.T):
-        nvars = len(ctx.T)
-        if len(els) ** nvars > budget:
-            raise ValueError("budget exceeded")
-        for choice in itertools.product(els, repeat=nvars):
-            asg = dict(enumerate(choice))
-            premise = all(
-                eval_term(algebra, p.lhs, asg) == eval_term(algebra, p.rhs, asg)
-                for p in quasi.premises
-            )
-            if premise and eval_term(algebra, quasi.conclusion.lhs, asg) != \
-                    eval_term(algebra, quasi.conclusion.rhs, asg):
-                return False
-    return True
-
-
-@dataclass
-class XiFilter:
-    kind: str
-    members: frozenset
-    min_element: object
-    proper: bool
-    contained_in_base: object = None
-
-
-def f_xi_filter(algebra, atom, xi, ctx, element_limit=16):
-    """The shifted filter F_xi at a principal ultrafilter (experimental).
-
-    xi outside G: the preimage {a : s_xi(a) in F} (always an ultrafilter).
-    xi in G: the filter generated by products over sigma in T of
-    s_{xi∘sigma}(a_sigma) with every factor in F; improper output signals a
-    quasi-schema failure."""
-    els = algebra.elements(limit=element_limit)
-    in_F = lambda z: algebra.meet(atom, z) == atom
-
-    if xi in set(ctx.G):
-        mins = []
-        for sigma in ctx.T:
-            shifted = compose(xi, sigma)
-            acc = algebra.one
-            for z in els:
-                sz = algebra.subst(shifted, z)
-                if in_F(sz):
-                    acc = algebra.meet(acc, sz)
-            mins.append(acc)
-        m = algebra.one
-        for v in mins:
-            m = algebra.meet(m, v)
-        members = frozenset(z for z in els if algebra.meet(m, z) == m)
-        proper = m != algebra.zero
-        contained = None
-        if xi == identity(algebra.n):
-            contained = all(in_F(z) for z in members)
-        return XiFilter("generated", members, m, proper, contained)
-
-    members = frozenset(z for z in els if in_F(algebra.subst(xi, z)))
-    proper = algebra.zero not in members
-    # preimage of an ultrafilter under a homomorphism: verify filter laws
-    ok = algebra.one in members and proper
-    for x in members:
-        for y in members:
-            if algebra.meet(x, y) not in members:
-                ok = False
-    for x in members:
-        for z in els:
-            if algebra.meet(x, z) == x and z not in members:
-                ok = False
-    return XiFilter("preimage", members, None, proper and ok, None)
+    # a coherent action makes every stabilizer schema hold: pulling a world
+    # back along act_xi turns a conclusion witness into a premise witness.
+    # The point action of the square is a right action by definition; a
+    # frame's action is certified on the edges of its Cayley graph.
+    return algebra.space.coherent()

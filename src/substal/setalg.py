@@ -1,15 +1,30 @@
-"""Finite set algebras of n-tuples over a small base.
+"""Finite set algebras: the subsets of a unit V of worlds, as bitmasks.
 
-Elements are subsets of a unit V ⊆ {0..k-1}^n, stored as integer bitmasks
-indexed by the little-endian point index (coordinate 0 is the least
-significant digit).  The unit must be closed under the right action of the
-mode's generators ("locally square"), which makes substitution by preimage
-well-defined inside V.
+One class, `ComplexAlgebra(space, unit)`, is ℘(V) for a unit V of the
+worlds of a *space* that is closed under the space's action, with
+substitution by preimage: S_τ(x) = V ∧ Ŝ_τ(x), Ŝ_τ(x) = {w : w·τ ∈ x}.
+In the duality of Jónsson and Tarski it is Cm of the space restricted to
+V.  A space gives `preimage(g, x)`, `moves(τ)` (the world table of τ),
+`diag_mask(i, j)` and `coherent()`.  There are two kinds:
 
-Substitution is word-parallel.  The coordinate mask C(i,a), the points
-whose coordinate i is a, is a run of k^i ones at a·k^i repeated with
-period k^(i+1).  Over the whole square the preimage Ŝ_g(x) = {q : q∘g ∈ x}
-of a generator is a few whole-mask operations:
+- a `frames.Frame`, with explicit generator tables;
+- `Square(n, k, mode, copies)`: c stacked copies of ⁿk, world
+  copy·kⁿ + p for the point p whose coordinate i is the base-k digit i of
+  p (coordinate 0 is the least significant).  Its action is the right
+  point action q ↦ q∘τ, which is coherent by definition.
+
+`ConcreteAlgebra(n, k, mode, unit)` is ℘(V) over the square, with the
+number of copies read off the unit; the full representation stacks one
+copy per atom.  Handles that are not a set algebra (`Subalgebra`, or any
+object with the operations) have no world action; represent reads them
+through their canonical extension.  The constructors trust their unit:
+`make_relativized` and `algebra_from_json`, where a unit comes from
+outside, check its closure.
+
+Substitution on the square is word-parallel.  The coordinate mask C(i,a),
+the worlds whose coordinate i is a, is a run of k^i ones at a·k^i repeated
+with period k^(i+1).  The preimage Ŝ_g(x) of a generator is a few
+whole-mask operations:
 
 - s[i|j]: ⋁_b ((x ∧ C(i,b) ∧ C(j,b)) · Σ_a 2^(a·k^i)) >> b·k^i, which
   copies each point with q_i = q_j = b to every value of coordinate i.
@@ -20,9 +35,11 @@ of a generator is a few whole-mask operations:
   (b−a)(k^j−k^i), right when that is negative, which swaps the digits;
 - d(i,j) = ⋁_a C(i,a) ∧ C(j,a).
 
-Any other transformation τ of the monoid folds the generator kernels right
-to left along canonical_word(τ), since S_{σ∘τ} = S_σ∘S_τ.  The unit is
-masked in once, at the end: S_τ(x) = V ∧ Ŝ_τ(x).
+Every shift stays inside its copy, so the kernel runs unchanged on c
+copies.  Any other transformation τ of the monoid folds the generator
+kernels right to left along canonical_word(τ), since S_{σ∘τ} = S_σ∘S_τ.
+The table of τ rewrites only the coordinates τ moves: world p goes to
+p + Σ (digit τ(i) − digit i)·k^i.
 """
 
 from functools import cached_property
@@ -30,7 +47,6 @@ from functools import cached_property
 from .monoid import (
     DIM_LIMIT,
     GenSym,
-    apply_point,
     canonical_word,
     enumerate_monoid,
     generators,
@@ -72,10 +88,11 @@ def points_mask(points):
     return int(digits[::-1], 2)
 
 
-def coordinate_runs(n, k):
-    """runs[i] = C(i,0), the points of ⁿk whose coordinate i is 0: a run of
-    k^i ones repeated with period k^(i+1).  C(i,a) is runs[i] << a·k^i."""
-    num = k**n
+def coordinate_runs(n, k, copies=1):
+    """runs[i] = C(i,0), the points of c stacked copies of ⁿk whose
+    coordinate i is 0: a run of k^i ones repeated with period k^(i+1).
+    C(i,a) is runs[i] << a·k^i."""
+    num = copies * k**n
     if not num:
         return [0] * n
     full = (1 << num) - 1
@@ -97,34 +114,112 @@ def diagonal_mask(runs, k, i, j):
     return out
 
 
-def preimage(g, x, n, k, runs):
-    """Ŝ_g(x) = {q ∈ ⁿk : q∘g ∈ x} for a generator g, over the whole
-    square, by the word-parallel kernel of the module docstring."""
-    g.tr(n)                             # range check
-    ri, rj = k**g.i, k**g.j
-    ci, cj = runs[g.i], runs[g.j]
-    out = 0
-    if g.kind == "replacement":
-        # the points with q_i = q_j = b, moved to q_i = 0, then copied to
-        # every value of coordinate i
-        y = 0
+class Square:
+    """The space of c stacked copies of ⁿk under the right point action,
+    with the word-parallel kernel of the module docstring."""
+
+    def __init__(self, n, k, mode="full", copies=1):
+        self.n = n
+        self.k = k
+        self.mode = normalize_mode(mode)
+        self.copies = copies
+        self.num_worlds = copies * k**n
+        self._moves = {}
+        self._diag = {}
+
+    @cached_property
+    def runs(self):
+        return coordinate_runs(self.n, self.k, self.copies)
+
+    def _digits(self, worlds):
+        """digits[i][m] is coordinate i of the m-th world."""
+        return [[p // self.k**i % self.k for p in worlds]
+                for i in range(self.n)]
+
+    @cached_property
+    def _all_digits(self):
+        return self._digits(range(self.num_worlds))
+
+    def _kernel(self, g, x):
+        """Ŝ_g(x) for a generator g, over every world."""
+        g.tr(self.n)                    # range check
+        k = self.k
+        ri, rj = k**g.i, k**g.j
+        ci, cj = self.runs[g.i], self.runs[g.j]
+        out = 0
+        if g.kind == "replacement":
+            # the points with q_i = q_j = b, moved to q_i = 0, then copied
+            # to every value of coordinate i
+            y = 0
+            for b in range(k):
+                y |= (x & ci << b * ri & cj << b * rj) >> b * ri
+            for a in range(k):
+                out |= y << a * ri
+            return out
+        stride = rj - ri
         for b in range(k):
-            y |= (x & ci << b * ri & cj << b * rj) >> b * ri
-        for a in range(k):
-            out |= y << a * ri
+            xb = x & ci << b * ri
+            if not xb:
+                continue
+            cja = cj
+            for a in range(k):
+                block = xb & cja
+                cja <<= rj
+                shift = (b - a) * stride
+                out |= block << shift if shift >= 0 else block >> -shift
         return out
-    stride = rj - ri
-    for b in range(k):
-        xb = x & ci << b * ri
-        if not xb:
-            continue
-        cja = cj
-        for a in range(k):
-            block = xb & cja
-            cja <<= rj
-            shift = (b - a) * stride
-            out |= block << shift if shift >= 0 else block >> -shift
-    return out
+
+    def preimage(self, g, x):
+        """Ŝ_g(x) = {q : q∘g ∈ x}; g a generator symbol or any
+        transformation of the mode's monoid, folded along its canonical
+        word (canonical_word raises NotGenerated outside the monoid)."""
+        word = (g,) if isinstance(g, GenSym) else canonical_word(g, self.mode)
+        for sym in reversed(word):
+            x = self._kernel(sym, x)
+        return x
+
+    def moves(self, tau, worlds=None):
+        """The world table of tau (a generator symbol or a transformation):
+        a tuple over every world, cached; given `worlds`, a dict over those
+        worlds alone, so that a small unit in a large square pays only for
+        its own points."""
+        if isinstance(tau, GenSym):
+            tau = tau.tr(self.n)
+        if worlds is not None:
+            return dict(zip(worlds, self._moved(tau, worlds,
+                                                self._digits(worlds))))
+        tab = self._moves.get(tau)
+        if tab is None:
+            tab = self._moves[tau] = tuple(self._moved(
+                tau, range(self.num_worlds), self._all_digits))
+        return tab
+
+    def _moved(self, tau, worlds, digits):
+        """Where tau sends each world p: tau rewrites only the coordinates
+        it moves, p + Σ over moved i of (digit τ(i) − digit i)·k^i."""
+        out = list(worlds)
+        for i, src in enumerate(tau.map):
+            if src != i:
+                weight = self.k**i
+                out = [t + (a - b) * weight
+                       for t, a, b in zip(out, digits[src], digits[i])]
+        return out
+
+    def diag_mask(self, i, j):
+        if not has_diagonals(self.mode):
+            raise ValueError("diagonal elements need full_diagonal mode")
+        key = (min(i, j), max(i, j))
+        mask = self._diag.get(key)
+        if mask is None:
+            mask = self._diag[key] = diagonal_mask(self.runs, self.k, *key)
+        return mask
+
+    def coherent(self):
+        return True
+
+    def __repr__(self):
+        return "Square(n=%d, k=%d, mode=%s, copies=%d)" % (
+            self.n, self.k, self.mode, self.copies)
 
 
 class NotLocallySquare(ValueError):
@@ -142,9 +237,9 @@ def _closure_witness(n, k, unit_mask, mode):
     """The first (point, generator), generators in order and points
     ascending, whose move leaves the unit: the lowest point of
     V ∧ ¬Ŝ_g(V); None when V is closed."""
-    runs = coordinate_runs(n, k)
-    for g in generators(n, mode):
-        escaped = unit_mask & ~preimage(g, unit_mask, n, k, runs)
+    square = Square(n, k, mode)
+    for g in generators(n, square.mode):
+        escaped = unit_mask & ~square.preimage(g, unit_mask)
         if escaped:
             return point_coords((escaped & -escaped).bit_length() - 1, n, k), g
     return None
@@ -156,33 +251,25 @@ def is_locally_square(n, k, unit_mask, mode="full"):
     return _closure_witness(n, k, unit_mask, normalize_mode(mode))
 
 
-class ConcreteAlgebra:
-    """℘(V) for a locally square V ⊆ ⁿk, with substitution by preimage."""
+class ComplexAlgebra:
+    """℘(V) = Cm of a space restricted to a unit V of its worlds (all of
+    them by default), which is trusted to be closed under the action."""
 
-    def __init__(self, n, k, mode="full", unit=None, validate=True):
-        self.n = n
-        self.k = k
-        self.mode = normalize_mode(mode)
-        self.num_points = k**n
+    def __init__(self, space, unit=None):
+        self.space = space
+        self.n = space.n
+        self.mode = space.mode
+        self.k = getattr(space, "k", None)    # the base of a square
+        self.num_points = space.num_worlds
         if unit is None:
-            unit = (1 << self.num_points) - 1 if self.num_points else 0
-        self.unit = unit
+            unit = (1 << space.num_worlds) - 1
         self.zero = 0
-        self.one = unit
-        if validate:
-            witness = _closure_witness(n, k, unit, self.mode)
-            if witness is not None:
-                raise NotLocallySquare(*witness)
-        self._tables = {}
-        self._diag = {}
+        self.one = self.unit = unit
+        self._moves = {}
 
     @cached_property
     def unit_points(self):
         return mask_points(self.unit)
-
-    @cached_property
-    def _runs(self):
-        return coordinate_runs(self.n, self.k)
 
     # ---- Boolean structure ----
 
@@ -197,37 +284,23 @@ class ConcreteAlgebra:
 
     # ---- substitution ----
 
-    def _table_for(self, tau):
-        """Where each point of the unit moves under tau, keyed by point."""
-        tab = self._tables.get(tau)
+    def moves(self, tau):
+        """Where each world of the unit goes under tau, as a table indexed
+        by world: the space's own table when the unit is every world."""
+        if self.unit == (1 << self.num_points) - 1:
+            return self.space.moves(tau)
+        tab = self._moves.get(tau)
         if tab is None:
-            n, k = self.n, self.k
-            tab = {
-                p: point_index(apply_point(point_coords(p, n, k), tau), k)
-                for p in self.unit_points
-            }
-            self._tables[tau] = tab
+            tab = self._moves[tau] = self.space.moves(tau, self.unit_points)
         return tab
 
     def subst(self, g, x):
-        """S_g(x) = {q in V : q∘g in x}; g a generator symbol or any
-        transformation of the mode's monoid, folded along its canonical
-        word (module docstring)."""
-        # canonical_word raises NotGenerated outside the monoid
-        word = (g,) if isinstance(g, GenSym) else canonical_word(g, self.mode)
-        for sym in reversed(word):
-            x = preimage(sym, x, self.n, self.k, self._runs)
-        return x & self.unit
+        """S_g(x) = {w in V : w·g in x}, g a generator symbol or any
+        transformation of the mode's monoid."""
+        return self.space.preimage(g, x) & self.unit
 
     def diag(self, i, j):
-        if not has_diagonals(self.mode):
-            raise ValueError("diagonal elements need full_diagonal mode")
-        key = (min(i, j), max(i, j))
-        mask = self._diag.get(key)
-        if mask is None:
-            mask = self._diag[key] = (diagonal_mask(self._runs, self.k, *key)
-                                      & self.unit)
-        return mask
+        return self.space.diag_mask(i, j) & self.unit
 
     # ---- enumeration ----
 
@@ -241,6 +314,8 @@ class ConcreteAlgebra:
         pts = self.unit_points
         if len(pts) > limit:
             raise ValueError("too many elements to enumerate (2^%d)" % len(pts))
+        if self.unit == (1 << len(pts)) - 1:
+            return list(range(1 << len(pts)))
         out = []
         for bits in range(1 << len(pts)):
             m = 0
@@ -254,27 +329,34 @@ class ConcreteAlgebra:
             out.append(m)
         return out
 
-    def random_element(self, rng):
-        pts = self.unit_points
-        if not pts:
-            return 0
-        bits = rng.getrandbits(len(pts))
-        m = 0
-        for i, p in enumerate(pts):
-            if bits >> i & 1:
-                m |= 1 << p
-        return m
-
     def __repr__(self):
-        return "ConcreteAlgebra(n=%d, k=%d, mode=%s, |V|=%d)" % (
-            self.n, self.k, self.mode, len(self.unit_points))
+        return "ComplexAlgebra(%r, |V|=%d)" % (self.space, len(self.unit_points))
+
+
+def ConcreteAlgebra(n, k, mode="full", unit=None):
+    """℘(V) for V in c stacked copies of ⁿk, c the fewest copies that hold
+    the unit (one copy and the whole square by default)."""
+    span = k**n
+    copies = -(-unit.bit_length() // span) if unit and span else 1
+    return ComplexAlgebra(Square(n, k, mode, copies), unit)
 
 
 def small_algebra(n, k, mode="full", budget=10**6):
     """A_nk: the full set algebra over every point of ⁿk."""
     if k**n > budget:
         raise ValueError("point space %d exceeds budget" % (k**n,))
-    return ConcreteAlgebra(n, k, mode, validate=False)
+    return ConcreteAlgebra(n, k, mode)
+
+
+def _relativized(n, k, unit, mode):
+    """℘(V) over one copy of ⁿk, once V is checked to lie in the square
+    and to be closed under the mode's generators."""
+    if unit >> k**n:
+        raise ValueError("unit has points outside the square %d^%d" % (k, n))
+    witness = _closure_witness(n, k, unit, normalize_mode(mode))
+    if witness is not None:
+        raise NotLocallySquare(*witness)
+    return ComplexAlgebra(Square(n, k, mode), unit)
 
 
 def make_relativized(n, k, unit, mode="full", budget=10**6):
@@ -283,15 +365,11 @@ def make_relativized(n, k, unit, mode="full", budget=10**6):
         raise ValueError("point space %d exceeds budget" % (k**n,))
     if not isinstance(unit, int):
         unit = points_mask(unit)
-    return ConcreteAlgebra(n, k, mode, unit=unit, validate=True)
-
-
-def diag_element(algebra, i, j):
-    return algebra.diag(i, j)
+    return _relativized(n, k, unit, mode)
 
 
 def relativization_hom(algebra, unit):
-    """The map x ↦ x ∩ V from a concrete algebra onto its relativization.
+    """The map x ↦ x ∩ V from a square algebra onto its relativization.
 
     Returns (B, report), the report being the exact certificate of
     represent.hom_report for this bit gather.
@@ -405,9 +483,6 @@ class Subalgebra:
                 out.append(x)
         return out
 
-    def random_element(self, rng):
-        return rng.choice(self.universe)
-
     def __repr__(self):
         return "Subalgebra(%d elements of %r)" % (len(self.universe), self.parent)
 
@@ -446,11 +521,12 @@ def json_ints(values, lo, hi, what):
 
 
 def algebra_from_json(data):
-    """A ConcreteAlgebra from algebra_to_json's format, rejecting any
-    malformed field and any unit point outside ⁿk."""
+    """A square algebra from algebra_to_json's format, rejecting any
+    malformed field, any unit point outside ⁿk and a unit that is not
+    closed under the mode's generators."""
     n = json_int(data, "n", 1, DIM_LIMIT)
     k = json_int(data, "k", 0, 10**6)
     if k**n > 10**6:
         raise ValueError("point space %d exceeds budget" % (k**n,))
     mask = points_mask(json_ints(data.get("unit"), 0, k**n - 1, "unit"))
-    return ConcreteAlgebra(n, k, data.get("mode", "full"), unit=mask)
+    return _relativized(n, k, mask, data.get("mode", "full"))

@@ -89,16 +89,6 @@ def meet_all(items):
     return out
 
 
-def join_all(items):
-    items = list(items)
-    if not items:
-        return Zero()
-    out = items[0]
-    for t in items[1:]:
-        out = Join(out, t)
-    return out
-
-
 def word_term(syms, arg):
     """s_{g1}(s_{g2}(... s_{gm}(arg))) for the word g1 g2 ... gm."""
     out = arg

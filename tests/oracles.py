@@ -278,3 +278,42 @@ def ref_kernel_satisfiable(term, n):
             if truth(term, q, {a for a, b in zip(atoms, bits) if b}):
                 return True
     return False
+
+
+def ref_check_quasi(algebra, T):
+    """Exhaustive reference for the quasi-equations of represent.check_quasi
+    on an enumerable handle; T is a composition-closed set of maps, as
+    tuples.  G is the set of permutations xi with xi∘sigma in T for every
+    sigma in T.  The quasi-equations hold when no element x has
+    s_f(x) = −x for f in G (unless 0 = 1), and when, for every xi in G and
+    every choice of elements x_sigma, a zero meet of the s_sigma(x_sigma)
+    keeps a zero meet of the s_{xi∘sigma}(x_sigma)."""
+    from substal.monoid import Transformation
+
+    T = sorted(set(tuple(t) for t in T))
+    n = len(T[0])
+    G = [xi for xi in itertools.permutations(range(n))
+         if all(ref_compose(xi, s) in T for s in T)]
+    els = algebra.elements()
+
+    def s(t, x):
+        return algebra.subst(Transformation(t), x)
+
+    def meet_of(values):
+        out = algebra.one
+        for v in values:
+            out = algebra.meet(out, v)
+        return out
+
+    if algebra.one != algebra.zero:
+        for f in G:
+            if any(s(f, x) == algebra.compl(x) for x in els):
+                return False
+    for xi in G:
+        shifted = [ref_compose(xi, sigma) for sigma in T]
+        for choice in itertools.product(els, repeat=len(T)):
+            if meet_of(s(t, x) for t, x in zip(T, choice)) != algebra.zero:
+                continue
+            if meet_of(s(t, x) for t, x in zip(shifted, choice)) != algebra.zero:
+                return False
+    return True

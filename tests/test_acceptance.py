@@ -247,12 +247,11 @@ def test_c06_representation_engine():
     t0 = time.monotonic()
     algebras = 0
     for alg in representation_corpus():
-        rr = random.Random(7)
         for x in alg.atoms():
-            rep = represent_at(alg, x, rng=rr)
+            rep = represent_at(alg, x)
             assert rep.report["homomorphism"], (alg.n, x, rep.report)
             assert rep.report["identity_in_image"], (alg.n, x)
-        full = complete_representation(alg, rng=rr)
+        full = complete_representation(alg)
         assert full.report["homomorphism"], full.report
         assert full.report["injective"], full.report
         assert full.report["complete"], full.report
@@ -280,11 +279,10 @@ def test_c08_canonical_extension():
     the extension is completely representable."""
     t0 = time.monotonic()
     for alg in representation_corpus():
-        rr = random.Random(11)
-        ext, iso = canonical_extension(alg, rng=rr)
+        ext, iso = canonical_extension(alg)
         assert iso.report["homomorphism"], iso.report
         assert iso.report["bijective"], iso.report
-        comp = complete_representation(ext, rng=rr)
+        comp = complete_representation(ext)
         assert comp.report["homomorphism"] and comp.report["injective"]
         assert comp.report["complete"]
     elapsed = time.monotonic() - t0
@@ -413,9 +411,8 @@ def test_c13_diagonal_representation():
     for n in range(1, 4):
         for k in range(1, n + 1):
             alg = ComplexAlgebra(point_frame(n, k, "full_diagonal"))
-            rr = random.Random(13)
             for x in alg.atoms():
-                rep = diag_represent(alg, x, rng=rr)
+                rep = diag_represent(alg, x)
                 assert rep.report["well_defined"], (n, k, x)
                 assert rep.report["homomorphism"], (n, k, x, rep.report)
                 assert rep.report["diag_onto"], (n, k, x)

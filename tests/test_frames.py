@@ -11,7 +11,6 @@ from substal.frames import (
     Frame,
     atom_frame,
     check_equivariant,
-    complex_algebra,
     disjoint_union,
     frame_check,
     frame_from_json,
@@ -169,7 +168,7 @@ def test_complex_algebra_preimage_laws():
     for g in generators(2, "full"):
         assert cm.subst(g, cm.zero) == cm.zero
         assert cm.subst(g, cm.one) == cm.one
-    singleton = complex_algebra(
+    singleton = ComplexAlgebra(
         Frame(2, "full", 1, {g: (0,) for g in generators(2, "full")}))
     assert singleton.size() == 2
     for g in generators(2, "full"):

@@ -364,6 +364,84 @@ def test_subst_edge_cases_k1_empty_unit_and_k0():
     assert coordinate_masks(3, 0) == [[], [], []]
 
 
+def _orbit(seeds, n, mode):
+    return frozenset(tuple(q[t[i]] for i in range(n))
+                     for q in seeds for t in _monoid(n, mode))
+
+
+def test_stacked_copies_match_each_block():
+    """A unit over c stacked copies of ⁿk (c read off its length): subst on
+    every generator and on seeded monoid elements, diag on every pair, the
+    world tables and the Boolean shape are those of each copy on its own.
+    n <= 4, k <= 3, c <= 5, every mode; each copy holds the whole square
+    or an orbit."""
+    rng = random.Random(17)
+    for n in range(1, 5):
+        for k in range(1, 4):
+            span = k**n
+            for mode in MODES:
+                monoid = sorted(_monoid(n, mode))
+                for c in (1, 2, 3, 5):
+                    units = [_mask(_square(n, k), k) if rng.random() < 0.5
+                             else _mask(_orbit([tuple(rng.randrange(k)
+                                                      for _ in range(n))],
+                                               n, mode), k)
+                             for _ in range(c)]
+                    blocks = [ConcreteAlgebra(n, k, mode, unit=u)
+                              for u in units]
+                    stacked = ConcreteAlgebra(
+                        n, k, mode, unit=sum(u << b * span
+                                             for b, u in enumerate(units)))
+                    assert stacked.space.copies == c
+                    assert stacked.size() == \
+                        2 ** sum(len(b.atoms()) for b in blocks)
+                    assert len(stacked.atoms()) == \
+                        sum(len(b.atoms()) for b in blocks)
+                    assert stacked.compl(stacked.zero) == stacked.one
+
+                    def per_block(fn, x=0):
+                        return sum(fn(b, x >> idx * span & (1 << span) - 1)
+                                   << idx * span
+                                   for idx, b in enumerate(blocks))
+
+                    x = rng.getrandbits(c * span)
+                    taus = [Transformation(t) for t in
+                            rng.sample(monoid, min(4, len(monoid)))]
+                    for g in list(generators(n, mode)) + taus:
+                        assert stacked.subst(g, x) == per_block(
+                            lambda b, part: b.subst(g, part), x), (n, k, c, g)
+                    for t in taus:
+                        tab = stacked.moves(t)
+                        for idx, b in enumerate(blocks):
+                            own = b.moves(t)
+                            for p in b.unit_points:
+                                assert tab[p + idx * span] == \
+                                    own[p] + idx * span, (n, k, c, t, p)
+                    if mode == "full_diagonal":
+                        for i in range(n):
+                            for j in range(n):
+                                assert stacked.diag(i, j) == per_block(
+                                    lambda b, _: b.diag(i, j))
+
+
+def test_moves_match_points_moved_one_by_one():
+    """moves(tau) sends each point of the unit to q∘tau, for every monoid
+    element, on the full square and on orbit units."""
+    rng = random.Random(23)
+    for n in range(1, 5):
+        for k in range(1, 4):
+            for mode in MODES:
+                seeds = [tuple(rng.randrange(k) for _ in range(n))]
+                for unit in (_square(n, k), _orbit(seeds, n, mode)):
+                    alg = ConcreteAlgebra(n, k, mode, unit=_mask(unit, k))
+                    for t in _monoid(n, mode):
+                        tab = alg.moves(Transformation(t))
+                        for q in unit:
+                            moved = tuple(q[t[i]] for i in range(n))
+                            assert tab[_index(q, k)] == _index(moved, k), \
+                                (n, k, mode, t, q)
+
+
 def test_coordinate_masks_match_the_reference():
     for n in range(1, 5):
         for k in range(1, 4):
