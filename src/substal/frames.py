@@ -6,8 +6,11 @@ anti-homomorphism dual to the right point action): the table of sigma∘tau
 sends w to table_tau[table_sigma[w]].  A Frame is one of the two spaces of
 setalg.ComplexAlgebra (the square ⁿk is the other): Cm(F) = ComplexAlgebra(F)
 is every subset of its worlds, with substitution by action preimage,
-S_g(X) = {w : act_g(w) in X}.  point_frame is the square's action written
-out as tables.
+S_g(X) = {w : act_g(w) in X}.  A frame holds one table per generator; the
+table of any other element is folded from them (setalg.fold_tables), and
+action_tables certifies along monoid.cayley_graph that the fold does not
+depend on the word.  point_frame is the square's generator tables written
+out.
 """
 
 import random
@@ -15,19 +18,15 @@ from dataclasses import dataclass, field
 
 from .monoid import (
     DIM_LIMIT,
-    GenSym,
-    canonical_word,
-    compose,
-    enumerate_monoid,
+    cayley_graph,
     generators,
     gensym_from_token,
     has_diagonals,
-    identity,
     monoid_size,
     normalize_mode,
 )
-from .setalg import (ComplexAlgebra, Square, json_int, json_ints, mask_points,
-                     points_mask)
+from .setalg import (ComplexAlgebra, Square, fold_tables, json_int, json_ints,
+                     mask_points, points_mask)
 
 
 class Frame:
@@ -65,42 +64,18 @@ class Frame:
                     if (i, j) not in norm:
                         raise ValueError("missing diagonal marking d(%d,%d)" % (i, j))
                     self.diag[(i, j)] = norm[(i, j)]
-        self._moves = {}
 
     def act(self, g):
         return self.action[g]
 
-    def act_word(self, syms):
-        tab = list(range(self.num_worlds))
-        for g in syms:
-            gt = self.action[g]
-            tab = [gt[w] for w in tab]
-        return tuple(tab)
-
-    def moves(self, tau, worlds=None):
-        """The world table of a generator symbol or of any element of the
-        mode's monoid, folded along its canonical word.  It covers every
-        world, `worlds` among them."""
-        if isinstance(tau, GenSym):
-            return self.action[tau]
-        cached = self._moves.get(tau)
-        if cached is None:
-            cached = self.act_word(canonical_word(tau, self.mode))
-            self._moves[tau] = cached
-        return cached
-
     def preimage(self, g, x):
         """{w : act_g(w) in x}, g a generator symbol or a monoid element."""
-        tab = self.moves(g)
-        out = 0
-        for w in range(self.num_worlds):
-            if x >> tab[w] & 1:
-                out |= 1 << w
-        return out
+        tab = fold_tables(self, g, range(self.num_worlds))
+        return points_mask(w for w, v in enumerate(tab) if x >> v & 1)
 
     def coherent(self):
         """Is the generated action a right action (`action_tables`)?"""
-        return not action_tables(self, max_failures=1)[1]
+        return not action_tables(self, max_failures=1)[0]
 
     def diag_mask(self, i, j):
         if self.diag is None:
@@ -114,40 +89,34 @@ class Frame:
 
 
 def action_tables(frame, max_failures=10):
-    """The action table of every monoid element, walking the right Cayley
-    graph breadth first from the identity, and the edges that disagree.
-
-    Each edge tau -> tau∘g must give tau's table followed by g's.  When no
-    edge disagrees, act(sigma∘tau) = act(sigma) followed by act(tau) for
-    every pair, by induction on the length of tau's word; this is the graph
-    Froidure and Pin walk to enumerate a finite monoid.  A coherent frame
-    keeps the tables for act_tau.  Returns (tables, failures, edges)."""
-    n = frame.n
-    start = identity(n)
-    tables = {start: tuple(range(frame.num_worlds))}
-    order = [start]
-    gens = [(g, g.tr(n), frame.act(g)) for g in generators(n, frame.mode)]
+    """Derive every monoid element's action table along the right Cayley
+    graph (monoid.cayley_graph), breadth first, and return the edges that
+    disagree and the number of edges walked.  Each edge tau -> tau∘g must
+    give tau's table followed by g's.  When none disagrees,
+    act(sigma∘tau) = act(sigma) followed by act(tau) for every pair, by
+    induction on the length of tau's word."""
+    graph = cayley_graph(frame.n, frame.mode)
+    gens = [(g.token(), frame.act(g), row)
+            for g, row in zip(graph.gens, graph.edges)]
+    tables = [None] * len(graph.maps)
+    tables[0] = tuple(range(frame.num_worlds))
     failures = []
     edges = 0
-    for tau in order:                      # grows as new elements appear
-        tab = tables[tau]
-        for g, gt, gtab in gens:
+    # an element's table is set from its tree parent's, before it is read
+    for t, tab in enumerate(tables):
+        for token, gtab, row in gens:
             edges += 1
-            nxt = compose(tau, gt)
             derived = tuple(map(gtab.__getitem__, tab))
-            known = tables.get(nxt)
+            known = tables[row[t]]
             if known is None:
-                tables[nxt] = derived
-                order.append(nxt)
+                tables[row[t]] = derived
             elif known != derived:
                 w = next(w for w, (a, b) in enumerate(zip(known, derived))
                          if a != b)
-                failures.append(("coherence", tuple(tau.map), g.token(), w))
+                failures.append(("coherence", graph.maps[t], token, w))
                 if len(failures) >= max_failures:
-                    return tables, failures, edges
-    if not failures:
-        frame._moves.update(tables)
-    return tables, failures, edges
+                    return failures, edges
+    return failures, edges
 
 
 @dataclass
@@ -169,11 +138,10 @@ def frame_check(frame, budget=2 * 10**6, max_failures=10):
     size = monoid_size(n, mode)
     if size * len(generators(n, mode)) * max(m, 1) > budget:
         raise ValueError("coherence check exceeds budget")
-    _, failures, pairs = action_tables(frame, max_failures)
+    failures, pairs = action_tables(frame, max_failures)
     if len(failures) >= max_failures:
         return FrameReport(False, failures, pairs)
     if frame.diag is not None:
-        full = (1 << m) - 1
         for i in range(n):
             for j in range(n):
                 dij = frame.diag_mask(i, j)
@@ -183,14 +151,9 @@ def frame_check(frame, budget=2 * 10**6, max_failures=10):
                         failures.append(("diag-chain", i, k, j))
         for g in generators(n, mode):
             gt = g.tr(n)
-            tab = frame.act(g)
             for i in range(n):
                 for j in range(i, n):
-                    dij = frame.diag_mask(i, j)
-                    pre = 0
-                    for w in range(m):
-                        if dij >> tab[w] & 1:
-                            pre |= 1 << w
+                    pre = frame.preimage(g, frame.diag_mask(i, j))
                     if pre != frame.diag_mask(gt(i), gt(j)):
                         failures.append(("diag-subst", g.token(), i, j))
         failures = failures[:max_failures]
@@ -202,7 +165,7 @@ def point_frame(n, k, mode="full"):
     the tables and diagonals of the square space (setalg.Square), world p
     being the point whose coordinate i is the base-k digit i of p."""
     square = Square(n, k, mode)
-    action = {g: square.moves(g) for g in generators(n, square.mode)}
+    action = {g: square.act(g) for g in generators(n, square.mode)}
     diag = None
     if has_diagonals(square.mode):
         diag = {(i, j): square.diag_mask(i, j)
@@ -425,39 +388,29 @@ def random_coherent_frame(n, mode="full", max_worlds=8, rng=None):
     if has_diagonals(mode):
         raise ValueError("random diagonal frames are not supported")
     rng = rng or random.Random()
-    monoid = enumerate_monoid(n, mode)
-    pos = {tau: i for i, tau in enumerate(monoid)}
-    gens = generators(n, mode)
-    gtabs = [
-        [pos[compose(tau, g.tr(n))] for tau in monoid] for g in gens
-    ]
+    graph = cayley_graph(n, mode)
     pieces = []
     worlds_left = rng.randint(1, max_worlds)
     while worlds_left > 0:
         target = rng.randint(1, worlds_left)
-        pieces.append(_quotient_of_regular(monoid, gtabs, gens, n, mode, target, rng))
+        pieces.append(_quotient_of_regular(graph, n, mode, target, rng))
         worlds_left -= pieces[-1].num_worlds
         if rng.random() < 0.5:
             break
     frame, _ = disjoint_union(pieces)
     perm = list(range(frame.num_worlds))
     rng.shuffle(perm)
-    action = {
-        g: tuple(perm[frame.act(g)[w]] for w in _inverse(perm))
-        for g in generators(n, mode)
-    }
+    inverse = sorted(range(len(perm)), key=perm.__getitem__)
+    action = {g: tuple(perm[frame.act(g)[w]] for w in inverse)
+              for g in generators(n, mode)}
     return Frame(n, mode, frame.num_worlds, action)
 
 
-def _inverse(perm):
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return inv
-
-
-def _quotient_of_regular(monoid, gtabs, gens, n, mode, target_classes, rng):
-    size = len(monoid)
+def _quotient_of_regular(graph, n, mode, target_classes, rng):
+    """A random quotient of the right regular action, whose generator
+    tables are the Cayley graph's edge rows."""
+    gtabs = graph.edges
+    size = len(graph.maps)
     parent = list(range(size))
 
     def find(x):
@@ -484,7 +437,7 @@ def _quotient_of_regular(monoid, gtabs, gens, n, mode, target_classes, rng):
     roots = sorted({find(x) for x in range(size)})
     world = {r: i for i, r in enumerate(roots)}
     action = {}
-    for g, tab in zip(gens, gtabs):
+    for g, tab in zip(graph.gens, gtabs):
         action[g] = tuple(world[find(tab[r])] for r in roots)
     return Frame(n, mode, len(roots), action)
 

@@ -5,12 +5,18 @@ transposition exchanging i and j, ``s[i|j]`` is the replacement sending i to
 j and fixing everything else.  Composition is ``(sigma*tau)(i) =
 sigma(tau(i))``, and points act on the right: ``(q.tau)(i) = q(tau(i))``,
 so applying a composite equals applying its factors left to right.
+
+`cayley_graph` walks a mode's monoid breadth first and records its right
+Cayley graph; every world table of the monoid is read from generator
+tables along it.
 """
 
 import math
 import re
-from collections import deque
+from array import array
+from collections import namedtuple
 from functools import lru_cache
+from operator import itemgetter
 
 DIM_LIMIT = 6
 
@@ -208,26 +214,59 @@ def format_word(syms):
     return " ".join(g.token() for g in syms)
 
 
+CayleyGraph = namedtuple("CayleyGraph", "gens maps words edges parent via")
+
+
+@lru_cache(maxsize=None)
+def cayley_graph(n, mode):
+    """Enumerate the monoid and record its right Cayley graph in one
+    breadth-first walk over map tuples (Froidure and Pin 1997).
+
+    Elements are numbered in walk order, the identity first.  gens are the
+    mode's generator symbols; maps[t] is element t as a tuple and words[t]
+    a shortest word for it; edges[g][t] is the number of t∘gens[g]; each
+    element t > 0 is parent[t]∘gens[via[t]], its breadth-first tree edge."""
+    gens = tuple(generators(n, mode))
+    size = monoid_size(n, mode)
+    # element numbers fit two bytes for every n up to DIM_LIMIT
+    rows = [array("H" if size <= 1 << 16 else "I", [0]) * size
+            for _ in range(len(gens) + 2)]
+    edges, parent, via = rows[:-2], rows[-2], rows[-1]
+    # An element is looked up by its key, the sum of tau(i)·n^i.  A
+    # generator moves one or two coordinates, so the key of tau∘g, whose
+    # coordinate i is tau(j), is tau's key plus (tau(j) − tau(i))·weight.
+    steps = [(g.i, g.j, n**g.i - n**g.j if g.kind == "transposition"
+              else n**g.i, itemgetter(*g.tr(n).map), row)
+             for g, row in zip(gens, edges)]
+    keys = array("q", [0]) * size
+    keys[0] = sum(i * n**i for i in range(n))
+    number = array("l", [-1]) * n**n
+    number[keys[0]] = 0
+    maps, words = [tuple(range(n))], [()]
+    for t, tau in enumerate(maps):          # grows as new elements appear
+        key = keys[t]
+        for g, (i, j, weight, pick, row) in enumerate(steps):
+            nxt = key + (tau[j] - tau[i]) * weight
+            idx = number[nxt]
+            if idx < 0:
+                idx = number[nxt] = len(maps)
+                maps.append(pick(tau))
+                words.append(words[t] + (gens[g],))
+                keys[idx] = nxt
+                parent[idx] = t
+                via[idx] = g
+            row[t] = idx
+    return CayleyGraph(gens, maps, words, edges, parent, via)
+
+
 @lru_cache(maxsize=None)
 def monoid_table(n, mode, limit=DIM_LIMIT):
     """BFS word table: every reachable transformation -> a shortest word."""
     mode = normalize_mode(mode)
     if limit is not None and n > limit:
         raise ValueError("dimension %d exceeds limit %d" % (n, limit))
-    gens = tuple(generators(n, mode))
-    gen_trs = [g.tr(n) for g in gens]
-    start = identity(n)
-    words = {start: ()}
-    queue = deque([start])
-    while queue:
-        tau = queue.popleft()
-        base = words[tau]
-        for g, gt in zip(gens, gen_trs):
-            nxt = compose(tau, gt)
-            if nxt not in words:
-                words[nxt] = base + (g,)
-                queue.append(nxt)
-    return words
+    graph = cayley_graph(n, mode)
+    return dict(zip(map(Transformation, graph.maps), graph.words))
 
 
 def enumerate_monoid(n, mode, limit=DIM_LIMIT):

@@ -9,8 +9,9 @@ images of the atoms alone, at every size.
 
 On a set algebra (setalg.ComplexAlgebra, over a frame or the square) the
 atom of a world w lies below s_tau(z) exactly when w·tau lies in z, so
-every map here is a bit gather read off the world tables
-`algebra.moves(tau)`.  Any other handle is read through its canonical
+every map here is a bit gather read off the orbit of w, its images under
+every tau along the breadth-first tree of monoid.cayley_graph
+(setalg.orbit).  Any other handle is read through its canonical
 extension, Cm of its atom frame: the map is then the gather composed with
 the isomorphism onto that copy.
 """
@@ -20,13 +21,15 @@ from dataclasses import dataclass, field
 from .monoid import (
     NotGenerated,
     canonical_word,
+    cayley_graph,
     enumerate_monoid,
     generators,
     has_diagonals,
     identity,
 )
 from .setalg import (ComplexAlgebra, ConcreteAlgebra, algebra_to_json,
-                     mask_points, point_index, points_mask, small_algebra)
+                     mask_points, orbit, point_index, points_mask,
+                     small_algebra)
 from .frames import atom_frame
 from .terms import bijective_stabilizer, check_submonoid
 from .gallery import alternating_coloring
@@ -74,12 +77,12 @@ def _on_worlds(algebra):
     return ext, rep.image
 
 
-def _world_moves(algebra, atom, taus):
-    """Where the world of `atom` goes under each tau, and the isomorphism
-    of `_on_worlds`."""
+def _world_moves(algebra, atom):
+    """Where the world of `atom` goes under each tau of the monoid, in
+    the order of monoid.cayley_graph, and the isomorphism of `_on_worlds`."""
     worlds, iso = _on_worlds(algebra)
     w = (iso(atom) if iso else atom).bit_length() - 1
-    return [worlds.moves(tau)[w] for tau in taus], iso
+    return orbit(worlds.space, w), iso
 
 
 def _gathered(iso, src_bits, dst_bits):
@@ -208,10 +211,9 @@ def represent_at(algebra, a):
     own points (the full ⁿn square in full mode)."""
     atom = atom_below(algebra, a)
     n, mode = algebra.n, algebra.mode
-    taus = enumerate_monoid(n, mode)
-    unit_pts = [point_index(tau.map, n) for tau in taus]
+    unit_pts = [point_index(tau, n) for tau in cayley_graph(n, mode).maps]
     target = ConcreteAlgebra(n, n, mode, unit=points_mask(unit_pts))
-    acts, iso = _world_moves(algebra, atom, taus)
+    acts, iso = _world_moves(algebra, atom)
     h, gather = _gathered(iso, acts, unit_pts)
     report = hom_report(algebra, target, h, gather=gather)
     id_pt = point_index(identity(n).map, n)
@@ -376,7 +378,7 @@ def diag_represent(algebra, a):
     m = len(blocks)
 
     taus = enumerate_monoid(n, algebra.mode)
-    acts, iso = _world_moves(algebra, atom, taus)
+    acts, iso = _world_moves(algebra, atom)
     groups = {}
     for idx, tau in enumerate(taus):
         bar = point_index(tuple(block_of[v] for v in tau.map), m)

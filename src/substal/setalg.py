@@ -4,8 +4,9 @@ One class, `ComplexAlgebra(space, unit)`, is ℘(V) for a unit V of the
 worlds of a *space* that is closed under the space's action, with
 substitution by preimage: S_τ(x) = V ∧ Ŝ_τ(x), Ŝ_τ(x) = {w : w·τ ∈ x}.
 In the duality of Jónsson and Tarski it is Cm of the space restricted to
-V.  A space gives `preimage(g, x)`, `moves(τ)` (the world table of τ),
-`diag_mask(i, j)` and `coherent()`.  There are two kinds:
+V.  A space gives `act(g)`, the world table of a generator g, and
+`preimage(g, x)`, `diag_mask(i, j)` and `coherent()`.  There are two
+kinds:
 
 - a `frames.Frame`, with explicit generator tables;
 - `Square(n, k, mode, copies)`: c stacked copies of ⁿk, world
@@ -38,8 +39,13 @@ whole-mask operations:
 Every shift stays inside its copy, so the kernel runs unchanged on c
 copies.  Any other transformation τ of the monoid folds the generator
 kernels right to left along canonical_word(τ), since S_{σ∘τ} = S_σ∘S_τ.
-The table of τ rewrites only the coordinates τ moves: world p goes to
-p + Σ (digit τ(i) − digit i)·k^i.
+
+World tables come from the generator tables alone, on either space.  The
+table of τ folds them left to right along canonical_word(τ)
+(`fold_tables`).  The images of one world under every element of the
+monoid are read along the breadth-first tree of monoid.cayley_graph
+(`orbit`), one generator step per element.  On a coherent space the two
+agree.
 """
 
 from functools import cached_property
@@ -48,6 +54,7 @@ from .monoid import (
     DIM_LIMIT,
     GenSym,
     canonical_word,
+    cayley_graph,
     enumerate_monoid,
     generators,
     has_diagonals,
@@ -124,21 +131,12 @@ class Square:
         self.mode = normalize_mode(mode)
         self.copies = copies
         self.num_worlds = copies * k**n
-        self._moves = {}
+        self._tables = {}
         self._diag = {}
 
     @cached_property
     def runs(self):
         return coordinate_runs(self.n, self.k, self.copies)
-
-    def _digits(self, worlds):
-        """digits[i][m] is coordinate i of the m-th world."""
-        return [[p // self.k**i % self.k for p in worlds]
-                for i in range(self.n)]
-
-    @cached_property
-    def _all_digits(self):
-        return self._digits(range(self.num_worlds))
 
     def _kernel(self, g, x):
         """Ŝ_g(x) for a generator g, over every world."""
@@ -178,32 +176,20 @@ class Square:
             x = self._kernel(sym, x)
         return x
 
-    def moves(self, tau, worlds=None):
-        """The world table of tau (a generator symbol or a transformation):
-        a tuple over every world, cached; given `worlds`, a dict over those
-        worlds alone, so that a small unit in a large square pays only for
-        its own points."""
-        if isinstance(tau, GenSym):
-            tau = tau.tr(self.n)
-        if worlds is not None:
-            return dict(zip(worlds, self._moved(tau, worlds,
-                                                self._digits(worlds))))
-        tab = self._moves.get(tau)
+    def act(self, g):
+        """The world table of a generator, cached per generator.  It
+        rewrites only the digits g moves: s[i|j] sends p to
+        p + (digit j − digit i)·k^i, and s[i,j], which swaps the two
+        digits, to p + (digit j − digit i)·(k^i − k^j)."""
+        tab = self._tables.get(g)
         if tab is None:
-            tab = self._moves[tau] = tuple(self._moved(
-                tau, range(self.num_worlds), self._all_digits))
+            g.tr(self.n)                # range check
+            k, ri, rj = self.k, self.k**g.i, self.k**g.j
+            weight = ri - rj if g.kind == "transposition" else ri
+            tab = self._tables[g] = tuple(
+                p + (p // rj % k - p // ri % k) * weight
+                for p in range(self.num_worlds))
         return tab
-
-    def _moved(self, tau, worlds, digits):
-        """Where tau sends each world p: tau rewrites only the coordinates
-        it moves, p + Σ over moved i of (digit τ(i) − digit i)·k^i."""
-        out = list(worlds)
-        for i, src in enumerate(tau.map):
-            if src != i:
-                weight = self.k**i
-                out = [t + (a - b) * weight
-                       for t, a, b in zip(out, digits[src], digits[i])]
-        return out
 
     def diag_mask(self, i, j):
         if not has_diagonals(self.mode):
@@ -222,6 +208,29 @@ class Square:
             self.n, self.k, self.mode, self.copies)
 
 
+def fold_tables(space, tau, worlds):
+    """Where each of `worlds` goes under tau, a generator symbol or any
+    transformation of the mode's monoid: the space's generator tables
+    applied left to right along canonical_word(tau)."""
+    word = (tau,) if isinstance(tau, GenSym) else canonical_word(tau, space.mode)
+    out = list(worlds)
+    for g in word:
+        out = list(map(space.act(g).__getitem__, out))
+    return out
+
+
+def orbit(space, w):
+    """w·tau for every element tau of the mode's monoid, in the order of
+    monoid.cayley_graph: one generator table step from the world of
+    tau's parent in the breadth-first tree."""
+    graph = cayley_graph(space.n, space.mode)
+    tables = [space.act(g) for g in graph.gens]
+    out = [w]
+    for t in range(1, len(graph.maps)):
+        out.append(tables[graph.via[t]][out[graph.parent[t]]])
+    return out
+
+
 class NotLocallySquare(ValueError):
     """The would-be unit is not closed under some generator's action."""
 
@@ -233,22 +242,16 @@ class NotLocallySquare(ValueError):
         )
 
 
-def _closure_witness(n, k, unit_mask, mode):
-    """The first (point, generator), generators in order and points
-    ascending, whose move leaves the unit: the lowest point of
-    V ∧ ¬Ŝ_g(V); None when V is closed."""
+def is_locally_square(n, k, unit_mask, mode="full"):
+    """None if the unit V is closed under the mode's generator actions,
+    else the first (point, generator), generators in order and points
+    ascending, whose move leaves it: the lowest point of V ∧ ¬Ŝ_g(V)."""
     square = Square(n, k, mode)
     for g in generators(n, square.mode):
         escaped = unit_mask & ~square.preimage(g, unit_mask)
         if escaped:
             return point_coords((escaped & -escaped).bit_length() - 1, n, k), g
     return None
-
-
-def is_locally_square(n, k, unit_mask, mode="full"):
-    """None if closed under the mode's generator actions, else a witness
-    (point, generator)."""
-    return _closure_witness(n, k, unit_mask, normalize_mode(mode))
 
 
 class ComplexAlgebra:
@@ -265,7 +268,6 @@ class ComplexAlgebra:
             unit = (1 << space.num_worlds) - 1
         self.zero = 0
         self.one = self.unit = unit
-        self._moves = {}
 
     @cached_property
     def unit_points(self):
@@ -285,14 +287,13 @@ class ComplexAlgebra:
     # ---- substitution ----
 
     def moves(self, tau):
-        """Where each world of the unit goes under tau, as a table indexed
-        by world: the space's own table when the unit is every world."""
+        """Where each world of the unit goes under tau (`fold_tables`): a
+        list indexed by world when the unit is every world, else a dict
+        over the unit's worlds."""
         if self.unit == (1 << self.num_points) - 1:
-            return self.space.moves(tau)
-        tab = self._moves.get(tau)
-        if tab is None:
-            tab = self._moves[tau] = self.space.moves(tau, self.unit_points)
-        return tab
+            return fold_tables(self.space, tau, range(self.num_points))
+        pts = self.unit_points
+        return dict(zip(pts, fold_tables(self.space, tau, pts)))
 
     def subst(self, g, x):
         """S_g(x) = {w in V : w·g in x}, g a generator symbol or any
@@ -316,18 +317,8 @@ class ComplexAlgebra:
             raise ValueError("too many elements to enumerate (2^%d)" % len(pts))
         if self.unit == (1 << len(pts)) - 1:
             return list(range(1 << len(pts)))
-        out = []
-        for bits in range(1 << len(pts)):
-            m = 0
-            b = bits
-            i = 0
-            while b:
-                if b & 1:
-                    m |= 1 << pts[i]
-                b >>= 1
-                i += 1
-            out.append(m)
-        return out
+        return [points_mask(p for i, p in enumerate(pts) if bits >> i & 1)
+                for bits in range(1 << len(pts))]
 
     def __repr__(self):
         return "ComplexAlgebra(%r, |V|=%d)" % (self.space, len(self.unit_points))
@@ -353,7 +344,7 @@ def _relativized(n, k, unit, mode):
     and to be closed under the mode's generators."""
     if unit >> k**n:
         raise ValueError("unit has points outside the square %d^%d" % (k, n))
-    witness = _closure_witness(n, k, unit, normalize_mode(mode))
+    witness = is_locally_square(n, k, unit, mode)
     if witness is not None:
         raise NotLocallySquare(*witness)
     return ComplexAlgebra(Square(n, k, mode), unit)
@@ -520,13 +511,24 @@ def json_ints(values, lo, hi, what):
     return tuple(values)
 
 
+# The closure check makes k² whole-mask steps per transposition and 2k per
+# replacement, each over kⁿ bits: ⁶10, ⁴31 and ³100 fit, ²1000 does not.
+CLOSURE_BUDGET = 4 * 10**10
+
+
 def algebra_from_json(data):
     """A square algebra from algebra_to_json's format, rejecting any
-    malformed field, any unit point outside ⁿk and a unit that is not
-    closed under the mode's generators."""
+    malformed field, any unit point outside ⁿk, a closure check over
+    CLOSURE_BUDGET and a unit that is not closed under the mode's
+    generators."""
     n = json_int(data, "n", 1, DIM_LIMIT)
     k = json_int(data, "k", 0, 10**6)
     if k**n > 10**6:
         raise ValueError("point space %d exceeds budget" % (k**n,))
+    work = k**n * sum(k * k if g.kind == "transposition" else 2 * k
+                      for g in generators(n, data.get("mode", "full")))
+    if work > CLOSURE_BUDGET:
+        raise ValueError("closure check of %d^%d (about %.1e steps) exceeds "
+                         "budget %.0e" % (k, n, work, CLOSURE_BUDGET))
     mask = points_mask(json_ints(data.get("unit"), 0, k**n - 1, "unit"))
     return _relativized(n, k, mask, data.get("mode", "full"))

@@ -8,11 +8,13 @@ modalities, diagonal constants = equality tests between coordinates).
 import itertools
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .monoid import (
     GenSym,
     Transformation,
     canonical_word,
+    compose,
     generators,
     gensym_from_token,
     has_diagonals,
@@ -569,38 +571,38 @@ class QuasiEquation:
     tag: str = ""
 
 
+def _right_factors(maps):
+    """For each sigma among the map tuples, xi ↦ xi∘sigma on map tuples."""
+    picks = [itemgetter(*sigma) for sigma in maps]
+    if len(next(iter(maps), ())) == 1:   # one index picks a bare value
+        return [lambda xi, pick=pick: (pick(xi),) for pick in picks]
+    return picks
+
+
 def bijective_stabilizer(n, allowed):
     """Permutations xi with xi∘sigma in `allowed` for every sigma there."""
-    allowed = set(allowed)
-    from .monoid import compose, enumerate_monoid
-
-    perms = [t for t in enumerate_monoid(n, "transpositions")]
-    return sorted(
-        (xi for xi in perms if all(compose(xi, s) in allowed for s in allowed)),
-    )
+    maps = {t.map for t in allowed}
+    factors = _right_factors(maps)
+    return [Transformation(xi) for xi in itertools.permutations(range(n))
+            if all(right(xi) in maps for right in factors)]
 
 
 def check_submonoid(n, allowed):
     """`allowed` as a sorted list, once it is known to contain the identity
     and to be closed under composition; ValueError otherwise."""
-    from .monoid import compose, identity
-
-    aset = set(allowed)
-    if identity(n) not in aset:
+    maps = {t.map for t in allowed}
+    if tuple(range(n)) not in maps:
         raise ValueError("T must contain the identity")
-    for s in aset:
-        for t in aset:
-            if compose(s, t) not in aset:
-                raise ValueError("T is not closed under composition")
-    return sorted(aset)
+    factors = _right_factors(maps)
+    if not all(right(s) in maps for s in maps for right in factors):
+        raise ValueError("T is not closed under composition")
+    return sorted(set(allowed))
 
 
 def quasi_axioms(n, allowed):
     """Quasi-equations: a zero meet of substituted variables stays zero when
     every subscript is shifted by a bijective stabilizer element."""
     allowed = check_submonoid(n, allowed)
-    from .monoid import compose
-
     out = []
     xs = {sigma: Var(idx) for idx, sigma in enumerate(allowed)}
     for xi in bijective_stabilizer(n, allowed):

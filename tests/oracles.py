@@ -47,6 +47,21 @@ def ref_monoid_closure(n, gen_tuples):
     return seen
 
 
+def ref_bfs_words(n, gen_tuples):
+    """Breadth-first enumeration from the identity, generators tried in the
+    given order: the elements in order of discovery, each with the indices
+    of the generators along its first-found (so shortest) word."""
+    order = [tuple(range(n))]
+    words = {order[0]: ()}
+    for t in order:                     # grows as new elements appear
+        for idx, g in enumerate(gen_tuples):
+            c = ref_compose(t, g)
+            if c not in words:
+                words[c] = words[t] + (idx,)
+                order.append(c)
+    return [(t, words[t]) for t in order]
+
+
 def ref_set_partitions(n):
     """All set partitions of {0..n-1} as frozensets of frozensets."""
     if n == 0:

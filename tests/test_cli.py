@@ -329,6 +329,41 @@ def test_frame_check_files(tmp_path, capsys):
     assert payload["failures"]
 
 
+def test_frame_check_json_lists_the_failures_of_one_corrupted_entry(
+        tmp_path, capsys):
+    """One table entry of a point frame sent elsewhere: the Cayley-edge
+    failures, in walk order and capped at ten, then a diagonal marking no
+    longer preserved."""
+    cases = [
+        ((3, 2, "full"), "s[0|1]", 5, 0,
+         [["coherence", [1, 0, 2], "s[0|1]", 6],
+          ["coherence", [1, 0, 2], "s[1|0]", 5],
+          ["coherence", [1, 1, 2], "s[0,2]", 5],
+          ["coherence", [1, 1, 2], "s[1,2]", 5],
+          ["coherence", [1, 1, 2], "s[0|2]", 5],
+          ["coherence", [1, 1, 2], "s[1|2]", 5],
+          ["coherence", [2, 1, 2], "s[1,2]", 3],
+          ["coherence", [2, 1, 2], "s[0|1]", 4],
+          ["coherence", [0, 1, 0], "s[0|1]", 1],
+          ["coherence", [0, 1, 1], "s[0,2]", 5]], 83),
+        ((2, 3, "full_diagonal"), "s[0,1]", 4, 1,
+         [["coherence", [1, 0], "s[0,1]", 4],
+          ["coherence", [1, 0], "s[0|1]", 4],
+          ["coherence", [1, 1], "s[0,1]", 3],
+          ["coherence", [0, 0], "s[0,1]", 1],
+          ["diag-subst", "s[0,1]", 0, 1]], 12),
+    ]
+    for shape, token, world, to, failures, pairs in cases:
+        data = frame_to_json(point_frame(*shape))
+        data["action"][token][world] = to
+        path = _write(tmp_path, "corrupt.json", data)
+        assert run(["frame-check", "--json", path]) == 1
+        out, _ = _lines(capsys)
+        assert out[0] == "FAIL"
+        assert json.loads("\n".join(out[1:])) == {
+            "failures": failures, "ok": False, "pairs_checked": pairs}
+
+
 def test_frame_check_refuses_an_over_budget_monoid_quickly(tmp_path, capsys):
     # |M| = 6^6 for the full monoid, so the work bound is exceeded; the
     # size comes from its closed form, not from enumerating the monoid
@@ -417,6 +452,22 @@ def test_quasi_on_the_full_5_5_algebra_is_fast(tmp_path, capsys):
     out, _ = _lines(capsys)
     assert out == ["PASS"]
     assert elapsed < 0.5, "took %.2fs" % elapsed
+
+
+def test_algebra_file_over_the_closure_budget_exits_quickly(tmp_path, capsys):
+    """²1000 has 10⁶ points, within the point budget, but its closure check
+    would shift a 10⁶-bit mask k² = 10⁶ times: refused with one line."""
+    path = _write(tmp_path, "big.json",
+                  {"n": 2, "k": 1000, "mode": "full",
+                   "unit": list(range(1000**2))})
+    t0 = time.monotonic()
+    assert run(["quasi", path]) == 2
+    elapsed = time.monotonic() - t0
+    out, err = _lines(capsys)
+    assert out == []
+    assert err.startswith("error:") and "budget" in err
+    assert len(err.splitlines()) == 1
+    assert elapsed < 1.0, "took %.2fs" % elapsed
 
 
 def test_quasi_rejects_a_frame_without_transpositions(tmp_path, capsys):

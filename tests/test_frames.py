@@ -20,11 +20,13 @@ from substal.frames import (
     random_coherent_frame,
     superamalgam,
 )
-from substal.setalg import Subalgebra, generate_subalgebra, small_algebra
-from substal.monoid import generators, repl, swap
+from substal.setalg import (Subalgebra, fold_tables, generate_subalgebra,
+                            orbit, small_algebra)
+from substal.monoid import (MODES, Transformation, cayley_graph, generators,
+                            repl, swap)
 from substal.terms import equation_holds_exhaustive, sigma_axioms, word_pair
 
-from oracles import ref_frame_coherent, ref_gen_tuple
+from oracles import ref_frame_coherent, ref_gen_tuple, ref_hat
 
 
 def test_point_frames_pass_frame_check():
@@ -315,6 +317,33 @@ def test_random_coherent_frames():
             assert frame_check(frame).ok
     with pytest.raises(ValueError):
         random_coherent_frame(2, "full_diagonal", rng=rng)
+
+
+def test_orbits_along_the_tree_match_the_word_fold():
+    """On point frames and seeded coherent frames, n ≤ 4, for every monoid
+    element: each world's orbit along the breadth-first tree is the fold of
+    the generator tables along the canonical word, and on a point frame it
+    is the point moved by the reference transformation of the element's
+    word."""
+    rng = random.Random(41)
+    frames = [(point_frame(n, k, mode), k) for n in range(1, 5)
+              for k in (1, 2, 3) for mode in MODES]
+    frames += [(random_coherent_frame(n, mode, max_worlds=8, rng=rng), None)
+               for n in (2, 3, 4) for mode in MODES[:3] for _ in range(3)]
+    for frame, k in frames:
+        n, m = frame.n, frame.num_worlds
+        graph = cayley_graph(n, frame.mode)
+        orbits = [orbit(frame, w) for w in range(m)]
+        for t, (tau, word) in enumerate(zip(graph.maps, graph.words)):
+            folded = fold_tables(frame, Transformation(tau), range(m))
+            assert [orbits[w][t] for w in range(m)] == folded, (frame, tau)
+            if k is None:
+                continue
+            ref = ref_hat([(g.kind, g.i, g.j) for g in word], n)
+            for w in range(m):
+                q = [w // k**i % k for i in range(n)]
+                moved = sum(q[ref[i]] * k**i for i in range(n))
+                assert orbits[w][t] == moved, (frame, tau, w)
 
 
 def _perturbed(frame, rng):

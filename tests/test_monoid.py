@@ -10,6 +10,7 @@ from substal.monoid import (
     Transformation,
     apply_point,
     canonical_word,
+    cayley_graph,
     compose,
     enumerate_monoid,
     format_word,
@@ -28,6 +29,7 @@ from substal.monoid import (
 )
 from oracles import (
     BELL,
+    ref_bfs_words,
     ref_compose,
     ref_gen_tuple,
     ref_hat,
@@ -190,6 +192,41 @@ def test_monoid_table_words_evaluate_home():
         assert hat(word, 3) == tau
     # BFS yields shortest words, so the identity's word is empty
     assert table[identity(3)] == ()
+
+
+MODES = ("replacements", "transpositions", "full", "full_diagonal")
+
+
+def test_cayley_graph_matches_a_breadth_first_reference():
+    """For n ≤ 4 and every mode: enumerate_monoid and monoid_table follow
+    the reference walk's order and words, every recorded edge is the
+    number of compose(tau, g), and every tree edge leads from an earlier
+    element by one generator."""
+    for n in range(1, 5):
+        for mode in MODES:
+            graph = cayley_graph(n, mode)
+            gens = generators(n, mode)
+            assert graph.gens == tuple(gens)
+            want = ref_bfs_words(n, [ref_gen_tuple(g.kind, g.i, g.j, n)
+                                     for g in gens])
+            assert [t.map for t in enumerate_monoid(n, mode)] == \
+                [t for t, _ in want] == graph.maps
+            table = monoid_table(n, mode)
+            assert [tuple(gens.index(g) for g in w) for w in table.values()] \
+                == [w for _, w in want]
+            assert graph.words == list(table.values())
+            number = {t: idx for idx, t in enumerate(graph.maps)}
+            for g, row in zip(gens, graph.edges):
+                assert len(row) == len(graph.maps)
+                for idx, t in enumerate(graph.maps):
+                    assert row[idx] == \
+                        number[compose(Transformation(t), g.tr(n)).map]
+            for idx in range(1, len(graph.maps)):
+                up = graph.parent[idx]
+                assert up < idx
+                assert graph.edges[graph.via[idx]][up] == idx
+                assert graph.words[idx] == \
+                    graph.words[up] + (gens[graph.via[idx]],)
 
 
 def test_dimension_limit():

@@ -16,7 +16,6 @@ from substal.setalg import (
     ConcreteAlgebra,
     NotLocallySquare,
     Subalgebra,
-    _closure_witness,
     algebra_from_json,
     algebra_to_json,
     boolean_closure,
@@ -476,14 +475,14 @@ def test_closure_witness_matches_the_reference_loop():
                 for _ in range(6):
                     unit = frozenset(q for q in square if rng.random() < 0.7)
                     want = ref_closure_witness(unit, _triples(n, mode), n, k)
-                    got = _closure_witness(n, k, _mask(unit, k), mode)
+                    got = is_locally_square(n, k, _mask(unit, k), mode)
                     if want is None:
                         assert got is None
                     else:
                         assert got == (want[0], gens[want[1]])
                 orbit = frozenset(tuple(q[t[i]] for i in range(n))
                                   for q in square[:1] for t in _monoid(n, mode))
-                assert _closure_witness(n, k, _mask(orbit, k), mode) is None
+                assert is_locally_square(n, k, _mask(orbit, k), mode) is None
 
 
 def test_cli_sat_witness_on_a_4096_point_square_rereads_under_ref_eval(capsys):
