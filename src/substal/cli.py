@@ -76,15 +76,14 @@ def _sat(args):
 def _valid(args):
     n, mode = args.n, normalize_mode(args.mode)
     if args.axioms:
-        results = []
-        all_ok = True
-        for eq in sigma_axioms(n, mode):
-            ok, _ = equation_valid(eq, n, mode)
-            all_ok = all_ok and ok
-            results.append({"tag": eq.tag, "equation": format_equation(eq),
-                            "valid": ok})
-        verdict = "VALID" if all_ok else "INVALID"
-        return _emit(verdict, results, args.as_json)
+        eqs = sigma_axioms(n, mode)
+        verdicts = [equation_valid(eq, n, mode)[0] for eq in eqs]
+        results = None
+        if args.as_json:       # only --json prints the equations
+            results = [{"tag": eq.tag, "equation": format_equation(eq),
+                        "valid": ok} for eq, ok in zip(eqs, verdicts)]
+        return _emit("VALID" if all(verdicts) else "INVALID", results,
+                     args.as_json)
     if args.formula is None:
         raise ValueError("give a formula or --axioms")
     ok, witness = valid(parse(args.formula, n, mode), n, mode)

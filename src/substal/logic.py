@@ -7,25 +7,35 @@ atoms.  Which points are reached — and which diagonal tests hold — depends
 only on the coincidence pattern of q's coordinates, so satisfiability
 reduces to one propositional check per partition of the coordinate set.
 
-Generic point.  A term without diagonal constants unfolds at q exactly as
-it does at the discrete point d = (0, 1, ..., n-1), with every atom
-(v, tau) renamed to (v, q∘tau): a word whose composite is tau moves d to
-tau and q to q∘tau.  So a model at q pulls back to a model at d, and when
-the unfolding at d is unsatisfiable the term is unsatisfiable at every
-kernel; one check decides it.  Only when d is satisfiable are the
-partitions swept, in restricted-growth order, so the witness reported is
-the first kernel that has one.  A term with diagonals is always swept.
+Relaxed unfolding.  Every term is first unfolded once at the discrete
+point d = (0, 1, ..., n-1), where a word whose composite is tau moves d to
+tau.  There a diagonal d(i,j) at a reached point tau is TRUE when
+tau(i) = tau(j) and otherwise an equality atom e(a, b) on the coordinate
+pair {a, b} = {tau(i), tau(j)}, a < b (the e-atoms of Bryant, German and
+Velev, 2001, used here only as a filter).  The same word moves any point q
+to q∘tau, so the unfolding at a kernel q is a substitution instance of the
+relaxed one: put e(a, b) := "a and b lie in one block of q" and rename
+each atom (v, tau) to (v, q∘tau).  Hence a relaxed unfolding that is
+FALSE refutes the term at every kernel; for a term without diagonals this
+is the exact check at the generic point.  Otherwise the partitions are
+swept in restricted-growth order, so the witness reported is the first
+kernel that has one, and a kernel is skipped when no path of the relaxed
+unfolding to TRUE agrees with its equality pattern: its own unfolding is
+then FALSE.  No transitivity or congruence constraints are added; the
+sweep stays the exact decision.
 
 Propositional core.  The unfoldings of one decision are built into one
 reduced ordered BDD (Bryant, 1986).  Nodes are hash-consed in a unique
 table; conjunction, disjunction and negation are memoised; the unfolding
-is memoised on (subterm, point); a constant conjunct or disjunct that
-decides its chain skips the siblings still to come; variables are ordered
-by first appearance.  Unfolding and every BDD operation run on explicit
-stacks, so neither the depth of a term nor the height of a BDD meets the
-recursion limit.  A satisfying assignment is one path to the TRUE
-terminal that takes the true branch wherever that does not lead to FALSE,
-and the points of its atoms are the points the decision touched.
+is memoised on (subterm, point), the relaxed one in a memo of its own so
+that no kernel's unfolding reads an equality atom; a constant conjunct or
+disjunct that decides its chain skips the siblings still to come;
+variables are ordered by first appearance.  Unfolding and every BDD
+operation run on explicit stacks, so neither the depth of a term nor the
+height of a BDD meets the recursion limit.  A satisfying assignment is one
+path to the TRUE terminal that takes the true branch wherever that does
+not lead to FALSE, and the points of its atoms are the points the decision
+touched.
 
 Re-check.  A witness is rebuilt as a valuation in the full set algebra
 ℘(ⁿk) of its kernel's base k (setalg.ConcreteAlgebra) and the whole term
@@ -41,7 +51,7 @@ from dataclasses import dataclass
 
 from .monoid import normalize_mode, num_blocks, partitions
 from .terms import (Compl, Diag, Join, Meet, One, Sub, Var, Zero, eval_term,
-                    iff, subterms)
+                    iff, variables)
 from .setalg import ConcreteAlgebra, mask_points, point_index
 
 FALSE, TRUE = 0, 1
@@ -49,23 +59,27 @@ _LEAF = 1 << 62           # the level of both terminals, below every variable
 
 
 class BDD:
-    """A hash-consed reduced ordered BDD over (variable, point) atoms.
+    """A hash-consed reduced ordered BDD over (variable, point) atoms and
+    equality atoms ("=", a, b).
 
     Node 0 is FALSE and node 1 is TRUE.  Any other node u tests the atom
     `atoms[level[u]]` and continues at `low[u]` when it is false and at
     `high[u]` when it is true.  Levels are handed out in the order atoms
-    are first asked for."""
+    are first asked for; `pairs` maps the level of each equality atom to
+    its coordinate pair."""
 
     def __init__(self):
         self.level = [_LEAF, _LEAF]
         self.low = [FALSE, TRUE]
         self.high = [FALSE, TRUE]
         self.atoms = []
+        self.pairs = {}
         self._atom_node = {}
         self._unique = {}
         self._apply_memo = ({}, {})     # by absorbing terminal: and, or
         self._neg_memo = {}
         self.unfolded = {}              # (id(subterm), point) -> node
+        self.relaxed = {}               # the same, for relaxed unfoldings
         self._terms = []                # keeps those ids from being reused
 
     def _node(self, level, low, high):
@@ -86,6 +100,12 @@ class BDD:
         if u is None:
             self.atoms.append(atom)
             u = self._atom_node[atom] = self._node(len(self.atoms) - 1, FALSE, TRUE)
+        return u
+
+    def equality(self, a, b):
+        """The atom e(a, b): coordinates a < b lie in one kernel block."""
+        u = self.atom(("=", a, b))
+        self.pairs[self.level[u]] = (a, b)
         return u
 
     def conj(self, f, g):
@@ -175,19 +195,45 @@ class BDD:
                 f = self.low[f]
         return out
 
+    def agrees(self, f, kernel):
+        """Whether some path from f to TRUE gives every equality atom
+        e(a, b) the value kernel[a] == kernel[b]: f with those atoms fixed
+        is not FALSE.  Each node is visited at most once."""
+        pairs, level, low, high = self.pairs, self.level, self.low, self.high
+        seen = set()
+        todo = [f]
+        while todo:
+            u = todo.pop()
+            if u == TRUE:
+                return True
+            if u == FALSE or u in seen:
+                continue
+            seen.add(u)
+            pair = pairs.get(level[u])
+            if pair is None:
+                todo.append(low[u])
+                todo.append(high[u])
+            else:
+                a, b = pair
+                todo.append(high[u] if kernel[a] == kernel[b] else low[u])
+        return False
+
 
 _EVAL, _CHAIN, _NEG = range(3)
 
 
-def unfold(term, point, n, bdd):
+def unfold(term, point, n, bdd, relaxed=False):
     """The node of `bdd` that is the truth of `term` at the tuple `point`.
+
+    When `relaxed`, a diagonal that fails at its point is the equality atom
+    of the two coordinates it compares instead of FALSE (module docstring).
 
     A chain of meets (or of joins) is unfolded as one list of its distinct
     operands, left to right, and folded from the right.  Levels are handed
     out left to right, so a chain over fresh variables grows one level per
     fold instead of being rebuilt under each new variable.  An operand
     equal to the chain's absorbing constant ends the chain at once."""
-    memo = bdd.unfolded
+    memo = bdd.relaxed if relaxed else bdd.unfolded
     bdd._terms.append(term)
     moves = {}
     todo = [(_EVAL, term, point)]
@@ -220,7 +266,13 @@ def unfold(term, point, n, bdd):
                 elif isinstance(t, One):
                     r = TRUE
                 elif isinstance(t, Diag):
-                    r = TRUE if p[t.i] == p[t.j] else FALSE
+                    a, b = sorted((p[t.i], p[t.j]))
+                    if a == b:
+                        r = TRUE
+                    elif relaxed:
+                        r = bdd.equality(a, b)
+                    else:
+                        r = FALSE
                 else:
                     raise TypeError("not a term: %r" % (t,))
         elif op == _CHAIN:                 # operand i's node is on `done`
@@ -302,25 +354,23 @@ def satisfiable(term, n, mode="full"):
     """
     mode = normalize_mode(mode)
     bdd = BDD()
-    var_indices = set()
-    has_diag = False
-    for t in subterms(term):
-        if type(t) is Var:
-            var_indices.add(t.index)
-        elif type(t) is Diag:
-            has_diag = True
-    if not has_diag:
-        # the generic point decides a diagonal-free term (module docstring)
-        if unfold(term, tuple(range(n)), n, bdd) == FALSE:
-            return False, None
+    relaxed = unfold(term, tuple(range(n)), n, bdd, relaxed=True)
+    if relaxed == FALSE:
+        return False, None
+    if not bdd.pairs:
+        # every diagonal was decided, so the relaxed unfolding is the
+        # concrete one at the discrete point
+        bdd.unfolded = bdd.relaxed
     for part in partitions(n):
+        if bdd.pairs and not bdd.agrees(relaxed, part):
+            continue
         base = max(1, num_blocks(part))
         point = tuple(part)
         assignment = bdd.path(unfold(term, point, n, bdd))
         if assignment is None:
             continue
         model, world, touched = _witness_model(n, mode, point, base, assignment)
-        for v in var_indices:
+        for v in variables(term):
             model.valuation.setdefault(v, 0)
         if not model_check(model, term, world):
             raise AssertionError(

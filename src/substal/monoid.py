@@ -342,14 +342,16 @@ def canonical_word(tau, mode):
     return tuple(head) + tuple(reversed(peeled))
 
 
+@lru_cache(maxsize=None)
 def partitions(n):
-    """Kernel partitions of {0..n-1} as restricted growth strings.
+    """Kernel partitions of {0..n-1} as restricted growth strings, in
+    restricted-growth order, as a tuple.
 
     The string itself doubles as a representative point: coordinate i
     carries its block index, and the base is the number of blocks.
     """
     if n == 0:
-        return [()]
+        return ((),)
     out = []
 
     def rec(prefix, mx):
@@ -362,7 +364,7 @@ def partitions(n):
             prefix.pop()
 
     rec([0], 0)
-    return out
+    return tuple(out)
 
 
 def num_blocks(rgs):

@@ -179,17 +179,18 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text):
+def _tokenize(text, start, end):
+    """The tokens of text[start:end], each with its position in `text`."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+    pos = start
+    while pos < end:
+        m = _TOKEN_RE.match(text, pos, end)
         if m is None:
             raise ParseError("unexpected character %r" % text[pos], pos)
         if m.lastgroup != "ws":
             tokens.append((m.lastgroup, m.group(), pos))
         pos = m.end()
-    tokens.append(("end", "", len(text)))
+    tokens.append(("end", "", end))
     return tokens
 
 
@@ -198,13 +199,45 @@ def _tokenize(text):
 MAX_NESTING = 100
 
 
+_LEAVES = frozenset((Var, Zero, One, Diag))
+
+
 class _Parser:
-    def __init__(self, text, n, mode):
-        self.tokens = _tokenize(text)
-        self.k = 0
+    """Reads formulas of one dimension and mode.  Every subformula is built
+    once (hash-consing): `node` keeps one table, keyed by class, field
+    values and child identities, for all the text this parser reads, so
+    equal subformulas are one object and the walks keyed by id visit each
+    once."""
+
+    def __init__(self, n, mode):
         self.n = n
         self.mode = normalize_mode(mode)
-        self.depth = 0
+        self.table = {}
+        self.syms = {}         # token text -> its checked generator symbol
+
+    def node(self, cls, *fields):
+        # the fields of an inner node are children and generator symbols
+        # that are this parser's own, so their identities key them
+        key = (cls, *(fields if cls in _LEAVES else map(id, fields)))
+        t = self.table.get(key)
+        if t is None:
+            t = self.table[key] = cls(*fields)
+        return t
+
+    def sym(self, text, pos):
+        g = self.syms.get(text)
+        if g is None:
+            g = gensym_from_token(text)
+            if not mode_allows(self.mode, g):
+                raise ParseError(
+                    "%s is not allowed in mode %s" % (g.token(), self.mode), pos
+                )
+            if g.j >= self.n or g.i >= self.n:
+                raise ParseError("%s is out of range for n=%d" % (g.token(), self.n), pos)
+            # s[0,1] and s[1,0] are one symbol
+            g = self.syms[text] = self.table.setdefault(
+                (GenSym, g.kind, g.i, g.j), g)
+        return g
 
     def peek(self):
         return self.tokens[self.k][0]
@@ -220,7 +253,11 @@ class _Parser:
             raise ParseError("expected %s, found %r" % (kind, tok[1]), tok[2])
         return self.take()
 
-    def parse(self):
+    def parse(self, text, start=0, end=None):
+        """The formula in text[start:end]; error positions are in `text`."""
+        self.tokens = _tokenize(text, start, len(text) if end is None else end)
+        self.k = 0
+        self.depth = 0
         t = self.implication()
         if self.peek() != "end":
             tok = self.tokens[self.k]
@@ -235,21 +272,21 @@ class _Parser:
             parts.append(self.disjunction())
         out = parts.pop()
         while parts:
-            out = implies(parts.pop(), out)
+            out = self.node(Join, self.node(Compl, parts.pop()), out)
         return out
 
     def disjunction(self):
         out = self.conjunction()
         while self.peek() == "or":
             self.take()
-            out = Join(out, self.conjunction())
+            out = self.node(Join, out, self.conjunction())
         return out
 
     def conjunction(self):
         out = self.unary()
         while self.peek() == "and":
             self.take()
-            out = Meet(out, self.unary())
+            out = self.node(Meet, out, self.unary())
         return out
 
     def unary(self):
@@ -259,34 +296,27 @@ class _Parser:
             if kind == "neg":
                 prefix.append(None)
                 continue
-            g = gensym_from_token(text)
-            if not mode_allows(self.mode, g):
-                raise ParseError(
-                    "%s is not allowed in mode %s" % (g.token(), self.mode), pos
-                )
-            if g.j >= self.n or g.i >= self.n:
-                raise ParseError("%s is out of range for n=%d" % (g.token(), self.n), pos)
-            prefix.append(g)
+            prefix.append(self.sym(text, pos))
         out = self.atom()
         for g in reversed(prefix):
-            out = Compl(out) if g is None else Sub(g, out)
+            out = self.node(Compl, out) if g is None else self.node(Sub, g, out)
         return out
 
     def atom(self):
         kind, text, pos = self.take()
         if kind == "zero":
-            return Zero()
+            return self.node(Zero)
         if kind == "one":
-            return One()
+            return self.node(One)
         if kind == "var":
-            return Var(int(text[1:]))
+            return self.node(Var, int(text[1:]))
         if kind == "diag":
             if not has_diagonals(self.mode):
                 raise ParseError("diagonals are not allowed in mode %s" % self.mode, pos)
             i, j = (int(x) for x in text[2:-1].split(","))
             if i >= self.n or j >= self.n:
                 raise ParseError("%s is out of range for n=%d" % (text, self.n), pos)
-            return Diag(i, j)
+            return self.node(Diag, i, j)
         if kind == "lpar":
             # each open parenthesis costs a few Python frames
             if self.depth >= MAX_NESTING:
@@ -300,7 +330,7 @@ class _Parser:
 
 
 def parse(text, n, mode="full"):
-    return _Parser(text, n, mode).parse()
+    return _Parser(n, mode).parse(text)
 
 
 @dataclass(frozen=True)
@@ -313,8 +343,9 @@ class Equation:
 def parse_equation(text, n, mode="full"):
     if text.count("=") != 1:
         raise ParseError("an equation needs exactly one '='", text.find("="))
-    left, right = text.split("=")
-    return Equation(parse(left, n, mode), parse(right, n, mode))
+    cut = text.index("=")
+    parser = _Parser(n, mode)
+    return Equation(parser.parse(text, 0, cut), parser.parse(text, cut + 1))
 
 
 _PREC = {"join": 2, "meet": 3, "unary": 4}

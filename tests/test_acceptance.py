@@ -1,16 +1,18 @@
 """Acceptance suite: fourteen end-to-end criteria, one test each.
 
-Every test finishes by printing a single ``criterion N: PASS`` line (run
-pytest with -s to see them; a failed assert makes the criterion's FAIL
-visible through pytest itself).  Criteria with a runtime budget enforce
+Every criterion finishes by printing a single ``criterion N: PASS`` line
+(run pytest with -s to see them; a failed assert makes the criterion's
+FAIL visible through pytest itself).  Criteria with a runtime budget enforce
 it with an assert on wall-clock time, so a pathological slowdown is a
-test failure and not just an annoyance.  All randomness is seeded.
+test failure and not just an annoyance.  A test without a criterion
+number is a time ceiling on one command.  All randomness is seeded.
 """
 
 import itertools
 import random
 import time
 
+from substal.cli import run
 from substal.monoid import (
     Transformation,
     canonical_word,
@@ -105,6 +107,18 @@ def test_c01_axiom_validity():
     assert elapsed < 60.0, "budget exceeded: %.1fs" % elapsed
     print("criterion 1: PASS — %d axiom instances valid (%.1fs)"
           % (checked, elapsed))
+
+
+def test_diagonal_axiom_sweep_ceiling(capsys):
+    """`valid --axioms` in diagonal mode at n = 5 and n = 6 is VALID, within
+    one time ceiling for the two: the relaxed unfolding refutes or filters
+    the kernels of every negated axiom."""
+    t0 = time.monotonic()
+    for n in ("5", "6"):
+        assert run(["valid", "--axioms", "-n", n, "--mode", "diag"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["VALID"]
+    elapsed = time.monotonic() - t0
+    assert elapsed < 3.0, "budget exceeded: %.1fs" % elapsed
 
 
 def test_c02_presentation_word_pairs():

@@ -61,6 +61,24 @@ def test_valid_axiom_sweep(capsys):
     assert {"tag", "equation", "valid"} == set(results[0])
 
 
+def test_valid_axiom_sweep_without_json_prints_the_verdict_only(capsys):
+    assert run(["valid", "-n", "3", "--mode", "diag", "--axioms"]) == 0
+    out, err = _lines(capsys)
+    assert out == ["VALID"] and err == ""
+
+
+def test_equation_errors_give_positions_in_the_whole_text(capsys):
+    """A parse error on the right of '=' is placed in the full equation
+    text, not in its right half."""
+    for argv, position in ((["eq", "-n", "2", "p0 = p1 &"], 9),
+                           (["eq", "-n", "3", "s[0,1] p0 = s[0,7] p0"], 12),
+                           (["eq", "-n", "2", "p0 & = p1"], 5)):
+        assert run(argv) == 2
+        out, err = _lines(capsys)
+        assert out == []
+        assert err.rstrip().endswith("(at position %d)" % position), err
+
+
 def test_diagonal_sat_is_not_decided_at_the_discrete_point(capsys):
     # d(0,1) fails at the point (0, 1) and holds at (0, 0)
     assert run(["sat", "-n", "2", "--mode", "diag", "d(0,1)"]) == 0

@@ -235,7 +235,7 @@ def test_dimension_limit():
 
 
 def test_partitions_as_restricted_growth_strings():
-    assert partitions(2) == [(0, 0), (0, 1)]
+    assert partitions(2) == ((0, 0), (0, 1))
     for n in range(1, 7):
         parts = partitions(n)
         assert len(parts) == BELL[n]

@@ -25,6 +25,7 @@ from substal.terms import (
     parse_equation,
     quasi_axioms,
     sigma_axioms,
+    subterms,
     term_size,
     variables,
     word_pair,
@@ -85,6 +86,44 @@ def test_parse_equation_round_trip():
     assert parse_equation(format_equation(eq), 2) == eq
     with pytest.raises(ParseError):
         parse_equation("p0 & p1", 2)  # no equals sign
+
+
+def test_parse_equation_error_positions_are_in_the_whole_text():
+    for text, n, position in (("p0 = p1 &", 2, 9),
+                              ("s[0,1] p0 = s[0,7] p0", 3, 12),
+                              ("p0 = p1 $", 2, 8)):
+        with pytest.raises(ParseError) as info:
+            parse_equation(text, n)
+        assert info.value.position == position, text
+
+
+def test_parse_builds_each_distinct_subformula_once():
+    t = parse("(p0 & s[0,1] p1) | (p0 & s[0,1] p1)", 2)
+    assert t.left is t.right
+    assert len(subterms(t)) == 5
+    # the two sides of an equation come from one table; s[1,0] is s[0,1]
+    eq = parse_equation("s[0,1] ~p0 = s[1,0] ~p0", 2)
+    assert eq.lhs is eq.rhs
+    imp = parse("p0 -> p0 & ~p0", 2)
+    assert imp.left.arg is imp.right.left
+    assert imp.left is imp.right.right
+
+
+def _xor(a, b):
+    return "((%s & ~%s) | (~%s & %s))" % (a, b, a, b)
+
+
+def test_parity_chain_has_one_object_per_distinct_subformula():
+    """Each xor repeats both operands, so the parsed tree has thousands of
+    nodes but only a few dozen distinct subformulas, each one object."""
+    words = ["", "s[0,1] ", "s[1|2] s[0,1] "]
+    text = "%sp0" % words[0]
+    for v in range(1, 9):
+        text = _xor(text, "%sp%d" % (words[v % 3], v))
+    t = parse(text, 3)
+    distinct = {format_term(s) for s in subterms(t)}
+    assert len(subterms(t)) == len(distinct)
+    assert term_size(t) > 10 * len(distinct)
 
 
 def test_term_measures():
