@@ -34,14 +34,21 @@ _JSON = (("--json",), dict(action="store_true", dest="as_json",
 _SEED = (("--seed",), dict(type=int, default=0,
                            help="accepted and ignored: every check is exact, "
                                 "so nothing is sampled"))
-_BUDGET = (("--budget",), dict(type=int, default=None,
-                               help="work bound override for the coherence check"))
 _FILE = (("file",), {})
 
 
-def _load_structure(path):
+def _read_json(path):
+    """The JSON document of a file; one nested deeper than the parser's
+    recursion reaches is an input error."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("%s: JSON nested too deeply" % path) from None
+
+
+def _load_structure(path):
+    data = _read_json(path)
     fields = data if isinstance(data, dict) else {}
     if "action" in fields:
         frame = frame_from_json(data)
@@ -115,12 +122,7 @@ def _word(args):
 
 
 def _frame_check(args):
-    with open(args.file) as fh:
-        frame = frame_from_json(json.load(fh))
-    kwargs = {}
-    if args.budget:
-        kwargs["budget"] = args.budget
-    report = frame_check(frame, **kwargs)
+    report = frame_check(frame_from_json(_read_json(args.file)))
     payload = {"ok": report.ok, "pairs_checked": report.pairs_checked,
                "failures": report.failures[:10]}
     return _emit("PASS" if report.ok else "FAIL", payload, args.as_json)
@@ -188,7 +190,7 @@ COMMANDS = {c.name: c for c in (
     Command("word", "compare two substitution words",
             (_N, _MODE, (("word1",), {}), (("word2",), {})), _word),
     Command("frame-check", "verify a frame file's coherence",
-            (_JSON, _BUDGET, _FILE), _frame_check),
+            (_JSON, _FILE), _frame_check),
     Command("represent", "build and verify the complete representation of "
                          "an algebra or frame file",
             (_JSON, _SEED, _FILE), _represent),

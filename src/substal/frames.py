@@ -25,8 +25,8 @@ from .monoid import (
     monoid_size,
     normalize_mode,
 )
-from .setalg import (ComplexAlgebra, Square, fold_tables, json_int, json_ints,
-                     mask_points, points_mask)
+from .setalg import (ComplexAlgebra, Square, fold_tables, gather_map,
+                     json_int, json_ints, lowest_bit, mask_points, points_mask)
 
 
 class Frame:
@@ -129,14 +129,19 @@ class FrameReport:
         return self.ok
 
 
-def frame_check(frame, budget=2 * 10**6, max_failures=10):
+# The coherence check steps every world along every Cayley edge.
+COHERENCE_BUDGET = 2 * 10**6
+
+
+def frame_check(frame, max_failures=10):
     """Semantic coherence: the generated action must be a genuine right
     action, certified once per edge of the right Cayley graph
     (`action_tables`); diagonal markings must satisfy their
-    correspondents.  Work is |monoid| * |generators| * |worlds|."""
+    correspondents.  Work is |monoid| * |generators| * |worlds|, at most
+    COHERENCE_BUDGET."""
     n, mode, m = frame.n, frame.mode, frame.num_worlds
     size = monoid_size(n, mode)
-    if size * len(generators(n, mode)) * max(m, 1) > budget:
+    if size * len(generators(n, mode)) * max(m, 1) > COHERENCE_BUDGET:
         raise ValueError("coherence check exceeds budget")
     failures, pairs = action_tables(frame, max_failures)
     if len(failures) >= max_failures:
@@ -331,26 +336,18 @@ def superamalgam(A, B, C, f, h):
     frame_d, pairs = insep_zigzag(frame_b, frame_c, label_b, label_c)
     D = ComplexAlgebra(frame_d)
 
-    def m(b):
-        out = 0
-        for w, (u, v) in enumerate(pairs):
-            if B.meet(atoms_b[u], b) == atoms_b[u]:
-                out |= 1 << w
-        return out
-
-    def k(c):
-        out = 0
-        for w, (u, v) in enumerate(pairs):
-            if C.meet(atoms_c[v], c) == atoms_c[v]:
-                out |= 1 << w
-        return out
+    # b contains the atom u exactly when it contains u's lowest bit
+    worlds = range(len(pairs))
+    m_gather = ([lowest_bit(atoms_b[u]) for u, _ in pairs], worlds)
+    k_gather = ([lowest_bit(atoms_c[v]) for _, v in pairs], worlds)
+    m, k = gather_map(*m_gather), gather_map(*k_gather)
 
     report = {"worlds": len(pairs), "failures": []}
     a_els = A.elements()
     report["square_commutes"] = all(m(f(z)) == k(h(z)) for z in a_els)
 
-    m_check = hom_report(B, D, m)
-    k_check = hom_report(C, D, k)
+    m_check = hom_report(B, D, m, gather=m_gather)
+    k_check = hom_report(C, D, k, gather=k_gather)
     report["m_homomorphism"] = m_check["homomorphism"]
     report["k_homomorphism"] = k_check["homomorphism"]
     report["m_injective"] = m_check["injective"]

@@ -162,10 +162,19 @@ def _rect(masks, subsets, n, k):
     return out
 
 
+# Each of the (2^k)^n rectangles costs about n² substitutions and compares
+# over kⁿ points: ²7, ³4, ⁴3 and ⁶1 fit, ²8, ³5 and ⁶2 do not.
+RECTANGLE_BUDGET = 2**16
+
+
 def product_identities(k, n=2):
     """Exhaustively verify the rectangle identities in the full algebra
     over ⁿk: how replacements, transpositions, and complement act on
-    product sets, plus the empty-overlap and diagonal-cover corollaries."""
+    product sets, plus the empty-overlap and diagonal-cover corollaries.
+    ValueError when (2^k)^n · n² exceeds RECTANGLE_BUDGET."""
+    if k < 0 or k * n > 16 or 2 ** (k * n) * n * n > RECTANGLE_BUDGET:
+        raise ValueError("rectangles over %d^%d exceed budget %d"
+                         % (k, n, RECTANGLE_BUDGET))
     algebra = small_algebra(n, k, "full")
     masks = coordinate_masks(n, k)
     full = (1 << k) - 1
@@ -266,6 +275,12 @@ def default_filter_oracle(setspec):
     raise ValueError("oracle cannot decide %r" % (setspec,))
 
 
+# The point loop visits each of the (B+1)^n points once, and the layer
+# checks meet every pair of the layers, each over every point.
+TRUNCATION_POINTS = 2 * 10**5
+TRUNCATION_BUDGET = 5 * 10**8
+
+
 def counter2_truncation(spec, F_oracle=default_filter_oracle):
     """Bounded truncation of the chain construction.
 
@@ -280,6 +295,12 @@ def counter2_truncation(spec, F_oracle=default_filter_oracle):
     """
     n, bound = spec.n, spec.bound
     base = bound + 1
+    # the injective sums run from 0+…+(n−1) to B+…+(B−n+1)
+    layer_count = n * (bound - n + 1) + 1 if base >= n else 0
+    if (base ** n > TRUNCATION_POINTS
+            or base ** n * (layer_count + 1) ** 2 > TRUNCATION_BUDGET):
+        raise ValueError("truncation of %d^%d with %d layers exceeds budget"
+                         % (base, n, layer_count))
     algebra = small_algebra(n, base, "full")
     failures = []
     instances = 0

@@ -4,16 +4,18 @@ Every ultrafilter of a finite algebra is principal, so representations are
 driven by atoms: at an atom u, the map h(z) = {tau : s_tau(z) in F_u} lands
 in the set algebra over the monoid's own points, and the per-atom maps
 combine into an injective complete representation on stacked copies of
-that square unit.  Every map is verified exactly by `hom_report`, from the
-images of the atoms alone, at every size.
+that square unit.
 
-On a set algebra (setalg.ComplexAlgebra, over a frame or the square) the
-atom of a world w lies below s_tau(z) exactly when w·tau lies in z, so
-every map here is a bit gather read off the orbit of w, its images under
-every tau along the breadth-first tree of monoid.cayley_graph
-(setalg.orbit).  Any other handle is read through its canonical
-extension, Cm of its atom frame: the map is then the gather composed with
-the isomorphism onto that copy.
+The engine acts on set algebras (setalg.ComplexAlgebra, over a frame or
+the square) only.  There the atom of a world w lies below s_tau(z) exactly
+when w·tau lies in z, so every map here is a bit gather read off the orbit
+of w, its images under every tau along the breadth-first tree of
+monoid.cayley_graph (setalg.orbit), and `hom_report` certifies it once,
+exactly, from the images of the atoms alone.  Any other handle reaches the
+engine through `canonical_extension`, Cm of its atom frame, whose
+isomorphism is itself a gather: an element contains an atom exactly when
+it contains the atom's lowest bit (Jónsson and Tarski: every finite
+algebra is isomorphic to Cm of its atom frame).
 """
 
 from dataclasses import dataclass, field
@@ -22,76 +24,23 @@ from .monoid import (
     NotGenerated,
     canonical_word,
     cayley_graph,
-    enumerate_monoid,
     generators,
     has_diagonals,
     identity,
 )
 from .setalg import (ComplexAlgebra, ConcreteAlgebra, algebra_to_json,
-                     mask_points, orbit, point_index, points_mask,
-                     small_algebra)
+                     gather_map, lowest_bit, mask_points, orbit,
+                     point_index, points_mask, small_algebra)
 from .frames import atom_frame
 from .terms import bijective_stabilizer, check_submonoid
 from .gallery import alternating_coloring
 
 
-def _set_algebra(algebra):
-    """Does the handle act on worlds, as a setalg.ComplexAlgebra does?"""
-    return isinstance(algebra, ComplexAlgebra)
-
-
 def atom_below(algebra, a):
+    """The atom of the lowest world of a non-zero element a."""
     if a == algebra.zero:
         raise ValueError("zero element has no atom below it")
-    if _set_algebra(algebra):
-        return a & -a
-    for x in algebra.atoms():
-        if algebra.meet(x, a) == x:
-            return x
-    raise ValueError("no atom below element %r" % (a,))
-
-
-def _gather_fn(src_bits, dst_bits):
-    pairs = list(zip(src_bits, dst_bits))
-
-    def h(z):
-        out = 0
-        for s, d in pairs:
-            if z >> s & 1:
-                out |= 1 << d
-        return out
-
-    return h
-
-
-def _on_worlds(algebra):
-    """(worlds, iso): a set algebra is its own algebra over worlds, with
-    iso None; any other handle gives its canonical extension and the
-    isomorphism onto it."""
-    if _set_algebra(algebra):
-        return algebra, None
-    ext, rep = canonical_extension(algebra)
-    if not rep.report["bijective"]:
-        raise ValueError("the algebra is not isomorphic to its canonical "
-                         "extension: %r" % (rep.report["failures"][:3],))
-    return ext, rep.image
-
-
-def _world_moves(algebra, atom):
-    """Where the world of `atom` goes under each tau of the monoid, in
-    the order of monoid.cayley_graph, and the isomorphism of `_on_worlds`."""
-    worlds, iso = _on_worlds(algebra)
-    w = (iso(atom) if iso else atom).bit_length() - 1
-    return orbit(worlds.space, w), iso
-
-
-def _gathered(iso, src_bits, dst_bits):
-    """The gather z ↦ {dst : src in z} as (map, gather), read through iso
-    when there is one (the map is then no gather of the algebra's bits)."""
-    h = _gather_fn(src_bits, dst_bits)
-    if iso is None:
-        return h, (src_bits, dst_bits)
-    return (lambda z: h(iso(z))), None
+    return a & -a
 
 
 def hom_report(source, target, h, gather=None):
@@ -178,12 +127,15 @@ def atom_cover_report(target, images):
 
 @dataclass
 class RepMap:
+    """A map z ↦ {dst : src ∈ z} given by its gather (src_bits, dst_bits),
+    with its certificate."""
     source: object
     target: object
-    image: object                 # callable element -> target element
-    atom: object = None
+    gather: tuple                 # (src_bits, dst_bits)
     report: dict = field(default_factory=dict)
-    gather: tuple = None          # (src_bits, dst_bits) when image is a gather
+
+    def __post_init__(self):
+        self.image = gather_map(*self.gather)
 
     def to_json(self):
         """The report, the target, the points of each source atom and the
@@ -195,7 +147,7 @@ class RepMap:
             k: self.report.get(k)
             for k in ("homomorphism", "injective", "atom_cover")}}
         square = self.target.space
-        if hasattr(square, "copies"):
+        if self.target.k is not None:       # a target over the square
             first = self.target.unit & (1 << square.k**square.n) - 1
             data["target"] = {"blocks": square.copies, "block": algebra_to_json(
                 ConcreteAlgebra(square.n, square.k, square.mode, unit=first))}
@@ -203,6 +155,13 @@ class RepMap:
         data["atoms"] = [mask_points(x) for x in atoms]
         data["atom_images"] = [mask_points(self.image(x)) for x in atoms]
         return data
+
+
+def _certified(source, target, src_bits, dst_bits):
+    """The gather src_bits → dst_bits as a RepMap, with its hom_report."""
+    rep = RepMap(source, target, (list(src_bits), list(dst_bits)))
+    rep.report = hom_report(source, target, rep.image, gather=rep.gather)
+    return rep
 
 
 def represent_at(algebra, a):
@@ -213,19 +172,19 @@ def represent_at(algebra, a):
     n, mode = algebra.n, algebra.mode
     unit_pts = [point_index(tau, n) for tau in cayley_graph(n, mode).maps]
     target = ConcreteAlgebra(n, n, mode, unit=points_mask(unit_pts))
-    acts, iso = _world_moves(algebra, atom)
-    h, gather = _gathered(iso, acts, unit_pts)
-    report = hom_report(algebra, target, h, gather=gather)
+    rep = _certified(algebra, target, orbit(algebra.space, lowest_bit(atom)),
+                     unit_pts)
     id_pt = point_index(identity(n).map, n)
-    report["identity_in_image"] = bool(h(a) >> id_pt & 1)
-    return RepMap(algebra, target, h, atom=atom, report=report, gather=gather)
+    rep.report["identity_in_image"] = bool(rep.image(a) >> id_pt & 1)
+    return rep
 
 
 def full_representation(algebra):
     """Product of represent_at over every atom: an injective homomorphism
     into the set algebra over one copy of the monoid-point square per
-    atom.  The product map is certified directly as well; it is a gather
-    whenever every block is one."""
+    atom, the gather of every block side by side.  A product of certified
+    homomorphisms into stacked copies is a homomorphism, so the blocks'
+    certificates are the product's."""
     if algebra.one == algebra.zero:
         raise ValueError("trivial algebra has no atoms to represent at")
     ats = algebra.atoms()
@@ -233,46 +192,25 @@ def full_representation(algebra):
     block = reps[0].target
     span = block.num_points
     unit = 0
-    for idx in range(len(reps)):
+    src, dst = [], []
+    for idx, r in enumerate(reps):
         unit |= block.unit << (idx * span)
+        src.extend(r.gather[0])
+        dst.extend(d + idx * span for d in r.gather[1])
     target = ConcreteAlgebra(block.n, block.k, block.mode, unit=unit)
 
-    if all(r.gather is not None for r in reps):
-        src, dst = [], []
-        for idx, r in enumerate(reps):
-            src.extend(r.gather[0])
-            dst.extend(d + idx * span for d in r.gather[1])
-        gather = (src, dst)
-        h = _gather_fn(src, dst)
-    else:
-        gather = None
-
-        def h(z):
-            out = 0
-            for idx, r in enumerate(reps):
-                out |= r.image(z) << (idx * span)
-            return out
-
-    direct = hom_report(algebra, target, h, gather=gather)
-    id_pt = point_index(identity(algebra.n).map, algebra.n)
+    blocks = [r.report for r in reps]
     report = {
-        "blocks": [r.report for r in reps],
-        "homomorphism": (all(r.report["homomorphism"] for r in reps)
-                         and direct["homomorphism"]),
-        "identity_in_image": all(r.image(x) >> id_pt & 1
-                                 for r, x in zip(reps, ats)),
-        "direct_check": direct["method"],
+        "blocks": blocks,
+        "homomorphism": all(b["homomorphism"] for b in blocks),
+        "identity_in_image": all(b["identity_in_image"] for b in blocks),
+        "atom_cover": all(b["atom_cover"] for b in blocks),
+        "injective_method": "atom-blocks",
     }
     # each atom lies in the image of its own block, so no atom image is zero
     report["injective"] = report["homomorphism"] and all(
         r.image(x) != 0 for r, x in zip(reps, ats))
-    report["injective_method"] = "atom-blocks"
-    covers = [{key: r.report[key] for key in
-               ("atom_cover", "cover_union_ok", "cover_disjoint")}
-              for r in reps]
-    report["atom_cover"] = all(c["atom_cover"] for c in covers)
-    report["covers"] = covers
-    return RepMap(algebra, target, h, atom=None, report=report, gather=gather)
+    return RepMap(algebra, target, (src, dst), report=report)
 
 
 def complete_representation(algebra):
@@ -289,7 +227,7 @@ def check_complete_additivity(algebra):
     generator and every element.  A set algebra has it by construction,
     each substitution being a preimage; any other handle is checked on
     every join of its atoms, which is every element of a finite algebra."""
-    if _set_algebra(algebra):
+    if isinstance(algebra, ComplexAlgebra):
         return True
     ats = algebra.atoms()
     if len(ats) > 20:
@@ -326,26 +264,14 @@ def check_psi_witnesses(algebra):
 
 
 def canonical_extension(algebra):
-    """Cm(atom frame) with the natural isomorphism z ↦ {atoms below z};
-    for finite algebras this is a (complete) isomorphic copy."""
+    """Cm(atom frame) with the natural isomorphism z ↦ {atoms below z},
+    the gather of each atom's lowest bit to its world; for finite algebras
+    this is a (complete) isomorphic copy."""
     frame, ats = atom_frame(algebra)
     ext = ComplexAlgebra(frame)
-    if _set_algebra(algebra):
-        gather = ([a.bit_length() - 1 for a in ats], list(range(len(ats))))
-        iso = _gather_fn(*gather)
-    else:
-        gather = None
-
-        def iso(z):
-            out = 0
-            for w, x in enumerate(ats):
-                if algebra.meet(x, z) == x:
-                    out |= 1 << w
-            return out
-
-    report = hom_report(algebra, ext, iso, gather=gather)
-    report["bijective"] = report["injective"] and algebra.size() == ext.size()
-    rep = RepMap(algebra, ext, iso, atom=None, report=report, gather=gather)
+    rep = _certified(algebra, ext, map(lowest_bit, ats), range(len(ats)))
+    rep.report["bijective"] = (rep.report["injective"]
+                               and algebra.size() == ext.size())
     return ext, rep
 
 
@@ -377,11 +303,11 @@ def diag_represent(algebra, a):
                     "diagonal filter is not an equivalence at (%d,%d)" % (i, j))
     m = len(blocks)
 
-    taus = enumerate_monoid(n, algebra.mode)
-    acts, iso = _world_moves(algebra, atom)
+    taus = cayley_graph(n, algebra.mode).maps
+    acts = orbit(algebra.space, lowest_bit(atom))
     groups = {}
     for idx, tau in enumerate(taus):
-        bar = point_index(tuple(block_of[v] for v in tau.map), m)
+        bar = point_index(tuple(block_of[v] for v in tau), m)
         groups.setdefault(bar, []).append(idx)
 
     # well-definedness: all representatives of a quotient point must agree
@@ -396,17 +322,15 @@ def diag_represent(algebra, a):
 
     target = small_algebra(n, m, "full_diagonal")
     dst_bits = sorted(groups)
-    f, gather = _gathered(iso, [acts[groups[pt][0]] for pt in dst_bits],
-                          dst_bits)
-    report = hom_report(algebra, target, f, gather=gather)
-    report["well_defined"] = True
-    report["blocks"] = blocks
-    diag_ok = all(
-        f(algebra.diag(i, j)) == target.diag(i, j)
+    rep = _certified(algebra, target, [acts[groups[pt][0]] for pt in dst_bits],
+                     dst_bits)
+    rep.report["well_defined"] = True
+    rep.report["blocks"] = blocks
+    rep.report["diag_onto"] = all(
+        rep.image(algebra.diag(i, j)) == target.diag(i, j)
         for i in range(n) for j in range(n)
     )
-    report["diag_onto"] = diag_ok
-    return RepMap(algebra, target, f, atom=atom, report=report, gather=gather)
+    return rep
 
 
 class SubMonoidCtx:
@@ -440,10 +364,10 @@ def check_quasi(algebra, ctx):
     Two families: the stabilizer schemas (a zero meet of substituted
     variables stays zero under any xi in G), and the alternating forms
     s_f(x) = −x → 0 = 1 for f in G.  Both are decided exactly on the set
-    algebra over worlds, a handle without a world action being read through
-    its canonical extension: coloring for the alternating forms, the
-    coherence of the action for the schemas.  Every s_tau, tau in T, must
-    exist in the algebra's signature; ValueError otherwise.
+    algebra (any other handle is given through its canonical extension):
+    coloring for the alternating forms, the coherence of the action for
+    the schemas.  Every s_tau, tau in T, must exist in the algebra's
+    signature; ValueError otherwise.
     """
     for tau in ctx.T:
         try:
@@ -451,7 +375,6 @@ def check_quasi(algebra, ctx):
         except NotGenerated as exc:
             raise ValueError("the quasi-equations need s_tau for every tau "
                              "in T: %s" % exc) from None
-    algebra, _ = _on_worlds(algebra)
     if algebra.one != algebra.zero:
         for f in ctx.G:
             if special_quasi_witness(algebra, f) is not None:

@@ -16,11 +16,16 @@ kinds:
 
 `ConcreteAlgebra(n, k, mode, unit)` is ℘(V) over the square, with the
 number of copies read off the unit; the full representation stacks one
-copy per atom.  Handles that are not a set algebra (`Subalgebra`, or any
-object with the operations) have no world action; represent reads them
-through their canonical extension.  The constructors trust their unit:
-`make_relativized` and `algebra_from_json`, where a unit comes from
-outside, check its closure.
+copy per atom.  The constructors trust their unit: `make_relativized` and
+`algebra_from_json`, where a unit comes from outside, check its closure.
+
+Every algebra handle keeps one contract: its elements are bitmasks, meet
+is & and join is |.  `ComplexAlgebra` and `Subalgebra` keep it, as must
+any other object with the operations.  So an element contains an atom
+exactly when it contains the atom's lowest bit, and every map that reads
+atoms is a bit gather z ↦ {dst : src ∈ z} (`gather_map`).  Only a set
+algebra has a world action; represent reads any other handle through its
+canonical extension.
 
 Substitution on the square is word-parallel.  The coordinate mask C(i,a),
 the worlds whose coordinate i is a, is a run of k^i ones at a·k^i repeated
@@ -93,6 +98,25 @@ def points_mask(points):
     for p in points:
         digits[p] = 49                  # ord("1")
     return int(digits[::-1], 2)
+
+
+def lowest_bit(mask):
+    """The position of the lowest set bit of a non-zero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def gather_map(src_bits, dst_bits):
+    """The bit gather z ↦ {dst : src ∈ z}, over paired bit positions."""
+    pairs = list(zip(src_bits, dst_bits))
+
+    def h(z):
+        out = 0
+        for s, d in pairs:
+            if z >> s & 1:
+                out |= 1 << d
+        return out
+
+    return h
 
 
 def coordinate_runs(n, k, copies=1):
@@ -250,7 +274,7 @@ def is_locally_square(n, k, unit_mask, mode="full"):
     for g in generators(n, square.mode):
         escaped = unit_mask & ~square.preimage(g, unit_mask)
         if escaped:
-            return point_coords((escaped & -escaped).bit_length() - 1, n, k), g
+            return point_coords(lowest_bit(escaped), n, k), g
     return None
 
 

@@ -332,3 +332,28 @@ def ref_check_quasi(algebra, T):
             if meet_of(s(t, x) for t, x in zip(shifted, choice)) != algebra.zero:
                 return False
     return True
+
+
+def ref_product_hom(source, blocks):
+    """The direct certificate of a product representation, which
+    represent.full_representation no longer makes: the gathers of the
+    blocks side by side, block b into copy b of one square target,
+    certified as one map by represent.hom_report.  blocks are
+    (target, src_bits, dst_bits), every target the same square algebra.
+    Returns the certificate's homomorphism verdict."""
+    from substal.represent import hom_report
+    from substal.setalg import ConcreteAlgebra
+
+    block = blocks[0][0]
+    span = block.num_points
+    unit, pairs = 0, []
+    for idx, (target, src, dst) in enumerate(blocks):
+        unit |= target.unit << idx * span
+        pairs += [(s, d + idx * span) for s, d in zip(src, dst)]
+    stacked = ConcreteAlgebra(block.n, block.k, block.mode, unit=unit)
+
+    def h(z):
+        return sum({1 << d for s, d in pairs if z >> s & 1})
+
+    gather = ([s for s, _ in pairs], [d for _, d in pairs])
+    return hom_report(source, stacked, h, gather=gather)["homomorphism"]

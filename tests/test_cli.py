@@ -218,7 +218,7 @@ VALID_ARGV = {
     "valid": ["valid", "-n", "2", "--mode", "pinter", "--json", "--axioms"],
     "eq": ["eq", "-n", "2", "--mode", "replacements", "p0 = p0"],
     "word": ["word", "-n", "4", "--mode", "full", "s[0|1]", "s[0,1]"],
-    "frame-check": ["frame-check", "--json", "--budget", "9", "f.json"],
+    "frame-check": ["frame-check", "--json", "f.json"],
     "represent": ["represent", "--json", "--seed", "3", "f.json"],
     "axioms": ["axioms", "-n", "5", "--mode", "transpositions", "--json"],
     "quasi": ["quasi", "--json", "f.json"],
@@ -233,7 +233,7 @@ DROPPED = {
     "valid": ["--seed", "--budget"],
     "eq": ["--json", "--seed", "--budget"],
     "word": ["--json", "--seed", "--budget"],
-    "frame-check": ["--mode", "--seed"],
+    "frame-check": ["--mode", "--seed", "--budget"],
     "represent": ["--mode", "--budget"],
     "axioms": ["--seed", "--budget"],
     "quasi": ["--mode", "--seed", "--budget"],
@@ -434,6 +434,19 @@ def test_represent_rejects_unknown_format(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_deep_json_files_are_an_input_error(tmp_path, capsys):
+    """A document nested deeper than the JSON parser recurses exits 2,
+    closed or not, on every command that reads a file."""
+    for name, text in (("open.json", "[" * 100_000),
+                       ("closed.json", "[" * 100_000 + "]" * 100_000)):
+        path = tmp_path / name
+        path.write_text(text)
+        for command in ("represent", "quasi", "frame-check"):
+            assert run([command, str(path)]) == 2, (command, name)
+            out, err = _lines(capsys)
+            assert out == [] and "nested too deeply" in err, (command, name)
+
+
 def test_represent_is_deterministic_for_a_seed(tmp_path, capsys):
     frm = _write(tmp_path, "frame.json",
                  frame_to_json(point_frame(3, 2, "full")))
@@ -553,6 +566,21 @@ def test_gallery_exhibits(capsys):
     payload = json.loads("\n".join(out[1:]))
     assert payload["check"] == "counter2-truncation"
     assert payload["pass"] is True
+
+
+def test_gallery_sizes_over_budget_exit_quickly(capsys):
+    """Sizes whose exhibit would run for minutes are refused where they
+    enter, before any work."""
+    for argv in (["gallery", "rectangles", "-n", "6", "-k", "4"],
+                 ["gallery", "rectangles", "-k", "8"],
+                 ["gallery", "truncation", "-n", "2", "--bound", "400"],
+                 ["gallery", "truncation", "-n", "4", "--bound", "30"]):
+        t0 = time.monotonic()
+        assert run(argv) == 2, argv
+        elapsed = time.monotonic() - t0
+        _, err = _lines(capsys)
+        assert err.startswith("error:") and "budget" in err, argv
+        assert elapsed < 1.0, (argv, elapsed)
 
 
 def test_console_entry_point():

@@ -15,7 +15,8 @@ from substal.represent import (SubMonoidCtx, atom_below, canonical_extension,
 from substal.setalg import (Subalgebra, generate_subalgebra, make_relativized,
                             point_index, small_algebra)
 
-from oracles import ref_check_quasi, ref_hom_sweep
+from oracles import ref_check_quasi, ref_hom_sweep, ref_product_hom
+from test_acceptance import representation_corpus
 
 SWAP = Transformation((1, 0))
 
@@ -27,8 +28,6 @@ def test_atom_below():
     assert atom_below(alg, 6) in (2, 4)
     with pytest.raises(ValueError):
         atom_below(alg, alg.zero)
-    sub = Subalgebra(alg, [alg.zero, alg.one])
-    assert atom_below(sub, sub.one) == sub.one
 
 
 # ------------------------------------------------------------- represent_at
@@ -83,11 +82,9 @@ def test_full_representation_exact():
     assert report["homomorphism"]
     assert report["injective"]
     assert report["injective_method"] == "atom-blocks"
-    assert report["direct_check"] == "atom-certificate"
     assert report["identity_in_image"]
     assert report["atom_cover"]
     assert len(report["blocks"]) == 4
-    assert len(report["covers"]) == 4
     # four blocks, one per atom, each the monoid's 4 points of ²2
     assert rep.target.one == (1 << 16) - 1
     assert len(rep.target.atoms()) == 16
@@ -137,11 +134,13 @@ def _bits(mask):
 
 def test_rep_map_json_atom_images_rebuild_every_image():
     """Each image is the union of the emitted images of the atoms whose
-    points lie inside the element, including atoms of several points."""
+    points lie inside the element, on a square, a point frame and the
+    canonical extension of a subalgebra."""
     alg = small_algebra(2, 2)
     diagonal = (1 << point_index((0, 0), 2)) | (1 << point_index((1, 1), 2))
+    sub = Subalgebra(alg, generate_subalgebra(alg, [diagonal]))
     sources = [alg, ComplexAlgebra(point_frame(2, 2, "full")),
-               Subalgebra(alg, generate_subalgebra(alg, [diagonal]))]
+               canonical_extension(sub)[0]]
     for source in sources:
         rep = full_representation(source)
         data = rep.to_json()
@@ -313,7 +312,8 @@ def test_check_quasi_concrete_paths():
 def test_check_quasi_generic_path():
     """Handles without a world action are checked through their canonical
     extension; on seeded subalgebras the verdict is the exhaustive
-    reference's, the bijective unit's FAIL included."""
+    reference's on the subalgebra itself, the bijective unit's FAIL
+    included."""
     ctx = SubMonoidCtx(2, enumerate_monoid(2, "transpositions"))
     T = [t.map for t in ctx.T]
     alg = small_algebra(2, 2)
@@ -331,7 +331,7 @@ def test_check_quasi_generic_path():
     verdicts = []
     for sub in subs:
         want = ref_check_quasi(sub, T)
-        assert check_quasi(sub, ctx) == want, sub
+        assert check_quasi(canonical_extension(sub)[0], ctx) == want, sub
         verdicts.append(want)
     assert verdicts[:2] == [True, False]
     assert len(verdicts) > 10
@@ -396,25 +396,37 @@ def _mutations(src, dst, rng):
     yield [s for s, _ in pairs], [d for _, d in pairs]
 
 
+def _seeded_subalgebras(rng, count):
+    """Subalgebras of squares and random frames, from 0 to 2 random
+    generators each."""
+    parents = [small_algebra(2, 2), small_algebra(2, 2, "transpositions")]
+    parents += [ComplexAlgebra(random_coherent_frame(
+        2, rng.choice(["full", "transpositions"]), max_worlds=5, rng=rng))
+        for _ in range(2)]
+    for idx in range(count):
+        parent = parents[idx % len(parents)]
+        gens = [rng.getrandbits(parent.num_points) & parent.unit
+                for _ in range(rng.randint(0, 2))]
+        yield Subalgebra(parent, generate_subalgebra(parent, gens))
+
+
 def _certificate_cases(rng):
-    """(source, target, map, gather or None) for represent_at and
-    diag_represent at every atom of small point-frame, random-frame and
-    subalgebra sources, each gather also mutated."""
+    """(source, target, map, gather) for represent_at and diag_represent
+    at every atom of small point-frame and random-frame sources, and for
+    the canonical extensions of seeded subalgebras, each gather also
+    mutated."""
     sources = [ComplexAlgebra(point_frame(2, 2, mode))
                for mode in ("full", "transpositions", "replacements")]
     sources += [ComplexAlgebra(random_coherent_frame(
         rng.choice([2, 3]), rng.choice(["full", "transpositions"]),
         max_worlds=5, rng=rng)) for _ in range(6)]
-    alg = small_algebra(2, 2)
-    sources.append(Subalgebra(alg, generate_subalgebra(alg, [1])))
     reps = [represent_at(source, x) for source in sources
             for x in source.atoms()]
     diagonal = ComplexAlgebra(point_frame(2, 2, "full_diagonal"))
     reps += [diag_represent(diagonal, x) for x in diagonal.atoms()]
+    reps += [canonical_extension(sub)[1]
+             for sub in _seeded_subalgebras(rng, 8)]
     for rep in reps:
-        if rep.gather is None:
-            yield rep.source, rep.target, rep.image, None
-            continue
         for src, dst in _mutations(list(rep.gather[0]), list(rep.gather[1]),
                                    rng):
             yield rep.source, rep.target, _gather(src, dst), (src, dst)
@@ -439,3 +451,35 @@ def test_hom_certificate_agrees_with_pair_sweep():
             assert report["injective"] == (hom and distinct), (source, report)
             verdicts.add((hom, hom and distinct))
     assert verdicts == {(True, True), (True, False), (False, False)}
+
+
+def test_block_certificates_decide_the_product():
+    """A product of gathers into stacked copies of one square is a
+    homomorphism exactly when every block is one, which is why
+    full_representation certifies only the blocks.  On the corpus and on
+    seeded frames the direct certificate of the stacked product agrees
+    with the conjunction of the block certificates, for the correct blocks
+    and with one block's gather mutated."""
+    rng = random.Random(31)
+    algebras = list(representation_corpus())
+    algebras += [ComplexAlgebra(random_coherent_frame(
+        rng.choice([2, 3]), mode, max_worlds=6, rng=rng))
+        for mode in ("full", "transpositions", "replacements")
+        for _ in range(4)]
+    verdicts = set()
+    for alg in algebras:
+        reps = [represent_at(alg, x) for x in alg.atoms()]
+        blocks = [(r.target, list(r.gather[0]), list(r.gather[1]))
+                  for r in reps]
+        certified = full_representation(alg).report["homomorphism"]
+        assert certified == all(r.report["homomorphism"] for r in reps)
+        assert ref_product_hom(alg, blocks) == certified, alg
+        i = rng.randrange(len(blocks))
+        target, src, dst = blocks[i]
+        for msrc, mdst in _mutations(src, dst, rng):
+            block_ok = hom_report(alg, target, _gather(msrc, mdst),
+                                  gather=(msrc, mdst))["homomorphism"]
+            mutated = blocks[:i] + [(target, msrc, mdst)] + blocks[i + 1:]
+            assert ref_product_hom(alg, mutated) == (certified and block_ok)
+            verdicts.add(certified and block_ok)
+    assert verdicts == {True, False}
