@@ -56,7 +56,6 @@ from .setalg import (
     small_algebra,
 )
 from .frames import (
-    Equivariant,
     Frame,
     atom_frame,
     disjoint_union,

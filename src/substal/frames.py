@@ -7,13 +7,16 @@ sends w to table_tau[table_sigma[w]].  A Frame is one of the two spaces of
 setalg.ComplexAlgebra (the square ⁿk is the other): Cm(F) = ComplexAlgebra(F)
 is every subset of its worlds, with substitution by action preimage,
 S_g(X) = {w : act_g(w) in X}.  A frame holds one table per generator; the
-table of any other element is folded from them (setalg.fold_tables), and
-action_tables certifies along monoid.cayley_graph that the fold does not
-depend on the word.  point_frame is the square's generator tables written
-out.
+table of any other element is folded from them (setalg.fold_tables).
+action_tables walks monoid.cayley_graph once per space and unit, on
+either kind of space, and the space keeps the walk: it certifies that
+the fold does not depend on the word (frame_check, Frame.coherent) and
+gives the orbit of every world (represent).  point_frame is the square's
+generator tables written out.
 """
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .monoid import (
@@ -47,6 +50,7 @@ class Frame:
                     0 <= min(tab) and max(tab) < num_worlds):
                 raise ValueError("bad action table for %s" % g.token())
             self.action[g] = tab
+        self.walks = {}       # unit -> its ActionWalk (action_tables)
         self.diag = None
         if has_diagonals(self.mode):
             self.diag = {}
@@ -75,7 +79,7 @@ class Frame:
 
     def coherent(self):
         """Is the generated action a right action (`action_tables`)?"""
-        return not action_tables(self, max_failures=1)[0]
+        return not action_tables(self).failures
 
     def diag_mask(self, i, j):
         if self.diag is None:
@@ -88,35 +92,77 @@ class Frame:
         return "Frame(n=%d, mode=%s, worlds=%d)" % (self.n, self.mode, self.num_worlds)
 
 
-def action_tables(frame, max_failures=10):
-    """Derive every monoid element's action table along the right Cayley
-    graph (monoid.cayley_graph), breadth first, and return the edges that
-    disagree and the number of edges walked.  Each edge tau -> tau∘g must
-    give tau's table followed by g's.  When none disagrees,
-    act(sigma∘tau) = act(sigma) followed by act(tau) for every pair, by
-    induction on the length of tau's word."""
-    graph = cayley_graph(frame.n, frame.mode)
-    gens = [(g.token(), frame.act(g), row)
-            for g, row in zip(graph.gens, graph.edges)]
-    tables = [None] * len(graph.maps)
-    tables[0] = tuple(range(frame.num_worlds))
-    failures = []
-    edges = 0
+# The walk steps every world of the unit along every Cayley edge.
+COHERENCE_BUDGET = 2 * 10**6
+FAILURES_KEPT = 10
+
+
+# The orbit of each world of the unit (w·tau for every element tau, in the
+# order of monoid.cayley_graph), the first FAILURES_KEPT coherence
+# failures in the walk's edge order, and the edges walked up to the last
+# of them, or all edges.
+ActionWalk = namedtuple("ActionWalk", "orbits failures edges")
+
+
+def action_tables(space, unit=None):
+    """The walk of the right Cayley graph (monoid.cayley_graph) over the
+    world tables of a space, a `Frame` or a `setalg.Square`, restricted to
+    a unit of its worlds (all of them by default).  It runs once per space
+    and unit; the space keeps the result.
+
+    Each element's table is set from its breadth-first tree parent's, and
+    every edge tau -> tau∘g must give tau's table followed by g's.  Each
+    distinct table is interned, so the step "table · g" is built once per
+    distinct table and generator, and every other edge is a comparison of
+    table numbers.  When no edge disagrees, act(sigma∘tau) = act(sigma)
+    followed by act(tau) for every pair, by induction on the length of
+    tau's word, and the orbit of every world is read off the tables.  Work
+    is |monoid| * |generators| * |unit|, at most COHERENCE_BUDGET."""
+    if unit is None:
+        unit = (1 << space.num_worlds) - 1
+    walk = space.walks.get(unit)
+    if walk is None:
+        walk = space.walks[unit] = _walk(space, unit)
+    return walk
+
+
+def _walk(space, unit):
+    worlds = tuple(mask_points(unit))
+    n, mode = space.n, space.mode
+    work = (monoid_size(n, mode) * len(generators(n, mode))
+            * max(len(worlds), 1))
+    if work > COHERENCE_BUDGET:
+        raise ValueError("the action walk (%d steps) exceeds budget %d"
+                         % (work, COHERENCE_BUDGET))
+    graph = cayley_graph(n, mode)
+    steps = [(g.token(), space.act(g), row)
+             for g, row in zip(graph.gens, graph.edges)]
+    tables, index, after = [worlds], {worlds: 0}, [[None] * len(steps)]
+    number = [0] + [None] * (len(graph.maps) - 1)
+    failures, edges = [], len(graph.maps) * len(steps)
     # an element's table is set from its tree parent's, before it is read
-    for t, tab in enumerate(tables):
-        for token, gtab, row in gens:
-            edges += 1
-            derived = tuple(map(gtab.__getitem__, tab))
-            known = tables[row[t]]
-            if known is None:
-                tables[row[t]] = derived
-            elif known != derived:
-                w = next(w for w, (a, b) in enumerate(zip(known, derived))
-                         if a != b)
-                failures.append(("coherence", graph.maps[t], token, w))
-                if len(failures) >= max_failures:
-                    return failures, edges
-    return failures, edges
+    for t in range(len(graph.maps)):
+        a = number[t]
+        for g, (token, gtab, row) in enumerate(steps):
+            b = after[a][g]
+            if b is None:
+                derived = tuple(map(gtab.__getitem__, tables[a]))
+                b = after[a][g] = index.setdefault(derived, len(tables))
+                if b == len(tables):
+                    tables.append(derived)
+                    after.append([None] * len(steps))
+            u = row[t]
+            if number[u] is None:
+                number[u] = b
+            elif number[u] != b and len(failures) < FAILURES_KEPT:
+                i = next(i for i, (x, y) in enumerate(
+                    zip(tables[number[u]], tables[b])) if x != y)
+                failures.append(("coherence", graph.maps[t], token, worlds[i]))
+                if len(failures) == FAILURES_KEPT:
+                    edges = t * len(steps) + g + 1
+    orbits = {w: tuple(map(column.__getitem__, number))
+              for w, column in zip(worlds, zip(*tables))}
+    return ActionWalk(orbits, failures, edges)
 
 
 @dataclass
@@ -129,24 +175,15 @@ class FrameReport:
         return self.ok
 
 
-# The coherence check steps every world along every Cayley edge.
-COHERENCE_BUDGET = 2 * 10**6
-
-
-def frame_check(frame, max_failures=10):
+def frame_check(frame):
     """Semantic coherence: the generated action must be a genuine right
     action, certified once per edge of the right Cayley graph
     (`action_tables`); diagonal markings must satisfy their
-    correspondents.  Work is |monoid| * |generators| * |worlds|, at most
-    COHERENCE_BUDGET."""
-    n, mode, m = frame.n, frame.mode, frame.num_worlds
-    size = monoid_size(n, mode)
-    if size * len(generators(n, mode)) * max(m, 1) > COHERENCE_BUDGET:
-        raise ValueError("coherence check exceeds budget")
-    failures, pairs = action_tables(frame, max_failures)
-    if len(failures) >= max_failures:
-        return FrameReport(False, failures, pairs)
-    if frame.diag is not None:
+    correspondents.  At most FAILURES_KEPT failures are reported."""
+    n, mode = frame.n, frame.mode
+    walk = action_tables(frame)
+    failures = list(walk.failures)
+    if frame.diag is not None and len(failures) < FAILURES_KEPT:
         for i in range(n):
             for j in range(n):
                 dij = frame.diag_mask(i, j)
@@ -161,8 +198,8 @@ def frame_check(frame, max_failures=10):
                     pre = frame.preimage(g, frame.diag_mask(i, j))
                     if pre != frame.diag_mask(gt(i), gt(j)):
                         failures.append(("diag-subst", g.token(), i, j))
-        failures = failures[:max_failures]
-    return FrameReport(not failures, failures, pairs)
+        failures = failures[:FAILURES_KEPT]
+    return FrameReport(not failures, failures, walk.edges)
 
 
 def point_frame(n, k, mode="full"):
@@ -207,34 +244,6 @@ def atom_frame(algebra):
                         mask |= 1 << w
                 diag[(i, j)] = mask
     return Frame(algebra.n, algebra.mode, len(ats), action, diag), ats
-
-
-@dataclass
-class Equivariant:
-    """A world map between frames of the same signature."""
-
-    source: Frame
-    target: Frame
-    mapping: tuple
-
-
-def check_equivariant(em):
-    """Failures of act-compatibility (and diagonal preservation, both ways)."""
-    failures = []
-    src, tgt, f = em.source, em.target, em.mapping
-    for g in generators(src.n, src.mode):
-        ts, tt = src.act(g), tgt.act(g)
-        for w in range(src.num_worlds):
-            if f[ts[w]] != tt[f[w]]:
-                failures.append(("action", g.token(), w))
-    if src.diag is not None and tgt.diag is not None:
-        for i in range(src.n):
-            for j in range(i + 1, src.n):
-                ds, dt = src.diag_mask(i, j), tgt.diag_mask(i, j)
-                for w in range(src.num_worlds):
-                    if bool(ds >> w & 1) != bool(dt >> f[w] & 1):
-                        failures.append(("diag", i, j, w))
-    return failures
 
 
 def disjoint_union(frames):

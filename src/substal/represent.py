@@ -4,21 +4,24 @@ Every ultrafilter of a finite algebra is principal, so representations are
 driven by atoms: at an atom u, the map h(z) = {tau : s_tau(z) in F_u} lands
 in the set algebra over the monoid's own points, and the per-atom maps
 combine into an injective complete representation on stacked copies of
-that square unit.
+that square unit; in a diagonal signature the block at u is the quotient
+into the full-diagonal square ⁿm_u (diag_represent).
 
-The engine acts on set algebras (setalg.ComplexAlgebra, over a frame or
-the square) only.  There the atom of a world w lies below s_tau(z) exactly
-when w·tau lies in z, so every map here is a bit gather read off the orbit
-of w, its images under every tau along the breadth-first tree of
-monoid.cayley_graph (setalg.orbit), and `hom_report` certifies it once,
-exactly, from the images of the atoms alone.  Any other handle reaches the
-engine through `canonical_extension`, Cm of its atom frame, whose
-isomorphism is itself a gather: an element contains an atom exactly when
-it contains the atom's lowest bit (Jónsson and Tarski: every finite
-algebra is isomorphic to Cm of its atom frame).
+The engine acts on set algebras (setalg.ComplexAlgebra) only.  There the
+atom of a world w lies below s_tau(z) exactly when w·tau lies in z, so
+every map here is a bit gather read off the orbit of w, from the one
+Cayley walk that the space keeps per unit (frames.action_tables, which
+frame-check and quasi read too).  `edge_report` certifies each gather
+exactly on the edges of its target's action: by Jónsson-Tarski duality a
+complete homomorphism between complex algebras is the inverse image of a
+bounded morphism, here an equivariant map that keeps the diagonals.  Any
+other handle reaches the engine through `canonical_extension`, Cm of its
+atom frame, whose isomorphism is itself a gather certified by
+`hom_report` from the atom images.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 from .monoid import (
     NotGenerated,
@@ -27,11 +30,12 @@ from .monoid import (
     generators,
     has_diagonals,
     identity,
+    monoid_size,
 )
 from .setalg import (ComplexAlgebra, ConcreteAlgebra, algebra_to_json,
-                     gather_map, lowest_bit, mask_points, orbit,
+                     gather_map, lowest_bit, mask_points, point_coords,
                      point_index, points_mask, small_algebra)
-from .frames import atom_frame
+from .frames import COHERENCE_BUDGET, action_tables, atom_frame
 from .terms import bijective_stabilizer, check_submonoid
 from .gallery import alternating_coloring
 
@@ -44,7 +48,10 @@ def atom_below(algebra, a):
 
 
 def hom_report(source, target, h, gather=None):
-    """Certify h: source -> target as a homomorphism of the full signature.
+    """Certify h: source -> target as a homomorphism of the full signature,
+    for a source that may be any algebra handle (canonical_extension,
+    frames.superamalgam, setalg.relativization_hom).  A gather between
+    set algebras is certified on the action's edges by `edge_report`.
 
     The certificate is exact and reads only the atom images.  A map that
     preserves finite joins is fixed by its values on the atoms, and
@@ -125,79 +132,171 @@ def atom_cover_report(target, images):
             "cover_disjoint": disjoint}
 
 
+def edge_report(source, target, src_bits, dst_bits):
+    """Certify the gather z ↦ {d : s ∈ z} of paired bits between two set
+    algebras as a homomorphism, on the edges of the target's action.
+
+    The gather is h(z) = {p : f(p) ∈ z} for the world map f that pairs
+    each target point with a source world (only worlds of the source unit
+    lie in an element).  It is a homomorphism exactly when f is a
+    function on the whole target unit (the atom images partition it:
+    atom_cover), f(p·g) = f(p)·g for every target point p and generator g
+    (then h(S_g z) = {p : f(p·g) ∈ z} = S_g h(z)), and, in a diagonal
+    signature, p ∈ d(i,j) ⇔ f(p) ∈ d(i,j).  It is injective exactly when
+    f is onto the source unit, so that no atom image is zero.
+    """
+    f, failures = {}, []
+    for s, d in zip(src_bits, dst_bits):
+        if source.unit >> s & 1 and f.setdefault(d, s) != s:
+            failures.append(("overlap", d))
+    if points_mask(f) != target.unit:
+        failures.append(("cover",))
+    cover = not failures
+    # a point outside the target unit has failed the cover already
+    points = [p for p in f if target.unit >> p & 1]
+    worlds = list(map(f.get, points))
+    for g in cayley_graph(source.n, source.mode).gens:    # a cached tuple
+        tact, sact = target.space.act(g), source.space.act(g)
+        moved = [f.get(tact[p]) for p in points]
+        if moved != [sact[w] for w in worlds]:
+            failures.append(("action", g.token(), next(
+                p for p, w, v in zip(points, worlds, moved) if sact[w] != v)))
+    if has_diagonals(source.mode):
+        for i in range(source.n):
+            for j in range(i + 1, source.n):
+                ds, dt = source.diag(i, j), target.diag(i, j)
+                if any(dt >> p & 1 != ds >> w & 1
+                       for p, w in zip(points, worlds)):
+                    failures.append(("diag", i, j))
+    missed = set(source.unit_points).difference(f.values())
+    report = {"method": "edge-certificate", "atom_cover": cover,
+              "homomorphism": not failures,
+              "injective": not failures and not missed}
+    if missed:
+        failures.append(("atom-image-zero", min(missed)))
+    report["failures"] = failures[:10]
+    return report
+
+
 @dataclass
 class RepMap:
     """A map z ↦ {dst : src ∈ z} given by its gather (src_bits, dst_bits),
-    with its certificate."""
+    with its certificate (`edge_report` unless given) and the target of
+    each of its blocks (the target itself when it is over one square)."""
     source: object
     target: object
     gather: tuple                 # (src_bits, dst_bits)
-    report: dict = field(default_factory=dict)
+    report: dict = None
+    blocks: list = None
 
     def __post_init__(self):
         self.image = gather_map(*self.gather)
+        if self.report is None:
+            self.report = edge_report(self.source, self.target, *self.gather)
+        if self.blocks is None:
+            self.blocks = [self.target] if self.target.k is not None else []
 
     def to_json(self):
-        """The report, the target, the points of each source atom and the
-        points of its image.  The atoms determine every other image: a
-        homomorphism sends z to the union of the images of the atoms
-        below z.  A target over c stacked squares is given as c blocks and
-        the algebra file of the first."""
+        """The report (with its failures, if any), the target one block
+        at a time, the points of each source atom and the points of its
+        image.  The atoms determine every other image: a homomorphism
+        sends z to the union of the images of the atoms below z.  Blocks
+        that are all one algebra are given as their number and that
+        algebra's file."""
         data = {"report": {
             k: self.report.get(k)
             for k in ("homomorphism", "injective", "atom_cover")}}
-        square = self.target.space
-        if self.target.k is not None:       # a target over the square
-            first = self.target.unit & (1 << square.k**square.n) - 1
-            data["target"] = {"blocks": square.copies, "block": algebra_to_json(
-                ConcreteAlgebra(square.n, square.k, square.mode, unit=first))}
-        atoms = self.source.atoms()
-        data["atoms"] = [mask_points(x) for x in atoms]
-        data["atom_images"] = [mask_points(self.image(x)) for x in atoms]
+        if self.report.get("failures"):
+            data["report"]["failures"] = self.report["failures"]
+        files = [algebra_to_json(b) for b in self.blocks]
+        if files:
+            data["target"] = {"blocks": len(files)}
+            if all(f == files[0] for f in files):
+                data["target"]["block"] = files[0]
+            else:
+                data["target"]["block_files"] = files
+        images = {}
+        for s, d in zip(*self.gather):
+            images.setdefault(s, set()).add(d)
+        data["atoms"] = [mask_points(x) for x in self.source.atoms()]
+        data["atom_images"] = [
+            sorted({d for p in pts for d in images.get(p, ())})
+            for pts in data["atoms"]]
         return data
 
 
-def _certified(source, target, src_bits, dst_bits):
-    """The gather src_bits → dst_bits as a RepMap, with its hom_report."""
-    rep = RepMap(source, target, (list(src_bits), list(dst_bits)))
-    rep.report = hom_report(source, target, rep.image, gather=rep.gather)
-    return rep
+# Each block of a representation costs about as much as BLOCK_STEPS edges
+# besides its own |M|·|G|, and |atoms|·(|M|·|G| + BLOCK_STEPS) is at most
+# frames.COHERENCE_BUDGET.
+BLOCK_STEPS = 200
+
+
+@lru_cache(maxsize=None)
+def monoid_points(n, mode):
+    """The set algebra over the points of ⁿn that are maps of the mode's
+    monoid, and those points in the order of monoid.cayley_graph: the
+    target of every represent_at block, built once, tables and all."""
+    pts = tuple(point_index(tau, n) for tau in cayley_graph(n, mode).maps)
+    return ConcreteAlgebra(n, n, mode, unit=points_mask(pts)), pts
+
+
+@lru_cache(maxsize=None)
+def quotient_square(n, m):
+    """The full-diagonal set algebra over ⁿm, the target of every
+    diag_represent block with m classes, built once."""
+    return small_algebra(n, m, "full_diagonal")
 
 
 def represent_at(algebra, a):
     """The representation h(z) = {tau : s_tau(z) in F} at the principal
     ultrafilter of an atom below a, into the set algebra over the monoid's
-    own points (the full ⁿn square in full mode)."""
-    atom = atom_below(algebra, a)
-    n, mode = algebra.n, algebra.mode
-    unit_pts = [point_index(tau, n) for tau in cayley_graph(n, mode).maps]
-    target = ConcreteAlgebra(n, n, mode, unit=points_mask(unit_pts))
-    rep = _certified(algebra, target, orbit(algebra.space, lowest_bit(atom)),
-                     unit_pts)
-    id_pt = point_index(identity(n).map, n)
+    own points (the full ⁿn square in full mode): the point of tau goes to
+    w·tau, w the atom's world."""
+    w = lowest_bit(atom_below(algebra, a))
+    orbit = action_tables(algebra.space, algebra.unit).orbits[w]
+    target, pts = monoid_points(algebra.n, algebra.mode)
+    rep = RepMap(algebra, target, (orbit, pts))
+    id_pt = point_index(identity(algebra.n).map, algebra.n)
     rep.report["identity_in_image"] = bool(rep.image(a) >> id_pt & 1)
     return rep
 
 
 def full_representation(algebra):
-    """Product of represent_at over every atom: an injective homomorphism
-    into the set algebra over one copy of the monoid-point square per
-    atom, the gather of every block side by side.  A product of certified
-    homomorphisms into stacked copies is a homomorphism, so the blocks'
-    certificates are the product's."""
+    """Product of one block per atom, represent_at or, in a diagonal
+    signature, diag_represent: an injective homomorphism into stacked
+    copies of one square ⁿK, K the largest base of a block, copy b holding
+    block b's target.  A quotient block over ⁿm sits in its copy as the
+    points whose coordinates are all below m, a closed unit of ⁿK on
+    which the action and the diagonals are those of ⁿm.  A product of
+    certified homomorphisms into stacked copies is a homomorphism, so the
+    blocks' certificates are the product's."""
     if algebra.one == algebra.zero:
         raise ValueError("trivial algebra has no atoms to represent at")
     ats = algebra.atoms()
-    reps = [represent_at(algebra, x) for x in ats]
-    block = reps[0].target
-    span = block.num_points
+    n, mode = algebra.n, algebra.mode
+    work = len(ats) * (monoid_size(n, mode) * len(generators(n, mode))
+                       + BLOCK_STEPS)
+    if work > COHERENCE_BUDGET:
+        raise ValueError("representing %d atoms (about %d steps) exceeds "
+                         "budget %d" % (len(ats), work, COHERENCE_BUDGET))
+    block = diag_represent if has_diagonals(mode) else represent_at
+    reps = [block(algebra, x) for x in ats]
+    base = max(r.target.k for r in reps)
+    span = base**n
     unit = 0
     src, dst = [], []
     for idx, r in enumerate(reps):
-        unit |= block.unit << (idx * span)
+        k, offset = r.target.k, idx * span
+        if k == base:
+            unit |= r.target.unit << offset
+            dst.extend(d + offset for d in r.gather[1])
+        else:
+            place = {p: point_index(point_coords(p, n, k), base) + offset
+                     for p in r.target.unit_points}
+            unit |= points_mask(place.values())
+            dst.extend(map(place.__getitem__, r.gather[1]))
         src.extend(r.gather[0])
-        dst.extend(d + idx * span for d in r.gather[1])
-    target = ConcreteAlgebra(block.n, block.k, block.mode, unit=unit)
+    target = ConcreteAlgebra(n, base, mode, unit=unit)
 
     blocks = [r.report for r in reps]
     report = {
@@ -206,11 +305,14 @@ def full_representation(algebra):
         "identity_in_image": all(b["identity_in_image"] for b in blocks),
         "atom_cover": all(b["atom_cover"] for b in blocks),
         "injective_method": "atom-blocks",
+        "failures": [f for b in blocks if not b["homomorphism"]
+                     for f in b["failures"]][:10],
     }
     # each atom lies in the image of its own block, so no atom image is zero
     report["injective"] = report["homomorphism"] and all(
         r.image(x) != 0 for r, x in zip(reps, ats))
-    return RepMap(algebra, target, (src, dst), report=report)
+    return RepMap(algebra, target, (src, dst), report=report,
+                  blocks=[r.target for r in reps])
 
 
 def complete_representation(algebra):
@@ -265,20 +367,25 @@ def check_psi_witnesses(algebra):
 
 def canonical_extension(algebra):
     """Cm(atom frame) with the natural isomorphism z ↦ {atoms below z},
-    the gather of each atom's lowest bit to its world; for finite algebras
-    this is a (complete) isomorphic copy."""
+    the gather of each atom's lowest bit to its world, certified by
+    hom_report from the atom images, as the source may be any handle; for
+    finite algebras this is a (complete) isomorphic copy."""
     frame, ats = atom_frame(algebra)
     ext = ComplexAlgebra(frame)
-    rep = _certified(algebra, ext, map(lowest_bit, ats), range(len(ats)))
-    rep.report["bijective"] = (rep.report["injective"]
-                               and algebra.size() == ext.size())
-    return ext, rep
+    gather = ([lowest_bit(x) for x in ats], list(range(len(ats))))
+    report = hom_report(algebra, ext, gather_map(*gather), gather=gather)
+    report["bijective"] = report["injective"] and algebra.size() == ext.size()
+    return ext, RepMap(algebra, ext, gather, report)
 
 
 def diag_represent(algebra, a):
     """Quotient representation of a diagonal algebra at an atom: indices i,j
     are merged when d(i,j) lies in the ultrafilter; the target is the full
-    diagonal set algebra over ⁿm for m the number of merged blocks."""
+    diagonal set algebra over ⁿm for m the number of merged blocks.  The
+    point block∘tau of ⁿm goes to w·tau, w the atom's world, which must
+    not depend on the choice of tau.  When the merging is not an
+    equivalence or the quotient is not well defined, the report says so
+    in its failures and the map is no homomorphism."""
     if not has_diagonals(algebra.mode):
         raise ValueError("diag_represent needs full_diagonal mode")
     atom = atom_below(algebra, a)
@@ -296,37 +403,34 @@ def diag_represent(algebra, a):
         else:
             block_of[i] = len(blocks)
             blocks.append([i])
-    for i in range(n):  # ∼ must be an equivalence for the quotient to exist
-        for j in range(n):
-            if (block_of[i] == block_of[j]) != related(i, j):
-                raise ValueError(
-                    "diagonal filter is not an equivalence at (%d,%d)" % (i, j))
+    # ∼ must be an equivalence for the quotient to exist
+    failures = [("equivalence", i, j) for i in range(n) for j in range(n)
+                if (block_of[i] == block_of[j]) != related(i, j)][:1]
     m = len(blocks)
 
-    taus = cayley_graph(n, algebra.mode).maps
-    acts = orbit(algebra.space, lowest_bit(atom))
-    groups = {}
-    for idx, tau in enumerate(taus):
-        bar = point_index(tuple(block_of[v] for v in tau), m)
-        groups.setdefault(bar, []).append(idx)
-
     # well-definedness: all representatives of a quotient point must agree
-    witnesses = []
-    for pt, idxs in groups.items():
-        base = acts[idxs[0]]
-        for idx in idxs[1:]:
-            if acts[idx] != base:
-                witnesses.append((taus[idxs[0]], taus[idx]))
-    if witnesses:
-        raise ValueError("quotient map not well defined; witness %r" % (witnesses[0],))
+    image, clashes = {}, []
+    walk = action_tables(algebra.space, algebra.unit)
+    orbit = walk.orbits[lowest_bit(atom)]
+    for tau, v in zip(cayley_graph(n, algebra.mode).maps, orbit):
+        u, sigma = image.setdefault(
+            point_index([block_of[x] for x in tau], m), (v, tau))
+        if u != v:
+            clashes.append(("well-defined", sigma, tau))
+    failures += clashes[:1]
 
-    target = small_algebra(n, m, "full_diagonal")
-    dst_bits = sorted(groups)
-    rep = _certified(algebra, target, [acts[groups[pt][0]] for pt in dst_bits],
-                     dst_bits)
-    rep.report["well_defined"] = True
-    rep.report["blocks"] = blocks
-    rep.report["diag_onto"] = all(
+    target = quotient_square(n, m)
+    dst_bits = sorted(image)
+    rep = RepMap(algebra, target, ([image[p][0] for p in dst_bits], dst_bits))
+    report = rep.report
+    report["well_defined"] = not clashes
+    if failures:
+        report["failures"] = (failures + report["failures"])[:10]
+        report["homomorphism"] = report["injective"] = False
+    report["blocks"] = blocks
+    report["identity_in_image"] = bool(
+        rep.image(a) >> point_index(block_of, m) & 1)
+    report["diag_onto"] = all(
         rep.image(algebra.diag(i, j)) == target.diag(i, j)
         for i in range(n) for j in range(n)
     )
@@ -382,5 +486,7 @@ def check_quasi(algebra, ctx):
     # a coherent action makes every stabilizer schema hold: pulling a world
     # back along act_xi turns a conclusion witness into a premise witness.
     # The point action of the square is a right action by definition; a
-    # frame's action is certified on the edges of its Cayley graph.
+    # frame's is certified by its Cayley walk (frames.action_tables), which
+    # the frame keeps, so a frame file checked on loading is not walked
+    # again.
     return algebra.space.coherent()

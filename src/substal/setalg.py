@@ -5,8 +5,8 @@ worlds of a *space* that is closed under the space's action, with
 substitution by preimage: S_τ(x) = V ∧ Ŝ_τ(x), Ŝ_τ(x) = {w : w·τ ∈ x}.
 In the duality of Jónsson and Tarski it is Cm of the space restricted to
 V.  A space gives `act(g)`, the world table of a generator g, and
-`preimage(g, x)`, `diag_mask(i, j)` and `coherent()`.  There are two
-kinds:
+`preimage(g, x)`, `diag_mask(i, j)`, `coherent()` and `walks`.  There
+are two kinds:
 
 - a `frames.Frame`, with explicit generator tables;
 - `Square(n, k, mode, copies)`: c stacked copies of ⁿk, world
@@ -47,10 +47,12 @@ kernels right to left along canonical_word(τ), since S_{σ∘τ} = S_σ∘S_τ.
 
 World tables come from the generator tables alone, on either space.  The
 table of τ folds them left to right along canonical_word(τ)
-(`fold_tables`).  The images of one world under every element of the
-monoid are read along the breadth-first tree of monoid.cayley_graph
-(`orbit`), one generator step per element.  On a coherent space the two
-agree.
+(`fold_tables`).  The orbit of a world, its images under every element,
+is read off one walk of the right Cayley graph per unit,
+`frames.action_tables`, which the space keeps in `walks`.  The walk also
+certifies that the fold does not depend on the word: a frame's
+`coherent()` reads it, while the square's point action is a right action
+by definition.
 """
 
 from functools import cached_property
@@ -59,7 +61,6 @@ from .monoid import (
     DIM_LIMIT,
     GenSym,
     canonical_word,
-    cayley_graph,
     enumerate_monoid,
     generators,
     has_diagonals,
@@ -155,6 +156,7 @@ class Square:
         self.mode = normalize_mode(mode)
         self.copies = copies
         self.num_worlds = copies * k**n
+        self.walks = {}       # unit -> its frames.ActionWalk
         self._tables = {}
         self._diag = {}
 
@@ -240,18 +242,6 @@ def fold_tables(space, tau, worlds):
     out = list(worlds)
     for g in word:
         out = list(map(space.act(g).__getitem__, out))
-    return out
-
-
-def orbit(space, w):
-    """w·tau for every element tau of the mode's monoid, in the order of
-    monoid.cayley_graph: one generator table step from the world of
-    tau's parent in the breadth-first tree."""
-    graph = cayley_graph(space.n, space.mode)
-    tables = [space.act(g) for g in graph.gens]
-    out = [w]
-    for t in range(1, len(graph.maps)):
-        out.append(tables[graph.via[t]][out[graph.parent[t]]])
     return out
 
 

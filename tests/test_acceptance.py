@@ -9,7 +9,10 @@ number is a time ceiling on one command.  All randomness is seeded.
 """
 
 import itertools
+import json
 import random
+import subprocess
+import sys
 import time
 
 from substal.cli import run
@@ -274,6 +277,26 @@ def test_c06_representation_engine():
     assert elapsed < 120.0, "budget exceeded: %.1fs" % elapsed
     print("criterion 6: PASS — %d corpus algebras fully represented "
           "(%.1fs)" % (algebras, elapsed))
+
+
+def test_represent_full_square_ceilings(tmp_path):
+    """A cold `represent` (a fresh interpreter) of the whole ⁴4 square
+    algebra is PASS within 3 s.  The whole 5⁵ square is over the
+    representation budget and exits 2 within 1 s."""
+    for (n, k), code, first, ceiling in (((4, 4), 0, "PASS", 3.0),
+                                         ((5, 5), 2, "", 1.0)):
+        path = tmp_path / ("full%d%d.json" % (k, n))
+        path.write_text(json.dumps({"n": n, "k": k, "mode": "full",
+                                    "unit": list(range(k**n))}))
+        t0 = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "substal.cli", "represent", str(path)],
+            capture_output=True, text=True)
+        elapsed = time.monotonic() - t0
+        assert proc.returncode == code, (n, k, proc.stderr)
+        assert proc.stdout.split("\n")[0] == first, (n, k)
+        assert elapsed < ceiling, "%d^%d took %.2fs" % (k, n, elapsed)
+    assert "budget" in proc.stderr
 
 
 def test_c07_psi_check():

@@ -427,6 +427,29 @@ def test_represent_rejects_incoherent_frame(tmp_path, capsys):
     assert "coherence" in err
 
 
+def test_represent_diagonal_files(tmp_path, capsys):
+    """In diagonal mode represent stacks the quotient blocks: the whole ³2
+    square and the ²2 point frame PASS.  A coherent frame whose quotient
+    is not well defined (both worlds on d(0,1), s[0|1] moving world 1 to
+    world 0) gives FAIL with the reason under --json."""
+    for name, data in (("square.json", algebra_to_json(
+            small_algebra(3, 2, "full_diagonal"))), ("frame.json",
+            frame_to_json(point_frame(2, 2, "full_diagonal")))):
+        assert run(["represent", _write(tmp_path, name, data)]) == 0
+        assert _lines(capsys)[0] == ["PASS"]
+
+    swap, r01, r10 = generators(2, "full_diagonal")
+    frame = Frame(2, "full_diagonal", 2, {swap: (0, 1), r01: (0, 0),
+                                          r10: (0, 0)}, {(0, 1): 0b11})
+    path = _write(tmp_path, "ill.json", frame_to_json(frame))
+    assert run(["represent", "--json", path]) == 1
+    out, _ = _lines(capsys)
+    assert out[0] == "FAIL"
+    report = json.loads("\n".join(out[1:]))["report"]
+    assert report["homomorphism"] is False
+    assert report["failures"][0] == ["well-defined", [0, 1], [1, 1]]
+
+
 def test_represent_rejects_unknown_format(tmp_path, capsys):
     path = _write(tmp_path, "odd.json", {"foo": 1})
     assert run(["represent", path]) == 2

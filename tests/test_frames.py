@@ -7,10 +7,9 @@ import pytest
 
 from substal.frames import (
     ComplexAlgebra,
-    Equivariant,
     Frame,
+    action_tables,
     atom_frame,
-    check_equivariant,
     disjoint_union,
     frame_check,
     frame_from_json,
@@ -20,8 +19,9 @@ from substal.frames import (
     random_coherent_frame,
     superamalgam,
 )
+from substal.represent import edge_report
 from substal.setalg import (Subalgebra, fold_tables, generate_subalgebra,
-                            orbit, small_algebra)
+                            small_algebra)
 from substal.monoid import (MODES, Transformation, cayley_graph, generators,
                             repl, swap)
 from substal.terms import equation_holds_exhaustive, sigma_axioms, word_pair
@@ -203,21 +203,35 @@ def test_atom_frame_of_two_element_algebra():
     assert ComplexAlgebra(dual).size() == 2
 
 
+def _equivariant(domain, codomain, mapping):
+    """The edge certificate of the world map domain → codomain: the
+    inverse image Cm(codomain) → Cm(domain) is a homomorphism exactly when
+    the map is equivariant and keeps the diagonals."""
+    return edge_report(ComplexAlgebra(codomain), ComplexAlgebra(domain),
+                       mapping, range(domain.num_worlds))
+
+
 def test_equivariant_maps():
     frame = point_frame(2, 2, "full")
-    ident = Equivariant(frame, frame, tuple(range(4)))
-    assert check_equivariant(ident) == []
-    collapse = Equivariant(frame, point_frame(2, 1, "full"), (0, 0, 0, 0))
-    assert check_equivariant(collapse) == []
-    bad = Equivariant(frame, frame, (1, 0, 2, 3))
-    assert check_equivariant(bad) != []
+    ident = _equivariant(frame, frame, tuple(range(4)))
+    assert ident["homomorphism"] and ident["injective"]
+    collapse = _equivariant(frame, point_frame(2, 1, "full"), (0, 0, 0, 0))
+    assert collapse["homomorphism"] and collapse["injective"]
+    bad = _equivariant(frame, frame, (1, 0, 2, 3))
+    assert not bad["homomorphism"]
+    assert bad["failures"][0][0] == "action"
+    diagonal = point_frame(2, 2, "full_diagonal")
+    assert _equivariant(diagonal, diagonal, range(4))["homomorphism"]
+    assert not _equivariant(diagonal, point_frame(2, 1, "full_diagonal"),
+                            (0, 0, 0, 0))["homomorphism"]
 
 
 def test_equivariant_preimage_commutes_with_subst():
     base = point_frame(2, 2, "full")
     union, offsets = disjoint_union([base, base])
     label = tuple(w % base.num_worlds for w in range(union.num_worlds))
-    assert check_equivariant(Equivariant(union, base, label)) == []
+    report = _equivariant(union, base, label)
+    assert report["homomorphism"] and report["failures"] == []
 
     big, small = ComplexAlgebra(union), ComplexAlgebra(base)
 
@@ -333,7 +347,9 @@ def test_orbits_along_the_tree_match_the_word_fold():
     for frame, k in frames:
         n, m = frame.n, frame.num_worlds
         graph = cayley_graph(n, frame.mode)
-        orbits = [orbit(frame, w) for w in range(m)]
+        walk = action_tables(frame)
+        assert walk.failures == []
+        orbits = [walk.orbits[w] for w in range(m)]
         for t, (tau, word) in enumerate(zip(graph.maps, graph.words)):
             folded = fold_tables(frame, Transformation(tau), range(m))
             assert [orbits[w][t] for w in range(m)] == folded, (frame, tau)

@@ -4,9 +4,10 @@ exits 0, 1 or 2, raises nothing and answers within a deadline.
 The argv are drawn over the command table: a command name (or a stray
 word), then options and values, bad ones included, and formula token
 soup.  The input file is random JSON, a valid frame or algebra file with
-one field replaced, or a text nested too deeply to parse.  Algebra and
-frame files stay at sizes where a represent call takes well under a
-second; larger valid inputs are the representation budget's concern.
+one field replaced, or a text nested too deeply to parse.  The valid
+files reach the 81 points of the whole ⁴3 square and the 27 worlds of
+the ³3 point frame, where a represent call takes about a tenth of a
+second; inputs past the representation budget exit 2 at once.
 """
 
 import io
@@ -111,10 +112,11 @@ JSON = st.recursive(
 
 def _valid_files():
     frames = [point_frame(2, 2, "full"), point_frame(2, 2, "full_diagonal"),
-              point_frame(3, 2, "transpositions"),
+              point_frame(3, 2, "transpositions"), point_frame(3, 3, "full"),
               random_coherent_frame(2, "replacements", max_worlds=4,
                                     rng=random.Random(3))]
     algebras = [small_algebra(2, 3), small_algebra(3, 2, "diag"),
+                small_algebra(4, 3),
                 make_relativized(2, 2, [1, 2], "transpositions")]
     return ([frame_to_json(f) for f in frames]
             + [algebra_to_json(a) for a in algebras])

@@ -1,19 +1,30 @@
 """Ultrafilter representations, quotients, and quasi-equation checks."""
 
+import io
+import json
+import os
 import random
+import tempfile
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from substal.frames import ComplexAlgebra, point_frame, random_coherent_frame
-from substal.monoid import Transformation, enumerate_monoid, generators, identity
+from substal import cli
+from substal.frames import (ComplexAlgebra, Frame, frame_to_json, point_frame,
+                            random_coherent_frame)
+from substal.monoid import (MODES, Transformation, cayley_graph,
+                            enumerate_monoid, generators, identity)
 from substal.represent import (SubMonoidCtx, atom_below, canonical_extension,
                                check_complete_additivity, check_psi,
                                check_psi_witnesses, check_quasi,
                                complete_representation, diag_represent,
-                               full_representation, hom_report, represent_at,
-                               special_quasi_witness)
-from substal.setalg import (Subalgebra, generate_subalgebra, make_relativized,
-                            point_index, small_algebra)
+                               edge_report, full_representation, hom_report,
+                               represent_at, special_quasi_witness)
+from substal.setalg import (Subalgebra, algebra_to_json, generate_subalgebra,
+                            make_relativized, point_coords, point_index,
+                            small_algebra)
 
 from oracles import ref_check_quasi, ref_hom_sweep, ref_product_hom
 from test_acceptance import representation_corpus
@@ -275,6 +286,55 @@ def test_diag_represent_needs_diagonals():
         diag_represent(alg, 1)
 
 
+def _ill_defined_quotient_frame():
+    """Two worlds, both on the diagonal d(0,1), where s[0|1] and s[1|0]
+    send world 1 to world 0: a coherent frame whose quotient at world 1
+    is not well defined, as the identity and s[0|1] merge there."""
+    swap, r01, r10 = generators(2, "full_diagonal")
+    return Frame(2, "full_diagonal", 2,
+                 {swap: (0, 1), r01: (0, 0), r10: (0, 0)}, {(0, 1): 0b11})
+
+
+def test_diag_represent_reports_a_quotient_that_is_not_well_defined():
+    alg = ComplexAlgebra(_ill_defined_quotient_frame())
+    rep = diag_represent(alg, 0b10)
+    assert not rep.report["well_defined"]
+    assert not rep.report["homomorphism"]
+    assert rep.report["failures"][0] == ("well-defined", (0, 1), (1, 1))
+    full = full_representation(alg)
+    assert not full.report["homomorphism"]
+    assert full.report["failures"][0][0] == "well-defined"
+
+
+def test_diag_represent_reports_a_filter_that_is_not_an_equivalence():
+    """d(0,1) and d(1,2) hold at the one world but d(0,2) does not, so the
+    merging is not transitive."""
+    gens = generators(3, "full_diagonal")
+    frame = Frame(3, "full_diagonal", 1, {g: (0,) for g in gens},
+                  {(0, 1): 1, (1, 2): 1, (0, 2): 0})
+    rep = diag_represent(ComplexAlgebra(frame), 1)
+    assert not rep.report["homomorphism"]
+    assert rep.report["failures"][0][0] == "equivalence"
+
+
+def test_full_representation_of_a_diagonal_algebra_stacks_quotients():
+    """In a diagonal signature the block at world w is the quotient into
+    the full-diagonal square over as many points as w has distinct
+    coordinates; the stacked product is itself certified by the atom
+    certificate."""
+    alg = small_algebra(3, 2, "full_diagonal")
+    rep = complete_representation(alg)
+    assert rep.report["homomorphism"] and rep.report["injective"]
+    assert rep.report["complete"] and rep.report["identity_in_image"]
+    bases = [len(set(point_coords(p, 3, 2))) for p in range(8)]
+    assert [block.k for block in rep.blocks] == bases
+    data = rep.to_json()
+    assert data["target"]["blocks"] == 8
+    assert [f["k"] for f in data["target"]["block_files"]] == bases
+    direct = hom_report(alg, rep.target, rep.image, gather=rep.gather)
+    assert direct["homomorphism"] and direct["injective"]
+
+
 # ------------------------------------------------------------ quasi-equations
 
 def test_sub_monoid_ctx_validation():
@@ -412,7 +472,9 @@ def _seeded_subalgebras(rng, count):
 
 def _certificate_cases(rng):
     """(source, target, map, gather) for represent_at and diag_represent
-    at every atom of small point-frame and random-frame sources, and for
+    at every atom of small point-frame and random-frame sources (in
+    diagonal mode represent_at's blocks are equivariant but move the
+    diagonals, so they are no homomorphisms), and for
     the canonical extensions of seeded subalgebras, each gather also
     mutated."""
     sources = [ComplexAlgebra(point_frame(2, 2, mode))
@@ -423,7 +485,8 @@ def _certificate_cases(rng):
     reps = [represent_at(source, x) for source in sources
             for x in source.atoms()]
     diagonal = ComplexAlgebra(point_frame(2, 2, "full_diagonal"))
-    reps += [diag_represent(diagonal, x) for x in diagonal.atoms()]
+    reps += [block(diagonal, x) for x in diagonal.atoms()
+             for block in (diag_represent, represent_at)]
     reps += [canonical_extension(sub)[1]
              for sub in _seeded_subalgebras(rng, 8)]
     for rep in reps:
@@ -483,3 +546,68 @@ def test_block_certificates_decide_the_product():
             assert ref_product_hom(alg, mutated) == (certified and block_ok)
             verdicts.add(certified and block_ok)
     assert verdicts == {True, False}
+
+
+def test_edge_certificate_agrees_with_the_atom_certificate_and_sweep():
+    """On every orbit gather of _certificate_cases, represent_at and
+    diag_represent at every atom of point frames and random frames, and on
+    every mutation of it, the edge certificate gives the verdict of
+    hom_report and of the exhaustive sweep: correct maps pass, and each
+    mutation that breaks the map fails all three."""
+    rng = random.Random(2024)
+    verdicts = set()
+    for source, target, h, (src, dst) in _certificate_cases(rng):
+        if not isinstance(source, ComplexAlgebra):
+            continue                # canonical extensions of subalgebras
+        edge = edge_report(source, target, src, dst)
+        atom = hom_report(source, target, h, gather=(src, dst))
+        hom, distinct = ref_hom_sweep(source, target, h,
+                                      generators(source.n, source.mode))
+        verdict = (hom, hom and distinct)
+        assert (edge["homomorphism"], edge["injective"]) == verdict, source
+        assert (atom["homomorphism"], atom["injective"]) == verdict, source
+        assert edge["atom_cover"] == atom["atom_cover"], source
+        verdicts.add(verdict)
+    assert verdicts == {(True, True), (True, False), (False, False)}
+
+
+def test_edge_certificate_rejects_a_target_point_outside_the_unit():
+    alg = small_algebra(2, 2)
+    report = edge_report(alg, alg, [0, 1, 2, 3], [0, 1, 2, 9])
+    assert not report["homomorphism"] and not report["atom_cover"]
+    assert ("cover",) in report["failures"]
+
+
+@st.composite
+def closed_unit_files(draw):
+    """An algebra file whose unit is the orbit closure of one to three
+    seeded points of ⁿk, n ≤ 4 and k ≤ 3, in any mode."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 3))
+    mode = draw(st.sampled_from(MODES))
+    seeds = draw(st.lists(st.lists(st.integers(0, k - 1), min_size=n,
+                                   max_size=n), min_size=1, max_size=3))
+    unit = {point_index([q[i] for i in tau], k)
+            for q in seeds for tau in cayley_graph(n, mode).maps}
+    return {"n": n, "k": k, "mode": mode, "unit": sorted(unit)}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@example(algebra_to_json(small_algebra(3, 2, "full_diagonal")))
+@example(frame_to_json(point_frame(2, 2, "full_diagonal")))
+@given(closed_unit_files())
+def test_represent_passes_every_closed_unit_in_every_mode(data):
+    """A unit closed under the action gives a set algebra, which is
+    representable: represent must PASS it, in every mode.  The examples
+    are the whole ³2 square and the ²2 point frame in diagonal mode."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.run(["represent", "--json", path])
+    verdict, payload = out.getvalue().split("\n", 1)
+    assert (code, verdict) == (0, "PASS"), (data, payload)
+    assert json.loads(payload)["report"] == {
+        "homomorphism": True, "injective": True, "atom_cover": True}
