@@ -16,6 +16,7 @@ generator tables written out.
 """
 
 import random
+from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -97,11 +98,24 @@ COHERENCE_BUDGET = 2 * 10**6
 FAILURES_KEPT = 10
 
 
-# The orbit of each world of the unit (w·tau for every element tau, in the
-# order of monoid.cayley_graph), the first FAILURES_KEPT coherence
-# failures in the walk's edge order, and the edges walked up to the last
-# of them, or all edges.
-ActionWalk = namedtuple("ActionWalk", "orbits failures edges")
+def walk_steps(n, mode, worlds):
+    """The steps of the action walk over a unit of `worlds` worlds."""
+    return monoid_size(n, mode) * len(generators(n, mode)) * max(worlds, 1)
+
+
+class ActionWalk(namedtuple("ActionWalk",
+                             "worlds tables number failures edges")):
+    """The unit's worlds in order, each distinct world table over them,
+    the number of every element's table (in the order of
+    monoid.cayley_graph), the first FAILURES_KEPT coherence failures in
+    the walk's edge order, and the edges walked up to the last of them,
+    or all edges."""
+
+    def orbit(self, w):
+        """w·tau for every element tau, w a world of the unit."""
+        i = bisect_left(self.worlds, w)
+        column = [tab[i] for tab in self.tables]
+        return list(map(column.__getitem__, self.number))
 
 
 def action_tables(space, unit=None):
@@ -114,10 +128,13 @@ def action_tables(space, unit=None):
     every edge tau -> tau∘g must give tau's table followed by g's.  Each
     distinct table is interned, so the step "table · g" is built once per
     distinct table and generator, and every other edge is a comparison of
-    table numbers.  When no edge disagrees, act(sigma∘tau) = act(sigma)
-    followed by act(tau) for every pair, by induction on the length of
-    tau's word, and the orbit of every world is read off the tables.  Work
-    is |monoid| * |generators| * |unit|, at most COHERENCE_BUDGET."""
+    table numbers: on a frame where many elements act alike this skips
+    most steps, and on a faithful action (a square ⁿk, k ≥ 2) every table
+    is distinct and each step is built once, as without interning.  When
+    no edge disagrees, act(sigma∘tau) = act(sigma) followed by act(tau)
+    for every pair, by induction on the length of tau's word, and the
+    orbit of every world is read off the tables.  Work is `walk_steps`;
+    callers bound it."""
     if unit is None:
         unit = (1 << space.num_worlds) - 1
     walk = space.walks.get(unit)
@@ -128,13 +145,7 @@ def action_tables(space, unit=None):
 
 def _walk(space, unit):
     worlds = tuple(mask_points(unit))
-    n, mode = space.n, space.mode
-    work = (monoid_size(n, mode) * len(generators(n, mode))
-            * max(len(worlds), 1))
-    if work > COHERENCE_BUDGET:
-        raise ValueError("the action walk (%d steps) exceeds budget %d"
-                         % (work, COHERENCE_BUDGET))
-    graph = cayley_graph(n, mode)
+    graph = cayley_graph(space.n, space.mode)
     steps = [(g.token(), space.act(g), row)
              for g, row in zip(graph.gens, graph.edges)]
     tables, index, after = [worlds], {worlds: 0}, [[None] * len(steps)]
@@ -160,9 +171,7 @@ def _walk(space, unit):
                 failures.append(("coherence", graph.maps[t], token, worlds[i]))
                 if len(failures) == FAILURES_KEPT:
                     edges = t * len(steps) + g + 1
-    orbits = {w: tuple(map(column.__getitem__, number))
-              for w, column in zip(worlds, zip(*tables))}
-    return ActionWalk(orbits, failures, edges)
+    return ActionWalk(worlds, tables, number, failures, edges)
 
 
 @dataclass
@@ -179,8 +188,13 @@ def frame_check(frame):
     """Semantic coherence: the generated action must be a genuine right
     action, certified once per edge of the right Cayley graph
     (`action_tables`); diagonal markings must satisfy their
-    correspondents.  At most FAILURES_KEPT failures are reported."""
+    correspondents.  At most FAILURES_KEPT failures are reported, and the
+    walk is at most COHERENCE_BUDGET steps."""
     n, mode = frame.n, frame.mode
+    work = walk_steps(n, mode, frame.num_worlds)
+    if work > COHERENCE_BUDGET:
+        raise ValueError("the action walk (%d steps) exceeds budget %d"
+                         % (work, COHERENCE_BUDGET))
     walk = action_tables(frame)
     failures = list(walk.failures)
     if frame.diag is not None and len(failures) < FAILURES_KEPT:

@@ -30,12 +30,11 @@ from .monoid import (
     generators,
     has_diagonals,
     identity,
-    monoid_size,
 )
 from .setalg import (ComplexAlgebra, ConcreteAlgebra, algebra_to_json,
                      gather_map, lowest_bit, mask_points, point_coords,
                      point_index, points_mask, small_algebra)
-from .frames import COHERENCE_BUDGET, action_tables, atom_frame
+from .frames import action_tables, atom_frame, walk_steps
 from .terms import bijective_stabilizer, check_submonoid
 from .gallery import alternating_coloring
 
@@ -208,13 +207,15 @@ class RepMap:
             for k in ("homomorphism", "injective", "atom_cover")}}
         if self.report.get("failures"):
             data["report"]["failures"] = self.report["failures"]
-        files = [algebra_to_json(b) for b in self.blocks]
+        files = dict.fromkeys(self.blocks)    # the targets are shared
+        for b in files:
+            files[b] = algebra_to_json(b)
         if files:
-            data["target"] = {"blocks": len(files)}
-            if all(f == files[0] for f in files):
-                data["target"]["block"] = files[0]
+            data["target"] = {"blocks": len(self.blocks)}
+            if len(files) == 1:
+                data["target"]["block"] = files[self.blocks[0]]
             else:
-                data["target"]["block_files"] = files
+                data["target"]["block_files"] = [files[b] for b in self.blocks]
         images = {}
         for s, d in zip(*self.gather):
             images.setdefault(s, set()).add(d)
@@ -225,10 +226,13 @@ class RepMap:
         return data
 
 
-# Each block of a representation costs about as much as BLOCK_STEPS edges
-# besides its own |M|·|G|, and |atoms|·(|M|·|G| + BLOCK_STEPS) is at most
-# frames.COHERENCE_BUDGET.
+# A representation walks the unit and certifies one block per atom, each
+# about |M|·|G| steps (frames.walk_steps) plus BLOCK_STEPS; the monoid's
+# graph and the target's generator tables, built once, cost about one more
+# |M|·|G|.  The total is at most REPRESENT_BUDGET: the full ⁵2 square
+# (about 1 s) is within it, while ⁵3, 5⁵ and any n = 6 file are not.
 BLOCK_STEPS = 200
+REPRESENT_BUDGET = 35 * 10**5
 
 
 @lru_cache(maxsize=None)
@@ -253,7 +257,7 @@ def represent_at(algebra, a):
     own points (the full ⁿn square in full mode): the point of tau goes to
     w·tau, w the atom's world."""
     w = lowest_bit(atom_below(algebra, a))
-    orbit = action_tables(algebra.space, algebra.unit).orbits[w]
+    orbit = action_tables(algebra.space, algebra.unit).orbit(w)
     target, pts = monoid_points(algebra.n, algebra.mode)
     rep = RepMap(algebra, target, (orbit, pts))
     id_pt = point_index(identity(algebra.n).map, algebra.n)
@@ -274,11 +278,10 @@ def full_representation(algebra):
         raise ValueError("trivial algebra has no atoms to represent at")
     ats = algebra.atoms()
     n, mode = algebra.n, algebra.mode
-    work = len(ats) * (monoid_size(n, mode) * len(generators(n, mode))
-                       + BLOCK_STEPS)
-    if work > COHERENCE_BUDGET:
+    work = walk_steps(n, mode, len(ats) + 1) + BLOCK_STEPS * len(ats)
+    if work > REPRESENT_BUDGET:
         raise ValueError("representing %d atoms (about %d steps) exceeds "
-                         "budget %d" % (len(ats), work, COHERENCE_BUDGET))
+                         "budget %d" % (len(ats), work, REPRESENT_BUDGET))
     block = diag_represent if has_diagonals(mode) else represent_at
     reps = [block(algebra, x) for x in ats]
     base = max(r.target.k for r in reps)
@@ -411,7 +414,7 @@ def diag_represent(algebra, a):
     # well-definedness: all representatives of a quotient point must agree
     image, clashes = {}, []
     walk = action_tables(algebra.space, algebra.unit)
-    orbit = walk.orbits[lowest_bit(atom)]
+    orbit = walk.orbit(lowest_bit(atom))
     for tau, v in zip(cayley_graph(n, algebra.mode).maps, orbit):
         u, sigma = image.setdefault(
             point_index([block_of[x] for x in tau], m), (v, tau))

@@ -280,10 +280,11 @@ def test_c06_representation_engine():
 
 
 def test_represent_full_square_ceilings(tmp_path):
-    """A cold `represent` (a fresh interpreter) of the whole ⁴4 square
-    algebra is PASS within 3 s.  The whole 5⁵ square is over the
-    representation budget and exits 2 within 1 s."""
+    """A cold `represent` (a fresh interpreter) of the whole ⁴4 and ⁵2
+    square algebras is PASS within 3 s each.  The whole 5⁵ square is over
+    the representation budget and exits 2 within 1 s."""
     for (n, k), code, first, ceiling in (((4, 4), 0, "PASS", 3.0),
+                                         ((5, 2), 0, "PASS", 3.0),
                                          ((5, 5), 2, "", 1.0)):
         path = tmp_path / ("full%d%d.json" % (k, n))
         path.write_text(json.dumps({"n": n, "k": k, "mode": "full",

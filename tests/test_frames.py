@@ -349,7 +349,7 @@ def test_orbits_along_the_tree_match_the_word_fold():
         graph = cayley_graph(n, frame.mode)
         walk = action_tables(frame)
         assert walk.failures == []
-        orbits = [walk.orbits[w] for w in range(m)]
+        orbits = [walk.orbit(w) for w in range(m)]
         for t, (tau, word) in enumerate(zip(graph.maps, graph.words)):
             folded = fold_tables(frame, Transformation(tau), range(m))
             assert [orbits[w][t] for w in range(m)] == folded, (frame, tau)
