@@ -4,12 +4,18 @@ Verdict-first output protocol: the first stdout line is the verdict
 (SAT/UNSAT, VALID/INVALID, EQUIVALENT/DISTINCT, PASS/FAIL); structured
 detail follows as JSON when requested.  Exit codes: 0 for the affirmative
 verdict, 1 for the negative one, 2 for usage or input errors.
+
+Each command's arguments are one table, ``Command.arguments``.  A
+well-formed call is read straight from that table; argparse is imported
+and built only for what the table reader leaves to it: help, errors and
+the rarer spellings (``--flag=value``, abbreviations, ``--``, values that
+begin with ``-``), so its output there is the one full parser's.
 """
 
-import argparse
 import json
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .monoid import (DIM_LIMIT, enumerate_monoid, normalize_mode, parse_word,
                      word_equiv)
@@ -82,6 +88,8 @@ def _sat(args):
 
 def _valid(args):
     n, mode = args.n, normalize_mode(args.mode)
+    if args.axioms and args.formula is not None:
+        raise ValueError("give a formula or --axioms, not both")
     if args.axioms:
         eqs = sigma_axioms(n, mode)
         verdicts = [equation_valid(eq, n, mode)[0] for eq in eqs]
@@ -209,37 +217,85 @@ COMMANDS = {c.name: c for c in (
 )}
 
 
-def _parser(commands):
-    """The substal parser with a subparser for each of `commands`."""
+def _parser():
+    """The substal parser, with a subparser for every command."""
+    import argparse
     top = argparse.ArgumentParser(
         prog="substal",
         description="decision procedures and representation checks for "
                     "finite substitution algebras",
     )
-    # A partial parser spells out every command in its usage line, so that
-    # its usage text is the full parser's; the full parser derives the same
-    # text from its choices and keeps "command" as the name in its errors.
-    every = len(commands) == len(COMMANDS)
-    sub = top.add_subparsers(
-        dest="command", required=True,
-        metavar=None if every else "{%s}" % ",".join(COMMANDS))
-    for command in commands:
+    sub = top.add_subparsers(dest="command", required=True)
+    for command in COMMANDS.values():
         p = sub.add_parser(command.name, help=command.help)
         for flags, keywords in command.arguments:
             p.add_argument(*flags, **keywords)
     return top
 
 
-def run(argv):
-    # Build only the subparser argv[0] names.  Anything else (no argv, -h,
-    # an option, an unknown word) gets every command, so that help and
-    # the error list them all.
-    command = COMMANDS.get(argv[0]) if argv else None
-    parser = _parser([command] if command else list(COMMANDS.values()))
+def _value(keywords, token):
+    """`token` converted by the table's type and checked against its
+    choices; ValueError where argparse would refuse it or read it as an
+    option."""
+    if token.startswith("-"):
+        raise ValueError(token)
+    value = keywords.get("type", str)(token)
+    if "choices" in keywords and value not in keywords["choices"]:
+        raise ValueError(token)
+    return value
+
+
+def _read(command, argv):
+    """The arguments of a well-formed call of `command` (argv after its
+    name), read from its table with the fields argparse gives them; None
+    for anything else, which argparse then decides: help, any error,
+    ``--flag=value``, abbreviations, ``--``, and values or positionals that
+    begin with ``-``."""
+    args, options, positionals = {"command": command.name}, {}, []
+    for flags, keywords in command.arguments:
+        if not flags[0].startswith("-"):
+            positionals.append((flags[0], keywords))
+            continue
+        dest = keywords.get("dest", flags[0].lstrip("-").replace("-", "_"))
+        options[flags[0]] = dest, keywords
+        flag = keywords.get("action") == "store_true"
+        args[dest] = keywords.get("default", False if flag else None)
+    words = []
+    tokens = iter(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        for token in tokens:
+            if not token.startswith("-"):
+                words.append(token)
+            elif token not in options:
+                return None
+            else:
+                dest, keywords = options[token]
+                if keywords.get("action") == "store_true":
+                    args[dest] = True
+                else:   # a flag at the end has no value: "-" is refused
+                    args[dest] = _value(keywords, next(tokens, "-"))
+        for dest, keywords in positionals:
+            if words:
+                args[dest] = _value(keywords, words.pop(0))
+            elif keywords.get("nargs") == "?":
+                args[dest] = keywords.get("default")
+            else:
+                return None
+    except ValueError:
+        return None
+    return None if words else SimpleNamespace(**args)
+
+
+def run(argv):
+    # A well-formed call is read from the table; anything else is left to
+    # the full parser, built afresh, so help and errors list every command.
+    command = COMMANDS.get(argv[0]) if argv else None
+    args = _read(command, argv[1:]) if command else None
+    if args is None:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
 
     try:
         n = getattr(args, "n", None)

@@ -172,7 +172,9 @@ def product_identities(k, n=2):
     over ⁿk: how replacements, transpositions, and complement act on
     product sets, plus the empty-overlap and diagonal-cover corollaries.
     ValueError when (2^k)^n · n² exceeds RECTANGLE_BUDGET."""
-    if k < 0 or k * n > 16 or 2 ** (k * n) * n * n > RECTANGLE_BUDGET:
+    if k < 0:
+        raise ValueError("base size must be >= 0")
+    if k * n > 16 or 2 ** (k * n) * n * n > RECTANGLE_BUDGET:
         raise ValueError("rectangles over %d^%d exceed budget %d"
                          % (k, n, RECTANGLE_BUDGET))
     algebra = small_algebra(n, k, "full")

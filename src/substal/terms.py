@@ -341,8 +341,9 @@ class Equation:
 
 
 def parse_equation(text, n, mode="full"):
-    if text.count("=") != 1:
-        raise ParseError("an equation needs exactly one '='", text.find("="))
+    if text.count("=") != 1:    # placed at the first '=', or past the end
+        raise ParseError("an equation needs exactly one '='",
+                         text.find("=") if "=" in text else len(text))
     cut = text.index("=")
     parser = _Parser(n, mode)
     return Equation(parser.parse(text, 0, cut), parser.parse(text, cut + 1))

@@ -6,6 +6,9 @@ import subprocess
 import sys
 import time
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from substal import cli
 from substal.cli import run
 from substal.frames import Frame, frame_to_json, point_frame
@@ -72,7 +75,8 @@ def test_equation_errors_give_positions_in_the_whole_text(capsys):
     text, not in its right half."""
     for argv, position in ((["eq", "-n", "2", "p0 = p1 &"], 9),
                            (["eq", "-n", "3", "s[0,1] p0 = s[0,7] p0"], 12),
-                           (["eq", "-n", "2", "p0 & = p1"], 5)):
+                           (["eq", "-n", "2", "p0 & = p1"], 5),
+                           (["eq", "-n", "2", "p0"], 2)):
         assert run(argv) == 2
         out, err = _lines(capsys)
         assert out == []
@@ -149,6 +153,13 @@ def test_valid_needs_formula_or_axioms(capsys):
     _, err = _lines(capsys)
     assert code == 2
     assert "error:" in err
+
+    # both: the formula is not dropped in silence
+    for argv in (["valid", "--axioms", "p0"], ["valid", "p0", "--axioms"]):
+        assert run(argv) == 2
+        out, err = _lines(capsys)
+        assert out == []
+        assert err == "error: give a formula or --axioms, not both\n"
 
 
 def test_eq_command(capsys):
@@ -241,8 +252,16 @@ DROPPED = {
 }
 
 
-def _full_parser():
-    return cli._parser(list(cli.COMMANDS.values()))
+def _full(argv):
+    """vars() of the full parser's namespace for argv."""
+    return vars(cli._parser().parse_args(list(argv)))
+
+
+def _table(argv):
+    """vars() of the table reader's namespace for argv, or None where it
+    leaves the call to argparse."""
+    args = cli._read(cli.COMMANDS[argv[0]], argv[1:])
+    return None if args is None else vars(args)
 
 
 def _outcome(parse, argv, capsys):
@@ -259,9 +278,10 @@ def _outcome(parse, argv, capsys):
 def test_the_table_parsers_agree_on_valid_argv():
     assert set(VALID_ARGV) == set(cli.COMMANDS)
     for name, argv in VALID_ARGV.items():
-        lazy = cli._parser([cli.COMMANDS[name]]).parse_args(argv)
-        assert lazy == _full_parser().parse_args(argv)
-        assert lazy.command == name
+        table = _table(argv)
+        assert table is not None, argv     # read by the table
+        assert table == _full(argv)
+        assert table["command"] == name
 
 
 def test_the_table_parsers_agree_on_help_and_errors(capsys):
@@ -269,15 +289,15 @@ def test_the_table_parsers_agree_on_help_and_errors(capsys):
         cases = [[name, "-h"], argv + ["--mode", "bogus"], argv + ["-n", "x"],
                  argv + ["--no-such-option"], [name], argv[:-1]]
         for case in cases:
-            lazy = _outcome(cli._parser([cli.COMMANDS[name]]).parse_args,
-                            case, capsys)
-            full = _outcome(_full_parser().parse_args, case, capsys)
-            assert lazy == full, case
+            full = _outcome(cli._parser().parse_args, case, capsys)
             if full[0] != "parsed":
+                assert _table(case) is None, case
                 assert full[0] in (0, 2) and (full[1] or full[2])
                 assert _outcome(run, case, capsys)[1:] == full[1:], case
                 assert run(list(case)) == full[0]
                 capsys.readouterr()
+            else:
+                assert _table(case) in (None, _full(case)), case
 
 
 def test_top_level_calls_list_every_command(capsys):
@@ -301,23 +321,69 @@ def test_commands_reject_the_options_they_ignored(capsys):
             assert "unrecognized arguments: " + option in err
 
 
-def test_a_call_builds_only_the_subparser_it_names(monkeypatch, capsys):
+# argv tokens: every command's flags and values, and the spellings the table
+# leaves to argparse
+FLAGS = sorted({flag for c in cli.COMMANDS.values()
+                for flags, _ in c.arguments for flag in flags
+                if flag.startswith("-")})
+VALUES = ["2", "3", "6", "0", "-1", "-2", "-1_0", "", "-", " 4", "\u0663",
+          "x", "p0", "p0 = p0", "s[0|1]", "f.json", "full", "diag", "pinter",
+          "full_diagonal", "not-a-variety", "rectangles", "truncation"]
+ODD = ["--js", "--ax", "--mo", "--json=1", "--mode=full", "-n3", "-k2",
+       "--bound=5", "--", "-h", "--help", "--seed=1", "--stats"]
+
+
+@st.composite
+def table_argvs(draw):
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    tokens = st.one_of(st.sampled_from(FLAGS), st.sampled_from(VALUES),
+                       st.sampled_from(ODD))
+    return [name] + draw(st.lists(tokens, max_size=8))
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@example(["eq", "-n", "3", "s[0,1] s[0,1] p0 = p0"])
+@example(["gallery", "rectangles", "-k", " 4", "-n", "\u0663"])
+@example(["valid", "--axioms", "--json", "-n", "2"])
+@example(["sat", "-n", "-1_0", "p0"])
+@given(table_argvs())
+def test_the_table_reads_what_the_full_parser_reads(argv):
+    table = _table(argv)
+    if table is not None:
+        assert table == _full(argv), argv
+
+
+def test_a_well_formed_call_builds_no_parser(monkeypatch, capsys):
     built = []
-    add_parser = argparse._SubParsersAction.add_parser
+    parser = cli._parser
 
-    def counting(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
+    def counting():
+        built.append(1)
+        return parser()
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    monkeypatch.setattr(cli, "_parser", counting)
     assert run(["valid", "-n", "2", "p0 -> p0"]) == 0
-    assert built == ["valid"]
-    # built afresh for each call, and never at import
-    assert run(["valid", "-n", "2", "p0 -> p0"]) == 0
-    assert built == ["valid", "valid"]
+    assert built == []
+    # an = form is left to the full parser, built afresh for the call
+    assert run(["valid", "--mode=full", "-n", "2", "p0"]) == 1
+    assert built == [1]
+    # no parser is kept between calls, nor built at import
     assert not any(isinstance(v, argparse.ArgumentParser)
                    for v in vars(cli).values())
     capsys.readouterr()
+
+
+def test_a_cold_well_formed_call_imports_no_argparse():
+    code = ("import sys, substal.cli\n"
+            "assert 'argparse' not in sys.modules, 'on import'\n"
+            "argv = ['eq', '-n', '3', 's[0,1] s[0,1] p0 = p0']\n"
+            "code = substal.cli.run(argv)\n"
+            "assert 'argparse' not in sys.modules, 'on run'\n"
+            "sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["VALID"]
 
 
 # ------------------------------------------------------------- file commands
@@ -604,6 +670,13 @@ def test_gallery_sizes_over_budget_exit_quickly(capsys):
         _, err = _lines(capsys)
         assert err.startswith("error:") and "budget" in err, argv
         assert elapsed < 1.0, (argv, elapsed)
+
+
+def test_gallery_rectangles_refuse_a_negative_base_size(capsys):
+    assert run(["gallery", "rectangles", "-k", "-1"]) == 2
+    out, err = _lines(capsys)
+    assert out == []
+    assert err == "error: base size must be >= 0\n"
 
 
 def test_console_entry_point():
