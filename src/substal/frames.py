@@ -10,9 +10,9 @@ S_g(X) = {w : act_g(w) in X}.  A frame holds one table per generator; the
 table of any other element is folded from them (setalg.fold_tables).
 action_tables walks monoid.cayley_graph once per space and unit, on
 either kind of space, and the space keeps the walk: it certifies that
-the fold does not depend on the word (frame_check, Frame.coherent) and
-gives the orbit of every world (represent).  point_frame is the square's
-generator tables written out.
+the fold does not depend on the word (frame_check, Frame.coherent), which
+makes every orbit map of represent equivariant, and gives the orbit of
+every world.  point_frame is the square's generator tables written out.
 """
 
 import random

@@ -9,15 +9,17 @@ into the full-diagonal square ⁿm_u (diag_represent).
 
 The engine acts on set algebras (setalg.ComplexAlgebra) only.  There the
 atom of a world w lies below s_tau(z) exactly when w·tau lies in z, so
-every map here is a bit gather read off the orbit of w, from the one
-Cayley walk that the space keeps per unit (frames.action_tables, which
-frame-check and quasi read too).  `edge_report` certifies each gather
-exactly on the edges of its target's action: by Jónsson-Tarski duality a
-complete homomorphism between complex algebras is the inverse image of a
-bounded morphism, here an equivariant map that keeps the diagonals.  Any
-other handle reaches the engine through `canonical_extension`, Cm of its
-atom frame, whose isomorphism is itself a gather certified by
-`hom_report` from the atom images.
+every block is a bit gather h(z) = {p : f(p) ∈ z} read off the orbit of w,
+from the one Cayley walk that the space keeps per unit
+(frames.action_tables, which frame-check and quasi read too).  By
+Jónsson-Tarski duality such a map is a homomorphism exactly when its world
+map f is equivariant and keeps the diagonals.  A coherent walk makes every
+orbit map equivariant, so the walk certifies all blocks at once, and one
+builder (`_represent`) checks per block only what the walk cannot know
+and writes one report for the whole product.  Any other handle reaches
+the engine through `canonical_extension`, Cm of its atom frame, whose
+isomorphism is itself a gather certified by `hom_report` from the atom
+images.
 """
 
 from dataclasses import dataclass
@@ -29,12 +31,11 @@ from .monoid import (
     cayley_graph,
     generators,
     has_diagonals,
-    identity,
 )
 from .setalg import (ComplexAlgebra, ConcreteAlgebra, algebra_to_json,
                      gather_map, lowest_bit, mask_points, point_coords,
                      point_index, points_mask, small_algebra)
-from .frames import action_tables, atom_frame, walk_steps
+from .frames import FAILURES_KEPT, action_tables, atom_frame, walk_steps
 from .terms import bijective_stabilizer, check_submonoid
 from .gallery import alternating_coloring
 
@@ -49,8 +50,9 @@ def atom_below(algebra, a):
 def hom_report(source, target, h, gather=None):
     """Certify h: source -> target as a homomorphism of the full signature,
     for a source that may be any algebra handle (canonical_extension,
-    frames.superamalgam, setalg.relativization_hom).  A gather between
-    set algebras is certified on the action's edges by `edge_report`.
+    frames.superamalgam, setalg.relativization_hom).  The representations
+    of a set algebra are certified by its Cayley walk instead
+    (`_represent`); this is their reference in the tests.
 
     The certificate is exact and reads only the atom images.  A map that
     preserves finite joins is fixed by its values on the atoms, and
@@ -131,69 +133,19 @@ def atom_cover_report(target, images):
             "cover_disjoint": disjoint}
 
 
-def edge_report(source, target, src_bits, dst_bits):
-    """Certify the gather z ↦ {d : s ∈ z} of paired bits between two set
-    algebras as a homomorphism, on the edges of the target's action.
-
-    The gather is h(z) = {p : f(p) ∈ z} for the world map f that pairs
-    each target point with a source world (only worlds of the source unit
-    lie in an element).  It is a homomorphism exactly when f is a
-    function on the whole target unit (the atom images partition it:
-    atom_cover), f(p·g) = f(p)·g for every target point p and generator g
-    (then h(S_g z) = {p : f(p·g) ∈ z} = S_g h(z)), and, in a diagonal
-    signature, p ∈ d(i,j) ⇔ f(p) ∈ d(i,j).  It is injective exactly when
-    f is onto the source unit, so that no atom image is zero.
-    """
-    f, failures = {}, []
-    for s, d in zip(src_bits, dst_bits):
-        if source.unit >> s & 1 and f.setdefault(d, s) != s:
-            failures.append(("overlap", d))
-    if points_mask(f) != target.unit:
-        failures.append(("cover",))
-    cover = not failures
-    # a point outside the target unit has failed the cover already
-    points = [p for p in f if target.unit >> p & 1]
-    worlds = list(map(f.get, points))
-    for g in cayley_graph(source.n, source.mode).gens:    # a cached tuple
-        tact, sact = target.space.act(g), source.space.act(g)
-        moved = [f.get(tact[p]) for p in points]
-        if moved != [sact[w] for w in worlds]:
-            failures.append(("action", g.token(), next(
-                p for p, w, v in zip(points, worlds, moved) if sact[w] != v)))
-    if has_diagonals(source.mode):
-        for i in range(source.n):
-            for j in range(i + 1, source.n):
-                ds, dt = source.diag(i, j), target.diag(i, j)
-                if any(dt >> p & 1 != ds >> w & 1
-                       for p, w in zip(points, worlds)):
-                    failures.append(("diag", i, j))
-    missed = set(source.unit_points).difference(f.values())
-    report = {"method": "edge-certificate", "atom_cover": cover,
-              "homomorphism": not failures,
-              "injective": not failures and not missed}
-    if missed:
-        failures.append(("atom-image-zero", min(missed)))
-    report["failures"] = failures[:10]
-    return report
-
-
 @dataclass
 class RepMap:
     """A map z ↦ {dst : src ∈ z} given by its gather (src_bits, dst_bits),
-    with its certificate (`edge_report` unless given) and the target of
-    each of its blocks (the target itself when it is over one square)."""
+    with its certificate and, for a representation, the target of each
+    of its blocks."""
     source: object
     target: object
     gather: tuple                 # (src_bits, dst_bits)
-    report: dict = None
-    blocks: list = None
+    report: dict
+    blocks: list = ()
 
     def __post_init__(self):
         self.image = gather_map(*self.gather)
-        if self.report is None:
-            self.report = edge_report(self.source, self.target, *self.gather)
-        if self.blocks is None:
-            self.blocks = [self.target] if self.target.k is not None else []
 
     def to_json(self):
         """The report (with its failures, if any), the target one block
@@ -226,11 +178,13 @@ class RepMap:
         return data
 
 
-# A representation walks the unit and certifies one block per atom, each
-# about |M|·|G| steps (frames.walk_steps) plus BLOCK_STEPS; the monoid's
-# graph and the target's generator tables, built once, cost about one more
-# |M|·|G|.  The total is at most REPRESENT_BUDGET: the full ⁵2 square
-# (about 1 s) is within it, while ⁵3, 5⁵ and any n = 6 file are not.
+# full_representation refuses, before any walk, a unit whose
+# (atoms + 1)·|M|·|G| + BLOCK_STEPS·atoms exceeds REPRESENT_BUDGET.  The
+# walk over the unit is |M|·|G| steps per world (frames.walk_steps) and
+# the monoid's graph about one |M|·|G| more; each block then reads one
+# orbit of |M| worlds, and BLOCK_STEPS stands for a block's fixed cost.
+# The full ⁵2 square (about 0.6 s) is within the budget, while ⁵3, 5⁵ and
+# any n = 6 file are not.
 BLOCK_STEPS = 200
 REPRESENT_BUDGET = 35 * 10**5
 
@@ -239,7 +193,7 @@ REPRESENT_BUDGET = 35 * 10**5
 def monoid_points(n, mode):
     """The set algebra over the points of ⁿn that are maps of the mode's
     monoid, and those points in the order of monoid.cayley_graph: the
-    target of every represent_at block, built once, tables and all."""
+    target of every represent_at block, built once."""
     pts = tuple(point_index(tau, n) for tau in cayley_graph(n, mode).maps)
     return ConcreteAlgebra(n, n, mode, unit=points_mask(pts)), pts
 
@@ -251,89 +205,172 @@ def quotient_square(n, m):
     return small_algebra(n, m, "full_diagonal")
 
 
+def _quotient(n, related):
+    """The classes of a relation on the n indices, each named by its
+    first index, each index's class, and the first pair on which the
+    relation is not the equivalence those classes make, or None."""
+    classes, block_of = [], []
+    for i in range(n):
+        b = next((b for b, members in enumerate(classes)
+                  if related(members[0], i)), len(classes))
+        if b == len(classes):
+            classes.append([])
+        classes[b].append(i)
+        block_of.append(b)
+    split = next(((i, j) for i in range(n) for j in range(n)
+                  if (block_of[i] == block_of[j]) != related(i, j)), None)
+    return classes, block_of, split
+
+
+def _represent(algebra, worlds, quotient):
+    """The product of one block per world of the unit (per atom), block b
+    in copy b of one square ⁿK, K the largest base of a block, as one
+    gather with one report.
+
+    The block at a world w sends a target point to w·tau: the point of
+    tau in the monoid-point square (represent_at), or with `quotient` the
+    point block∘tau of ⁿm, the indices merged where w lies on the
+    diagonal (diag_represent).  A quotient block over ⁿm sits in its copy
+    as the points whose coordinates are all below m, a closed unit of ⁿK
+    on which the action and the diagonals are those of ⁿm.
+
+    The product is h(z) = {p : f(p) ∈ z}, f the blocks' world maps side
+    by side, and it is a homomorphism exactly when f is a function from
+    the target unit into the source unit (the atom images partition the
+    target), f(p·g) = f(p)·g for every target point p and generator g,
+    and p ∈ d(i,j) ⇔ f(p) ∈ d(i,j).  The point of tau moves under g to
+    the point of tau∘g, so the coherence of the unit's one walk,
+    w·(tau∘g) = (w·tau)·g, is the equivariance of every block at once; a
+    space whose walk finds coherence failures raises ValueError.  Each
+    block checks the rest: its orbit stays in the unit ("cover"); a
+    quotient block is an equivalence and is well defined (every tau that
+    gives a point gives it one world); and the diagonals.  A quotient
+    block covers ⁿm without a check: the diagonal monoid holds every map,
+    and q is block∘tau for tau(i) the first index of class q(i).
+    It is injective exactly when the blocks' worlds cover the unit, so
+    that no atom image is zero.
+    """
+    walk = action_tables(algebra.space, algebra.unit)
+    if walk.failures:
+        raise ValueError("the action fails coherence, so this is no "
+                         "substitution algebra: %r" % (walk.failures[:3],))
+    n, mode = algebra.n, algebra.mode
+    maps = cayley_graph(n, mode).maps
+    unit = set(walk.worlds)
+    diagonals = {(i, j): set(mask_points(algebra.diag(i, j)))
+                 for i in range(n) for j in range(i + 1, n)
+                 if has_diagonals(mode)}
+    failures, targets, gathers = [], [], []
+    cover = well_defined = diag_onto = True
+
+    def record(*failure):
+        if len(failures) < FAILURES_KEPT:
+            failures.append(failure)
+
+    for w in worlds:
+        orbit = walk.orbit(w)
+        if quotient:
+            classes, block_of, split = _quotient(n, lambda i, j: (
+                i == j or w in diagonals[min(i, j), max(i, j)]))
+            m = len(classes)
+            if split:
+                record("equivalence", *split)
+            image, clash = {}, None
+            for tau, v in zip(maps, orbit):
+                u, sigma = image.setdefault(
+                    point_index([block_of[x] for x in tau], m), (v, tau))
+                if u != v and clash is None:
+                    clash = ("well-defined", sigma, tau)
+                    record(*clash)
+            well_defined &= clash is None
+            target, dst = quotient_square(n, m), sorted(image)
+            src = [image[p][0] for p in dst]
+        else:
+            target, dst = monoid_points(n, mode)
+            src = orbit
+        if not unit.issuperset(src):
+            cover = False
+            record("cover")
+        for (i, j), on in diagonals.items():
+            dt = target.diag(i, j)
+            if any(dt >> p & 1 != (v in on) for p, v in zip(dst, src)):
+                diag_onto = False
+                record("diag", i, j)
+        targets.append(target)
+        gathers.append((src, dst))
+    homomorphism = not failures
+    missed = unit.difference(*(src for src, _ in gathers))
+    if missed:
+        record("atom-image-zero", min(missed))
+
+    base = max(t.k for t in targets)
+    span, places = base**n, {}
+    unit_points, src, dst = [], [], []
+    for b, (t, (s, d)) in enumerate(zip(targets, gathers)):
+        place = places.get(t)
+        if place is None:
+            place = places[t] = {p: point_index(point_coords(p, n, t.k), base)
+                                 for p in t.unit_points}
+        unit_points += [q + b * span for q in place.values()]
+        dst += [place[p] + b * span for p in d]
+        src += s
+    report = {
+        "method": "cayley-walk",
+        "homomorphism": homomorphism,
+        "injective": homomorphism and not missed,
+        "injective_method": "atom-blocks",
+        "atom_cover": cover,
+        # the walk's first table is the identity's, so every block sends
+        # its identity point to its own world
+        "identity_in_image": True,
+        "failures": failures,
+    }
+    if quotient:
+        report["well_defined"] = well_defined
+        report["diag_onto"] = diag_onto
+    target = ConcreteAlgebra(n, base, mode, unit=points_mask(unit_points))
+    return RepMap(algebra, target, (src, dst), report, targets)
+
+
 def represent_at(algebra, a):
     """The representation h(z) = {tau : s_tau(z) in F} at the principal
     ultrafilter of an atom below a, into the set algebra over the monoid's
     own points (the full ⁿn square in full mode): the point of tau goes to
-    w·tau, w the atom's world."""
-    w = lowest_bit(atom_below(algebra, a))
-    orbit = action_tables(algebra.space, algebra.unit).orbit(w)
-    target, pts = monoid_points(algebra.n, algebra.mode)
-    rep = RepMap(algebra, target, (orbit, pts))
-    id_pt = point_index(identity(algebra.n).map, algebra.n)
-    rep.report["identity_in_image"] = bool(rep.image(a) >> id_pt & 1)
-    return rep
+    w·tau, w the atom's world.  The one-atom case of `_represent`."""
+    return _represent(algebra, [lowest_bit(atom_below(algebra, a))], False)
 
 
 def full_representation(algebra):
     """Product of one block per atom, represent_at or, in a diagonal
     signature, diag_represent: an injective homomorphism into stacked
-    copies of one square ⁿK, K the largest base of a block, copy b holding
-    block b's target.  A quotient block over ⁿm sits in its copy as the
-    points whose coordinates are all below m, a closed unit of ⁿK on
-    which the action and the diagonals are those of ⁿm.  A product of
-    certified homomorphisms into stacked copies is a homomorphism, so the
-    blocks' certificates are the product's."""
+    copies of one square, certified as a whole (`_represent`)."""
     if algebra.one == algebra.zero:
         raise ValueError("trivial algebra has no atoms to represent at")
-    ats = algebra.atoms()
+    worlds = algebra.unit_points        # the worlds of the atoms
     n, mode = algebra.n, algebra.mode
-    work = walk_steps(n, mode, len(ats) + 1) + BLOCK_STEPS * len(ats)
+    work = walk_steps(n, mode, len(worlds) + 1) + BLOCK_STEPS * len(worlds)
     if work > REPRESENT_BUDGET:
         raise ValueError("representing %d atoms (about %d steps) exceeds "
-                         "budget %d" % (len(ats), work, REPRESENT_BUDGET))
-    block = diag_represent if has_diagonals(mode) else represent_at
-    reps = [block(algebra, x) for x in ats]
-    base = max(r.target.k for r in reps)
-    span = base**n
-    unit = 0
-    src, dst = [], []
-    for idx, r in enumerate(reps):
-        k, offset = r.target.k, idx * span
-        if k == base:
-            unit |= r.target.unit << offset
-            dst.extend(d + offset for d in r.gather[1])
-        else:
-            place = {p: point_index(point_coords(p, n, k), base) + offset
-                     for p in r.target.unit_points}
-            unit |= points_mask(place.values())
-            dst.extend(map(place.__getitem__, r.gather[1]))
-        src.extend(r.gather[0])
-    target = ConcreteAlgebra(n, base, mode, unit=unit)
-
-    blocks = [r.report for r in reps]
-    report = {
-        "blocks": blocks,
-        "homomorphism": all(b["homomorphism"] for b in blocks),
-        "identity_in_image": all(b["identity_in_image"] for b in blocks),
-        "atom_cover": all(b["atom_cover"] for b in blocks),
-        "injective_method": "atom-blocks",
-        "failures": [f for b in blocks if not b["homomorphism"]
-                     for f in b["failures"]][:10],
-    }
-    # each atom lies in the image of its own block, so no atom image is zero
-    report["injective"] = report["homomorphism"] and all(
-        r.image(x) != 0 for r, x in zip(reps, ats))
-    return RepMap(algebra, target, (src, dst), report=report,
-                  blocks=[r.target for r in reps])
+                         "budget %d" % (len(worlds), work, REPRESENT_BUDGET))
+    return _represent(algebra, worlds, has_diagonals(mode))
 
 
 def complete_representation(algebra):
     """full_representation plus the completeness facts: atom images
-    partition every copy, and each substitution is completely additive."""
+    partition every copy, and each substitution is completely additive,
+    which holds by construction, for the source is a set algebra whose
+    substitutions are preimages."""
     rep = full_representation(algebra)
     rep.report["complete"] = rep.report["atom_cover"]
-    rep.report["completely_additive"] = check_complete_additivity(algebra)
+    rep.report["completely_additive"] = True
     return rep
 
 
 def check_complete_additivity(algebra):
     """s_g of a join of atoms equals the join of the s_g-images, for every
-    generator and every element.  A set algebra has it by construction,
-    each substitution being a preimage; any other handle is checked on
-    every join of its atoms, which is every element of a finite algebra."""
-    if isinstance(algebra, ComplexAlgebra):
-        return True
+    generator and every element of any algebra handle, checked on every
+    join of its atoms, which is every element of a finite algebra;
+    ValueError above 20 atoms."""
     ats = algebra.atoms()
     if len(ats) > 20:
         raise ValueError("too many elements to check (2^%d)" % len(ats))
@@ -384,59 +421,18 @@ def canonical_extension(algebra):
 def diag_represent(algebra, a):
     """Quotient representation of a diagonal algebra at an atom: indices i,j
     are merged when d(i,j) lies in the ultrafilter; the target is the full
-    diagonal set algebra over ⁿm for m the number of merged blocks.  The
-    point block∘tau of ⁿm goes to w·tau, w the atom's world, which must
-    not depend on the choice of tau.  When the merging is not an
-    equivalence or the quotient is not well defined, the report says so
-    in its failures and the map is no homomorphism."""
+    diagonal set algebra over ⁿm for m the number of merged classes, which
+    the report gives as its "blocks".  The point block∘tau of ⁿm goes to
+    w·tau, w the atom's world, which must not depend on the choice of tau.
+    When the merging is not an equivalence or the quotient is not well
+    defined, the report says so in its failures and the map is no
+    homomorphism.  The one-atom case of `_represent`."""
     if not has_diagonals(algebra.mode):
         raise ValueError("diag_represent needs full_diagonal mode")
-    atom = atom_below(algebra, a)
-    n = algebra.n
-
-    related = lambda i, j: algebra.meet(atom, algebra.diag(i, j)) == atom
-    block_of = [-1] * n
-    blocks = []
-    for i in range(n):
-        for b, members in enumerate(blocks):
-            if related(members[0], i):
-                block_of[i] = b
-                members.append(i)
-                break
-        else:
-            block_of[i] = len(blocks)
-            blocks.append([i])
-    # ∼ must be an equivalence for the quotient to exist
-    failures = [("equivalence", i, j) for i in range(n) for j in range(n)
-                if (block_of[i] == block_of[j]) != related(i, j)][:1]
-    m = len(blocks)
-
-    # well-definedness: all representatives of a quotient point must agree
-    image, clashes = {}, []
-    walk = action_tables(algebra.space, algebra.unit)
-    orbit = walk.orbit(lowest_bit(atom))
-    for tau, v in zip(cayley_graph(n, algebra.mode).maps, orbit):
-        u, sigma = image.setdefault(
-            point_index([block_of[x] for x in tau], m), (v, tau))
-        if u != v:
-            clashes.append(("well-defined", sigma, tau))
-    failures += clashes[:1]
-
-    target = quotient_square(n, m)
-    dst_bits = sorted(image)
-    rep = RepMap(algebra, target, ([image[p][0] for p in dst_bits], dst_bits))
-    report = rep.report
-    report["well_defined"] = not clashes
-    if failures:
-        report["failures"] = (failures + report["failures"])[:10]
-        report["homomorphism"] = report["injective"] = False
-    report["blocks"] = blocks
-    report["identity_in_image"] = bool(
-        rep.image(a) >> point_index(block_of, m) & 1)
-    report["diag_onto"] = all(
-        rep.image(algebra.diag(i, j)) == target.diag(i, j)
-        for i in range(n) for j in range(n)
-    )
+    w = lowest_bit(atom_below(algebra, a))
+    rep = _represent(algebra, [w], True)
+    rep.report["blocks"] = _quotient(
+        algebra.n, lambda i, j: bool(algebra.diag(i, j) >> w & 1))[0]
     return rep
 
 

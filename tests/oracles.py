@@ -335,10 +335,10 @@ def ref_check_quasi(algebra, T):
 
 
 def ref_product_hom(source, blocks):
-    """The direct certificate of a product representation, which
-    represent.full_representation no longer makes: the gathers of the
-    blocks side by side, block b into copy b of one square target,
-    certified as one map by represent.hom_report.  blocks are
+    """The atom certificate of a product representation, which
+    represent.full_representation reads off the Cayley walk instead: the
+    gathers of the blocks side by side, block b into copy b of one square
+    target, certified as one map by represent.hom_report.  blocks are
     (target, src_bits, dst_bits), every target the same square algebra.
     Returns the certificate's homomorphism verdict."""
     from substal.represent import hom_report

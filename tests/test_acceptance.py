@@ -300,6 +300,23 @@ def test_represent_full_square_ceilings(tmp_path):
     assert "budget" in proc.stderr
 
 
+def test_represent_transpositions_square_ceiling(tmp_path):
+    """A cold `represent` of the whole ²100 square in transpositions mode,
+    10⁴ atoms of two-point orbits, is PASS within 3 s: the cost of a
+    block does not grow with the unit."""
+    path = tmp_path / "transpositions100.json"
+    path.write_text(json.dumps({"n": 2, "k": 100, "mode": "transpositions",
+                                "unit": list(range(100**2))}))
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "substal.cli", "represent", str(path)],
+        capture_output=True, text=True)
+    elapsed = time.monotonic() - t0
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == "PASS"
+    assert elapsed < 3.0, "²100 took %.2fs" % elapsed
+
+
 def test_c07_psi_check():
     """On every corpus algebra the substituted atoms of each unary
     operation jointly cover the unit."""

@@ -19,9 +19,9 @@ from substal.frames import (
     random_coherent_frame,
     superamalgam,
 )
-from substal.represent import edge_report
-from substal.setalg import (Subalgebra, fold_tables, generate_subalgebra,
-                            small_algebra)
+from substal.represent import hom_report
+from substal.setalg import (Subalgebra, fold_tables, gather_map,
+                            generate_subalgebra, small_algebra)
 from substal.monoid import (MODES, Transformation, cayley_graph, generators,
                             repl, swap)
 from substal.terms import equation_holds_exhaustive, sigma_axioms, word_pair
@@ -204,11 +204,13 @@ def test_atom_frame_of_two_element_algebra():
 
 
 def _equivariant(domain, codomain, mapping):
-    """The edge certificate of the world map domain → codomain: the
-    inverse image Cm(codomain) → Cm(domain) is a homomorphism exactly when
-    the map is equivariant and keeps the diagonals."""
-    return edge_report(ComplexAlgebra(codomain), ComplexAlgebra(domain),
-                       mapping, range(domain.num_worlds))
+    """The atom certificate of the inverse image Cm(codomain) → Cm(domain)
+    of the world map domain → codomain, the gather of each world's image
+    to the world: a homomorphism exactly when the map is equivariant and
+    keeps the diagonals."""
+    gather = (list(mapping), list(range(domain.num_worlds)))
+    return hom_report(ComplexAlgebra(codomain), ComplexAlgebra(domain),
+                      gather_map(*gather), gather=gather)
 
 
 def test_equivariant_maps():
@@ -219,7 +221,7 @@ def test_equivariant_maps():
     assert collapse["homomorphism"] and collapse["injective"]
     bad = _equivariant(frame, frame, (1, 0, 2, 3))
     assert not bad["homomorphism"]
-    assert bad["failures"][0][0] == "action"
+    assert bad["failures"][0][0] == "subst"
     diagonal = point_frame(2, 2, "full_diagonal")
     assert _equivariant(diagonal, diagonal, range(4))["homomorphism"]
     assert not _equivariant(diagonal, point_frame(2, 1, "full_diagonal"),

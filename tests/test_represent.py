@@ -15,16 +15,17 @@ from substal import cli
 from substal.frames import (ComplexAlgebra, Frame, frame_to_json, point_frame,
                             random_coherent_frame)
 from substal.monoid import (MODES, Transformation, cayley_graph,
-                            enumerate_monoid, generators, identity)
+                            enumerate_monoid, generators, has_diagonals,
+                            identity)
 from substal.represent import (SubMonoidCtx, atom_below, canonical_extension,
                                check_complete_additivity, check_psi,
                                check_psi_witnesses, check_quasi,
                                complete_representation, diag_represent,
-                               edge_report, full_representation, hom_report,
-                               represent_at, special_quasi_witness)
-from substal.setalg import (Subalgebra, algebra_to_json, generate_subalgebra,
-                            make_relativized, point_coords, point_index,
-                            small_algebra)
+                               full_representation, hom_report, represent_at,
+                               special_quasi_witness)
+from substal.setalg import (ConcreteAlgebra, Subalgebra, algebra_to_json,
+                            generate_subalgebra, make_relativized,
+                            point_coords, point_index, small_algebra)
 
 from oracles import ref_check_quasi, ref_hom_sweep, ref_product_hom
 from test_acceptance import representation_corpus
@@ -95,7 +96,7 @@ def test_full_representation_exact():
     assert report["injective_method"] == "atom-blocks"
     assert report["identity_in_image"]
     assert report["atom_cover"]
-    assert len(report["blocks"]) == 4
+    assert len(rep.blocks) == 4
     # four blocks, one per atom, each the monoid's 4 points of ²2
     assert rep.target.one == (1 << 16) - 1
     assert len(rep.target.atoms()) == 16
@@ -470,21 +471,27 @@ def _seeded_subalgebras(rng, count):
         yield Subalgebra(parent, generate_subalgebra(parent, gens))
 
 
-def _certificate_cases(rng):
-    """(source, target, map, gather) for represent_at and diag_represent
-    at every atom of small point-frame and random-frame sources (in
-    diagonal mode represent_at's blocks are equivariant but move the
-    diagonals, so they are no homomorphisms), and for
-    the canonical extensions of seeded subalgebras, each gather also
-    mutated."""
+def _certificate_sources(rng):
+    """Small point-frame and random-frame set algebras, the ²2 diagonal
+    point frame last."""
     sources = [ComplexAlgebra(point_frame(2, 2, mode))
                for mode in ("full", "transpositions", "replacements")]
     sources += [ComplexAlgebra(random_coherent_frame(
         rng.choice([2, 3]), rng.choice(["full", "transpositions"]),
         max_worlds=5, rng=rng)) for _ in range(6)]
+    return sources + [ComplexAlgebra(point_frame(2, 2, "full_diagonal"))]
+
+
+def _certificate_cases(rng):
+    """(source, target, map, gather) for represent_at at every atom of
+    the _certificate_sources and diag_represent at every atom of the
+    diagonal one (in diagonal mode represent_at's blocks are equivariant
+    but move the diagonals, so they are no homomorphisms), and for the
+    canonical extensions of seeded subalgebras, each gather also
+    mutated."""
+    *sources, diagonal = _certificate_sources(rng)
     reps = [represent_at(source, x) for source in sources
             for x in source.atoms()]
-    diagonal = ComplexAlgebra(point_frame(2, 2, "full_diagonal"))
     reps += [block(diagonal, x) for x in diagonal.atoms()
              for block in (diag_represent, represent_at)]
     reps += [canonical_extension(sub)[1]
@@ -518,11 +525,11 @@ def test_hom_certificate_agrees_with_pair_sweep():
 
 def test_block_certificates_decide_the_product():
     """A product of gathers into stacked copies of one square is a
-    homomorphism exactly when every block is one, which is why
-    full_representation certifies only the blocks.  On the corpus and on
-    seeded frames the direct certificate of the stacked product agrees
-    with the conjunction of the block certificates, for the correct blocks
-    and with one block's gather mutated."""
+    homomorphism exactly when every block is one.  On the corpus and on
+    seeded frames full_representation's verdict is the conjunction of the
+    represent_at verdicts, and the direct certificate of the stacked
+    product agrees with the conjunction of the block certificates, for
+    the correct blocks and with one block's gather mutated."""
     rng = random.Random(31)
     algebras = list(representation_corpus())
     algebras += [ComplexAlgebra(random_coherent_frame(
@@ -548,34 +555,63 @@ def test_block_certificates_decide_the_product():
     assert verdicts == {True, False}
 
 
-def test_edge_certificate_agrees_with_the_atom_certificate_and_sweep():
-    """On every orbit gather of _certificate_cases, represent_at and
-    diag_represent at every atom of point frames and random frames, and on
-    every mutation of it, the edge certificate gives the verdict of
-    hom_report and of the exhaustive sweep: correct maps pass, and each
-    mutation that breaks the map fails all three."""
+def _flipped_diagonal_frames(rng):
+    """Diagonal point frames of ⁿk, 2 ≤ n ≤ 3 and k ≤ 3, each with one
+    seeded bit of d(0,1) flipped: coherent actions whose diagonals no
+    longer correspond."""
+    for n in (2, 3):
+        for k in (1, 2, 3):
+            frame = point_frame(n, k, "full_diagonal")
+            diag = dict(frame.diag)
+            diag[(0, 1)] ^= 1 << rng.randrange(frame.num_worlds)
+            yield Frame(n, frame.mode, frame.num_worlds, frame.action, diag)
+
+
+def test_walk_certificate_agrees_with_the_atom_certificate():
+    """Every represent_at and diag_represent block and every
+    full_representation, certified from the unit's Cayley walk, gets the
+    (homomorphism, injective, atom_cover) verdict of hom_report on the
+    same gather: over the _certificate_cases sources, diagonal point
+    frames with a diagonal bit flipped, and a trusted unit that is not
+    closed under the action."""
     rng = random.Random(2024)
+    sources = _certificate_sources(rng)
+    sources += [ComplexAlgebra(f) for f in _flipped_diagonal_frames(rng)]
+    sources.append(ConcreteAlgebra(2, 3, "replacements", unit=0b000010010))
     verdicts = set()
-    for source, target, h, (src, dst) in _certificate_cases(rng):
-        if not isinstance(source, ComplexAlgebra):
-            continue                # canonical extensions of subalgebras
-        edge = edge_report(source, target, src, dst)
-        atom = hom_report(source, target, h, gather=(src, dst))
-        hom, distinct = ref_hom_sweep(source, target, h,
-                                      generators(source.n, source.mode))
-        verdict = (hom, hom and distinct)
-        assert (edge["homomorphism"], edge["injective"]) == verdict, source
-        assert (atom["homomorphism"], atom["injective"]) == verdict, source
-        assert edge["atom_cover"] == atom["atom_cover"], source
-        verdicts.add(verdict)
-    assert verdicts == {(True, True), (True, False), (False, False)}
+    for source in sources:
+        reps = [represent_at(source, x) for x in source.atoms()]
+        if has_diagonals(source.mode):
+            reps += [diag_represent(source, x) for x in source.atoms()]
+        reps.append(full_representation(source))
+        for rep in reps:
+            atom = hom_report(source, rep.target, rep.image, gather=rep.gather)
+            verdict = tuple(rep.report[key] for key in
+                            ("homomorphism", "injective", "atom_cover"))
+            assert verdict == (atom["homomorphism"], atom["injective"],
+                               atom["atom_cover"]), (source, rep.report)
+            verdicts.add(verdict)
+    assert verdicts >= {(True, True, True), (True, False, True),
+                        (False, False, True), (False, False, False)}
 
 
-def test_edge_certificate_rejects_a_target_point_outside_the_unit():
-    alg = small_algebra(2, 2)
-    report = edge_report(alg, alg, [0, 1, 2, 3], [0, 1, 2, 9])
-    assert not report["homomorphism"] and not report["atom_cover"]
-    assert ("cover",) in report["failures"]
+def _broken_involution_frame():
+    """Three worlds on which the transposition acts as a 3-cycle, so
+    s[0,1] s[0,1] is not the identity."""
+    swap, = generators(2, "transpositions")
+    return Frame(2, "transpositions", 3, {swap: (1, 2, 0)})
+
+
+def test_represent_refuses_an_incoherent_action(tmp_path):
+    alg = ComplexAlgebra(_broken_involution_frame())
+    with pytest.raises(ValueError, match="coherence"):
+        represent_at(alg, 1)
+    with pytest.raises(ValueError, match="coherence"):
+        full_representation(alg)
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(frame_to_json(_broken_involution_frame())))
+    with redirect_stdout(io.StringIO()):
+        assert cli.run(["represent", str(path)]) == 2
 
 
 @st.composite
