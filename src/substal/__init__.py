@@ -6,83 +6,45 @@ transformation monoid, or full with diagonal constants.  The package
 decides the attached modal logic, builds and verifies ultrafilter
 representations, checks the finite axiom systems, and reproduces the
 standard finite counterexamples.
+
+The exports are loaded on first use (PEP 562): ``substal.parse`` imports
+``substal.terms``, and ``import substal`` alone imports no submodule.
 """
 
 __version__ = "0.1.0"
 
-from .monoid import (
-    MODES,
-    NotGenerated,
-    Transformation,
-    apply_point,
-    canonical_word,
-    compose,
-    enumerate_monoid,
-    generators,
-    hat,
-    identity,
-    normalize_mode,
-    parse_word,
-    partitions,
-    repl,
-    swap,
-    word_equiv,
-)
-from .terms import (
-    Equation,
-    ParseError,
-    QuasiEquation,
-    equation_holds_exhaustive,
-    eval_term,
-    format_equation,
-    format_term,
-    parse,
-    parse_equation,
-    quasi_axioms,
-    sigma_axioms,
-)
-from .setalg import (
-    ComplexAlgebra,
-    ConcreteAlgebra,
-    NotLocallySquare,
-    Square,
-    Subalgebra,
-    algebra_from_json,
-    algebra_to_json,
-    generate_subalgebra,
-    make_relativized,
-    point_coords,
-    point_index,
-    small_algebra,
-)
-from .frames import (
-    Frame,
-    atom_frame,
-    disjoint_union,
-    frame_check,
-    frame_from_json,
-    frame_to_json,
-    insep_zigzag,
-    point_frame,
-    random_coherent_frame,
-    superamalgam,
-)
-from .logic import BDD, Model, model_check, satisfiable, unfold, valid
-from .represent import (
-    RepMap,
-    SubMonoidCtx,
-    canonical_extension,
-    check_psi,
-    check_quasi,
-    complete_representation,
-    diag_represent,
-    full_representation,
-    represent_at,
-)
-from .gallery import (
-    TruncationSpec,
-    alternating_coloring,
-    counter2_truncation,
-    not_a_variety_witness,
-    product_identities,
-)
+_EXPORTS = {
+    "monoid": """MODES NotGenerated Transformation apply_point canonical_word
+        compose enumerate_monoid generators hat identity normalize_mode
+        parse_word partitions repl swap word_equiv""",
+    "terms": """Equation ParseError QuasiEquation equation_holds_exhaustive
+        eval_term format_equation format_term parse parse_equation
+        quasi_axioms sigma_axioms""",
+    "setalg": """ComplexAlgebra ConcreteAlgebra NotLocallySquare Square
+        Subalgebra alternating_coloring algebra_from_json algebra_to_json
+        generate_subalgebra make_relativized point_coords point_index
+        small_algebra""",
+    "frames": """Frame atom_frame disjoint_union frame_check frame_from_json
+        frame_to_json insep_zigzag point_frame random_coherent_frame
+        superamalgam""",
+    "logic": "BDD Model model_check satisfiable unfold valid",
+    "represent": """RepMap SubMonoidCtx canonical_extension check_psi
+        check_quasi complete_representation diag_represent
+        full_representation represent_at""",
+    "gallery": """TruncationSpec counter2_truncation not_a_variety_witness
+        product_identities""",
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names.split()}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    from importlib import import_module
+    return getattr(import_module("." + module, __name__), name)

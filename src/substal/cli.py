@@ -10,21 +10,21 @@ well-formed call is read straight from that table; argparse is imported
 and built only for what the table reader leaves to it: help, errors and
 the rarer spellings (``--flag=value``, abbreviations, ``--``, values that
 begin with ``-``), so its output there is the one full parser's.
+
+Each handler imports the modules its command needs, so a call loads only
+those: ``word`` needs monoid alone, the formula commands never load
+frames, represent or gallery, and the file commands never load logic or
+terms.  The package's exports can still be read here by name
+(``cli.satisfiable``); each is loaded with its module on first use.
 """
 
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from types import SimpleNamespace
 
 from .monoid import (DIM_LIMIT, enumerate_monoid, normalize_mode, parse_word,
                      word_equiv)
-from .terms import ParseError, format_equation, parse, parse_equation, sigma_axioms
-from .setalg import algebra_from_json
-from .frames import ComplexAlgebra, frame_check, frame_from_json
-from .logic import equation_valid, satisfiable, valid
-from .represent import SubMonoidCtx, check_quasi, complete_representation
-from . import gallery
 
 
 # Arguments shared by several commands, as (flags, add_argument keywords).
@@ -54,16 +54,17 @@ def _read_json(path):
 
 
 def _load_structure(path):
+    from . import frames, setalg
     data = _read_json(path)
     fields = data if isinstance(data, dict) else {}
     if "action" in fields:
-        frame = frame_from_json(data)
-        report = frame_check(frame)
+        frame = frames.frame_from_json(data)
+        report = frames.frame_check(frame)
         if not report.ok:
             raise ValueError("frame fails coherence: %r" % (report.failures[:3],))
-        return ComplexAlgebra(frame)
+        return setalg.ComplexAlgebra(frame)
     if "unit" in fields:
-        return algebra_from_json(data)
+        return setalg.algebra_from_json(data)
     raise ValueError("unrecognized file format (need a frame or algebra)")
 
 
@@ -75,9 +76,10 @@ def _emit(verdict, payload, as_json):
 
 
 def _sat(args):
+    from . import logic, terms
     mode = normalize_mode(args.mode)
-    term = parse(args.formula, args.n, mode)
-    sat, witness = satisfiable(term, args.n, mode)
+    term = terms.parse(args.formula, args.n, mode)
+    sat, witness = logic.satisfiable(term, args.n, mode)
     if sat:
         print("SAT")
         print(json.dumps(witness, indent=2, sort_keys=True))
@@ -87,28 +89,30 @@ def _sat(args):
 
 
 def _valid(args):
+    from . import logic, terms
     n, mode = args.n, normalize_mode(args.mode)
     if args.axioms and args.formula is not None:
         raise ValueError("give a formula or --axioms, not both")
     if args.axioms:
-        eqs = sigma_axioms(n, mode)
-        verdicts = [equation_valid(eq, n, mode)[0] for eq in eqs]
+        eqs = terms.sigma_axioms(n, mode)
+        verdicts = [logic.equation_valid(eq, n, mode)[0] for eq in eqs]
         results = None
         if args.as_json:       # only --json prints the equations
-            results = [{"tag": eq.tag, "equation": format_equation(eq),
+            results = [{"tag": eq.tag, "equation": terms.format_equation(eq),
                         "valid": ok} for eq, ok in zip(eqs, verdicts)]
         return _emit("VALID" if all(verdicts) else "INVALID", results,
                      args.as_json)
     if args.formula is None:
         raise ValueError("give a formula or --axioms")
-    ok, witness = valid(parse(args.formula, n, mode), n, mode)
+    ok, witness = logic.valid(terms.parse(args.formula, n, mode), n, mode)
     return _counterexample(ok, witness)
 
 
 def _eq(args):
+    from . import logic, terms
     mode = normalize_mode(args.mode)
-    eq = parse_equation(args.equation, args.n, mode)
-    return _counterexample(*equation_valid(eq, args.n, mode))
+    eq = terms.parse_equation(args.equation, args.n, mode)
+    return _counterexample(*logic.equation_valid(eq, args.n, mode))
 
 
 def _counterexample(ok, witness):
@@ -130,15 +134,17 @@ def _word(args):
 
 
 def _frame_check(args):
-    report = frame_check(frame_from_json(_read_json(args.file)))
+    from . import frames
+    report = frames.frame_check(frames.frame_from_json(_read_json(args.file)))
     payload = {"ok": report.ok, "pairs_checked": report.pairs_checked,
                "failures": report.failures[:10]}
     return _emit("PASS" if report.ok else "FAIL", payload, args.as_json)
 
 
 def _represent(args):
+    from . import represent
     algebra = _load_structure(args.file)
-    rep = complete_representation(algebra)
+    rep = represent.complete_representation(algebra)
     ok = (rep.report["homomorphism"] and rep.report["injective"]
           and rep.report["atom_cover"])
     payload = rep.to_json() if args.as_json else None
@@ -146,26 +152,30 @@ def _represent(args):
 
 
 def _axioms(args):
-    eqs = sigma_axioms(args.n, normalize_mode(args.mode))
+    from . import terms
+    eqs = terms.sigma_axioms(args.n, normalize_mode(args.mode))
     print("%d axioms" % len(eqs))
     if args.as_json:
-        print(json.dumps([{"tag": e.tag, "equation": format_equation(e)}
+        print(json.dumps([{"tag": e.tag, "equation": terms.format_equation(e)}
                           for e in eqs], indent=2))
     else:
         for eq in eqs:
-            print("%-28s %s" % (eq.tag, format_equation(eq)))
+            print("%-28s %s" % (eq.tag, terms.format_equation(eq)))
     return 0
 
 
 def _quasi(args):
+    from . import represent
     algebra = _load_structure(args.file)
     perms = [t for t in enumerate_monoid(algebra.n, "transpositions")]
-    ok = check_quasi(algebra, SubMonoidCtx(algebra.n, perms))
+    ctx = represent.SubMonoidCtx(algebra.n, perms)
+    ok = represent.check_quasi(algebra, ctx)
     return _emit("PASS" if ok else "FAIL",
                  {"holds": ok, "T": "all permutations"}, args.as_json)
 
 
 def _gallery(args):
+    from . import gallery
     if args.exhibit == "not-a-variety":
         report = gallery.not_a_variety_witness(args.n)
     elif args.exhibit == "rectangles":
@@ -176,12 +186,9 @@ def _gallery(args):
     return _emit("PASS" if report["pass"] else "FAIL", report, args.as_json)
 
 
-@dataclass(frozen=True)
-class Command:
-    name: str
-    help: str
-    arguments: tuple      # (flags, add_argument keywords), in usage order
-    handler: object       # parsed arguments -> exit code
+# arguments: (flags, add_argument keywords), in usage order;
+# handler: parsed arguments -> exit code
+Command = namedtuple("Command", "name help arguments handler")
 
 
 COMMANDS = {c.name: c for c in (
@@ -302,9 +309,14 @@ def run(argv):
         if n is not None and not 2 <= n <= DIM_LIMIT:
             raise ValueError("need -n at least 2 and at most %d" % DIM_LIMIT)
         return COMMANDS[args.command].handler(args)
-    except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+
+
+def __getattr__(name):
+    # PEP 562: an export of the package read through this module
+    return getattr(sys.modules[__package__], name)
 
 
 def main():

@@ -18,10 +18,10 @@ every world.  point_frame is the square's generator tables written out.
 import random
 from bisect import bisect_left
 from collections import namedtuple
-from dataclasses import dataclass, field
 
 from .monoid import (
     DIM_LIMIT,
+    Record,
     cayley_graph,
     generators,
     gensym_from_token,
@@ -174,11 +174,13 @@ def _walk(space, unit):
     return ActionWalk(worlds, tables, number, failures, edges)
 
 
-@dataclass
-class FrameReport:
-    ok: bool
-    failures: list = field(default_factory=list)
-    pairs_checked: int = 0    # Cayley edges (tau, g) checked
+class FrameReport(Record):
+    __slots__ = _fields = ("ok", "failures", "pairs_checked")
+
+    def __init__(self, ok, failures, pairs_checked):
+        self.ok = ok
+        self.failures = failures
+        self.pairs_checked = pairs_checked    # Cayley edges (tau, g) checked
 
     def __bool__(self):
         return self.ok

@@ -8,49 +8,11 @@ ultrafilter oracle standing in for a non-principal ultrafilter).
 """
 
 import itertools
-from dataclasses import dataclass
 
-from .monoid import Transformation, generators, swap
-from .setalg import (coordinate_masks, coordinate_runs, diagonal_mask,
-                     make_relativized, point_coords, point_index, points_mask,
-                     small_algebra)
-
-
-def alternating_coloring(worlds, g):
-    """Find X with q ∈ X ⇔ g(q) ∉ X, or report why none exists.
-
-    Returns (X, None) on success — X as a sorted list — or (None, cycle)
-    where cycle is an odd cycle of g (a fixed point in the shortest case).
-    """
-    worlds = list(worlds)
-    color = {}
-    for start in worlds:
-        if start in color:
-            continue
-        path = []
-        seen = {}
-        w = start
-        while w not in color and w not in seen:
-            seen[w] = len(path)
-            path.append(w)
-            w = g(w)
-        if w in color:
-            c = color[w]
-            for node in reversed(path):
-                c = 1 - c
-                color[node] = c
-        else:
-            cycle = path[seen[w]:]
-            if len(cycle) % 2 == 1:
-                return None, cycle
-            for pos, node in enumerate(cycle):
-                color[node] = pos % 2
-            c = color[cycle[0]]
-            for node in reversed(path[:seen[w]]):
-                c = 1 - c
-                color[node] = c
-    chosen = sorted(w for w in worlds if color[w] == 1)
-    return chosen, None
+from .monoid import Record, Transformation, generators, swap
+from .setalg import (alternating_coloring, coordinate_masks, coordinate_runs,
+                     diagonal_mask, make_relativized, point_coords,
+                     point_index, points_mask, small_algebra)
 
 
 def _e_point(i, n):
@@ -248,13 +210,13 @@ def product_identities(k, n=2):
     }
 
 
-@dataclass
-class TruncationSpec:
-    n: int
-    bound: int
+class TruncationSpec(Record):
+    __slots__ = _fields = ("n", "bound")
 
-    def __post_init__(self):
-        if self.bound < 1:
+    def __init__(self, n, bound):
+        self.n = n
+        self.bound = bound
+        if bound < 1:
             raise ValueError("bound must be >= 1")
 
 

@@ -47,9 +47,8 @@ docstring).
 """
 
 from collections import defaultdict
-from dataclasses import dataclass
 
-from .monoid import normalize_mode, num_blocks, partitions
+from .monoid import Record, normalize_mode, num_blocks, partitions
 from .terms import (Compl, Diag, Join, Meet, One, Sub, Var, Zero, eval_term,
                     iff, variables)
 from .setalg import ConcreteAlgebra, mask_points, point_index
@@ -314,10 +313,15 @@ def _chain(term):
     return out
 
 
-@dataclass
-class Model:
-    algebra: object        # the algebra handle the model is evaluated in
-    valuation: dict        # var index -> bitmask over its points or worlds
+class Model(Record):
+    """An algebra handle and a valuation in it: var index -> bitmask over
+    its points or worlds."""
+
+    __slots__ = _fields = ("algebra", "valuation")
+
+    def __init__(self, algebra, valuation):
+        self.algebra = algebra
+        self.valuation = valuation
 
 
 def model_check(model, term, world):

@@ -9,8 +9,13 @@ so applying a composite equals applying its factors left to right.
 `cayley_graph` walks a mode's monoid breadth first and records its right
 Cayley graph; every world table of the monoid is read from generator
 tables along it.
+
+`Record` and `FrozenRecord` are the plain ``__slots__`` base of the
+package's record classes (terms, models, reports), with the == and repr
+that dataclasses would give them.
 """
 
+import itertools
 import math
 import re
 from array import array
@@ -342,6 +347,34 @@ def canonical_word(tau, mode):
     return tuple(head) + tuple(reversed(peeled))
 
 
+def _right_factors(maps):
+    """For each sigma among the map tuples, xi ↦ xi∘sigma on map tuples."""
+    picks = [itemgetter(*sigma) for sigma in maps]
+    if len(next(iter(maps), ())) == 1:   # one index picks a bare value
+        return [lambda xi, pick=pick: (pick(xi),) for pick in picks]
+    return picks
+
+
+def bijective_stabilizer(n, allowed):
+    """Permutations xi with xi∘sigma in `allowed` for every sigma there."""
+    maps = {t.map for t in allowed}
+    factors = _right_factors(maps)
+    return [Transformation(xi) for xi in itertools.permutations(range(n))
+            if all(right(xi) in maps for right in factors)]
+
+
+def check_submonoid(n, allowed):
+    """`allowed` as a sorted list, once it is known to contain the identity
+    and to be closed under composition; ValueError otherwise."""
+    maps = {t.map for t in allowed}
+    if tuple(range(n)) not in maps:
+        raise ValueError("T must contain the identity")
+    factors = _right_factors(maps)
+    if not all(right(s) in maps for s in maps for right in factors):
+        raise ValueError("T is not closed under composition")
+    return sorted(set(allowed))
+
+
 @lru_cache(maxsize=None)
 def partitions(n):
     """Kernel partitions of {0..n-1} as restricted growth strings, in
@@ -369,3 +402,45 @@ def partitions(n):
 
 def num_blocks(rgs):
     return max(rgs) + 1 if rgs else 0
+
+
+class Record:
+    """A plain record whose fields are the names in `_fields`, with the
+    == and repr of a dataclass: two records are equal when they are of one
+    class and their fields are equal.  A mutable record is unhashable;
+    `FrozenRecord` is immutable and hashes its fields.  Each subclass
+    sets its fields in its own __init__."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+
+class FrozenRecord(Record):
+    """A `Record` that cannot be changed once its __init__ has set its
+    fields, which it does through `set_field`."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+
+set_field = object.__setattr__

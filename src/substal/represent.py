@@ -22,22 +22,20 @@ isomorphism is itself a gather certified by `hom_report` from the atom
 images.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
-
 from .monoid import (
     NotGenerated,
+    Record,
+    bijective_stabilizer,
     canonical_word,
     cayley_graph,
+    check_submonoid,
     generators,
     has_diagonals,
 )
 from .setalg import (ComplexAlgebra, ConcreteAlgebra, algebra_to_json,
-                     gather_map, lowest_bit, mask_points, point_coords,
-                     point_index, points_mask, small_algebra)
+                     alternating_coloring, gather_map, lowest_bit, mask_points,
+                     point_coords, point_index, points_mask, small_algebra)
 from .frames import FAILURES_KEPT, action_tables, atom_frame, walk_steps
-from .terms import bijective_stabilizer, check_submonoid
-from .gallery import alternating_coloring
 
 
 def atom_below(algebra, a):
@@ -133,19 +131,21 @@ def atom_cover_report(target, images):
             "cover_disjoint": disjoint}
 
 
-@dataclass
-class RepMap:
+class RepMap(Record):
     """A map z ↦ {dst : src ∈ z} given by its gather (src_bits, dst_bits),
     with its certificate and, for a representation, the target of each
     of its blocks."""
-    source: object
-    target: object
-    gather: tuple                 # (src_bits, dst_bits)
-    report: dict
-    blocks: list = ()
 
-    def __post_init__(self):
-        self.image = gather_map(*self.gather)
+    _fields = ("source", "target", "gather", "report", "blocks")
+    __slots__ = _fields + ("image",)
+
+    def __init__(self, source, target, gather, report, blocks=()):
+        self.source = source
+        self.target = target
+        self.gather = gather
+        self.report = report
+        self.blocks = blocks
+        self.image = gather_map(*gather)
 
     def to_json(self):
         """The report (with its failures, if any), the target one block
@@ -187,22 +187,6 @@ class RepMap:
 # any n = 6 file are not.
 BLOCK_STEPS = 200
 REPRESENT_BUDGET = 35 * 10**5
-
-
-@lru_cache(maxsize=None)
-def monoid_points(n, mode):
-    """The set algebra over the points of ⁿn that are maps of the mode's
-    monoid, and those points in the order of monoid.cayley_graph: the
-    target of every represent_at block, built once."""
-    pts = tuple(point_index(tau, n) for tau in cayley_graph(n, mode).maps)
-    return ConcreteAlgebra(n, n, mode, unit=points_mask(pts)), pts
-
-
-@lru_cache(maxsize=None)
-def quotient_square(n, m):
-    """The full-diagonal set algebra over ⁿm, the target of every
-    diag_represent block with m classes, built once."""
-    return small_algebra(n, m, "full_diagonal")
 
 
 def _quotient(n, related):
@@ -262,6 +246,15 @@ def _represent(algebra, worlds, quotient):
                  if has_diagonals(mode)}
     failures, targets, gathers = [], [], []
     cover = well_defined = diag_onto = True
+    # Each target is built once per call, and the blocks over it share
+    # it: the product's placement and RepMap.to_json know a target by its
+    # identity.  With `quotient` it is the full-diagonal square ⁿm for
+    # each m, else the set algebra over the points of ⁿn that are maps of
+    # the monoid, listed in the order of the walk.
+    squares = {}
+    if not quotient:
+        points = [point_index(tau, n) for tau in maps]
+        square = ConcreteAlgebra(n, n, mode, unit=points_mask(points))
 
     def record(*failure):
         if len(failures) < FAILURES_KEPT:
@@ -283,11 +276,13 @@ def _represent(algebra, worlds, quotient):
                     clash = ("well-defined", sigma, tau)
                     record(*clash)
             well_defined &= clash is None
-            target, dst = quotient_square(n, m), sorted(image)
+            target = squares.get(m)
+            if target is None:
+                target = squares[m] = small_algebra(n, m, "full_diagonal")
+            dst = sorted(image)
             src = [image[p][0] for p in dst]
         else:
-            target, dst = monoid_points(n, mode)
-            src = orbit
+            target, dst, src = square, points, orbit
         if not unit.issuperset(src):
             cover = False
             record("cover")

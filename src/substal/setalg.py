@@ -120,6 +120,43 @@ def gather_map(src_bits, dst_bits):
     return h
 
 
+def alternating_coloring(worlds, g):
+    """Find X with q ∈ X ⇔ g(q) ∉ X, or report why none exists.
+
+    Returns (X, None) on success — X as a sorted list — or (None, cycle)
+    where cycle is an odd cycle of g (a fixed point in the shortest case).
+    """
+    worlds = list(worlds)
+    color = {}
+    for start in worlds:
+        if start in color:
+            continue
+        path = []
+        seen = {}
+        w = start
+        while w not in color and w not in seen:
+            seen[w] = len(path)
+            path.append(w)
+            w = g(w)
+        if w in color:
+            c = color[w]
+            for node in reversed(path):
+                c = 1 - c
+                color[node] = c
+        else:
+            cycle = path[seen[w]:]
+            if len(cycle) % 2 == 1:
+                return None, cycle
+            for pos, node in enumerate(cycle):
+                color[node] = pos % 2
+            c = color[cycle[0]]
+            for node in reversed(path[:seen[w]]):
+                c = 1 - c
+                color[node] = c
+    chosen = sorted(w for w in worlds if color[w] == 1)
+    return chosen, None
+
+
 def coordinate_runs(n, k, copies=1):
     """runs[i] = C(i,0), the points of c stacked copies of ⁿk whose
     coordinate i is 0: a run of k^i ones repeated with period k^(i+1).

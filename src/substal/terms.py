@@ -7,13 +7,13 @@ modalities, diagonal constants = equality tests between coordinates).
 
 import itertools
 import re
-from dataclasses import dataclass
-from operator import itemgetter
 
 from .monoid import (
+    FrozenRecord,
     GenSym,
-    Transformation,
+    bijective_stabilizer,
     canonical_word,
+    check_submonoid,
     compose,
     generators,
     gensym_from_token,
@@ -21,56 +21,69 @@ from .monoid import (
     mode_allows,
     normalize_mode,
     repl,
+    set_field,
     swap,
 )
 
 
-class Term:
+class Term(FrozenRecord):
+    """A node of the AST; immutable, equal and hashed by its fields."""
+
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    index: int
+    __slots__ = _fields = ("index",)
+
+    def __init__(self, index):
+        set_field(self, "index", index)
 
 
-@dataclass(frozen=True)
 class Zero(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class One(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Meet(Term):
-    left: Term
-    right: Term
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left, right):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Join(Term):
-    left: Term
-    right: Term
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left, right):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Compl(Term):
-    arg: Term
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg):
+        set_field(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class Sub(Term):
-    sym: GenSym
-    arg: Term
+    __slots__ = _fields = ("sym", "arg")
+
+    def __init__(self, sym, arg):
+        set_field(self, "sym", sym)
+        set_field(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class Diag(Term):
-    i: int
-    j: int
+    __slots__ = _fields = ("i", "j")
+
+    def __init__(self, i, j):
+        set_field(self, "i", i)
+        set_field(self, "j", j)
 
 
 def implies(a, b):
@@ -333,11 +346,13 @@ def parse(text, n, mode="full"):
     return _Parser(n, mode).parse(text)
 
 
-@dataclass(frozen=True)
-class Equation:
-    lhs: Term
-    rhs: Term
-    tag: str = ""
+class Equation(FrozenRecord):
+    __slots__ = _fields = ("lhs", "rhs", "tag")
+
+    def __init__(self, lhs, rhs, tag=""):
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
+        set_field(self, "tag", tag)
 
 
 def parse_equation(text, n, mode="full"):
@@ -596,39 +611,13 @@ def sigma_axioms(n, mode="full"):
     return eqs
 
 
-@dataclass(frozen=True)
-class QuasiEquation:
-    premises: tuple
-    conclusion: Equation
-    tag: str = ""
+class QuasiEquation(FrozenRecord):
+    __slots__ = _fields = ("premises", "conclusion", "tag")
 
-
-def _right_factors(maps):
-    """For each sigma among the map tuples, xi ↦ xi∘sigma on map tuples."""
-    picks = [itemgetter(*sigma) for sigma in maps]
-    if len(next(iter(maps), ())) == 1:   # one index picks a bare value
-        return [lambda xi, pick=pick: (pick(xi),) for pick in picks]
-    return picks
-
-
-def bijective_stabilizer(n, allowed):
-    """Permutations xi with xi∘sigma in `allowed` for every sigma there."""
-    maps = {t.map for t in allowed}
-    factors = _right_factors(maps)
-    return [Transformation(xi) for xi in itertools.permutations(range(n))
-            if all(right(xi) in maps for right in factors)]
-
-
-def check_submonoid(n, allowed):
-    """`allowed` as a sorted list, once it is known to contain the identity
-    and to be closed under composition; ValueError otherwise."""
-    maps = {t.map for t in allowed}
-    if tuple(range(n)) not in maps:
-        raise ValueError("T must contain the identity")
-    factors = _right_factors(maps)
-    if not all(right(s) in maps for s in maps for right in factors):
-        raise ValueError("T is not closed under composition")
-    return sorted(set(allowed))
+    def __init__(self, premises, conclusion, tag=""):
+        set_field(self, "premises", premises)
+        set_field(self, "conclusion", conclusion)
+        set_field(self, "tag", tag)
 
 
 def quasi_axioms(n, allowed):

@@ -373,17 +373,53 @@ def test_a_well_formed_call_builds_no_parser(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_a_cold_well_formed_call_imports_no_argparse():
-    code = ("import sys, substal.cli\n"
-            "assert 'argparse' not in sys.modules, 'on import'\n"
-            "argv = ['eq', '-n', '3', 's[0,1] s[0,1] p0 = p0']\n"
-            "code = substal.cli.run(argv)\n"
-            "assert 'argparse' not in sys.modules, 'on run'\n"
-            "sys.exit(code)")
-    proc = subprocess.run([sys.executable, "-c", code],
+_COLD = """
+import json, sys
+import substal.cli
+argv = json.loads(sys.argv[1])
+code = substal.cli.run(argv) if argv else 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("substal")
+                        or m in ("argparse", "dataclasses"))), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _cold(argv=None):
+    """(exit code, stdout lines, modules loaded) of a fresh interpreter
+    that imports substal.cli and, given argv, runs it; the modules are
+    substal's and argparse or dataclasses if either was loaded."""
+    proc = subprocess.run([sys.executable, "-c", _COLD, json.dumps(argv)],
                           capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["VALID"]
+    *errors, modules = proc.stderr.splitlines()
+    assert not errors, errors
+    return proc.returncode, proc.stdout.splitlines(), set(json.loads(modules))
+
+
+def test_a_cold_well_formed_call_imports_no_argparse():
+    code, out, loaded = _cold(["eq", "-n", "3", "s[0,1] s[0,1] p0 = p0"])
+    assert (code, out) == (0, ["VALID"])
+    assert "argparse" not in loaded
+
+
+def test_a_cold_call_loads_only_the_modules_its_command_needs(tmp_path):
+    base = {"substal", "substal.cli", "substal.monoid"}
+    assert _cold()[2] == base               # import alone: no dataclasses
+    assert _cold(["word", "-n", "3", "s[0,1]", "s[0,1]"]) == (
+        0, ["EQUIVALENT"], base)
+    for argv in (["eq", "-n", "3", "s[0,1] s[0,1] p0 = p0"],
+                 ["valid", "-n", "2", "--mode", "diag", "d(0,1) -> d(1,0)"],
+                 ["sat", "-n", "2", "--mode", "diag", "~d(0,1) & s[0|1] p0"]):
+        code, _, loaded = _cold(argv)
+        assert code == 0, argv
+        assert not loaded & {"argparse", "dataclasses", "substal.frames",
+                             "substal.represent", "substal.gallery"}, argv
+    frame = _write(tmp_path, "frame.json",
+                   frame_to_json(point_frame(2, 2, "full")))
+    for argv in (["frame-check", frame], ["represent", frame]):
+        code, out, loaded = _cold(argv)
+        assert (code, out) == (0, ["PASS"]), argv
+        assert not loaded & {"argparse", "dataclasses", "substal.logic",
+                             "substal.terms", "substal.gallery"}, argv
 
 
 # ------------------------------------------------------------- file commands

@@ -8,6 +8,7 @@ from substal.setalg import small_algebra
 from substal.terms import (
     Compl,
     Diag,
+    Equation,
     Join,
     Meet,
     One,
@@ -30,6 +31,26 @@ from substal.terms import (
     variables,
     word_pair,
 )
+
+
+def test_terms_are_immutable_values():
+    """Equal fields make equal terms of one class, with equal hashes; a
+    term or equation cannot be changed; repr names the fields."""
+    a = Meet(Var(0), Sub(swap(0, 1), One()))
+    b = Meet(Var(0), Sub(swap(0, 1), One()))
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != Join(Var(0), Sub(swap(0, 1), One()))
+    assert Zero() == Zero() != One()
+    assert repr(a) == ("Meet(left=Var(index=0), "
+                       "right=Sub(sym=s[0,1], arg=One()))")
+    eq = Equation(a, Zero())
+    assert eq == Equation(b, Zero()) != Equation(b, Zero(), "tag")
+    assert repr(eq) == "Equation(lhs=%r, rhs=Zero(), tag='')" % (a,)
+    for record, field in ((a, "left"), (Var(1), "index"), (eq, "tag")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
 
 
 def test_parse_examples():
