@@ -167,8 +167,8 @@ def _axioms(args):
 def _quasi(args):
     from . import represent
     algebra = _load_structure(args.file)
-    perms = [t for t in enumerate_monoid(algebra.n, "transpositions")]
-    ctx = represent.SubMonoidCtx(algebra.n, perms)
+    ctx = represent.SubMonoidCtx(
+        algebra.n, enumerate_monoid(algebra.n, "transpositions"))
     ok = represent.check_quasi(algebra, ctx)
     return _emit("PASS" if ok else "FAIL",
                  {"holds": ok, "T": "all permutations"}, args.as_json)

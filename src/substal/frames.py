@@ -212,7 +212,7 @@ def frame_check(frame):
             for i in range(n):
                 for j in range(i, n):
                     pre = frame.preimage(g, frame.diag_mask(i, j))
-                    if pre != frame.diag_mask(gt(i), gt(j)):
+                    if pre != frame.diag_mask(gt[i], gt[j]):
                         failures.append(("diag-subst", g.token(), i, j))
         failures = failures[:FAILURES_KEPT]
     return FrameReport(not failures, failures, walk.edges)

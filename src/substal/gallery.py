@@ -9,7 +9,7 @@ ultrafilter oracle standing in for a non-principal ultrafilter).
 
 import itertools
 
-from .monoid import Record, Transformation, generators, swap
+from .monoid import Record, generators, repl, swap
 from .setalg import (alternating_coloring, coordinate_masks, coordinate_runs,
                      diagonal_mask, make_relativized, point_coords,
                      point_index, points_mask, small_algebra)
@@ -25,7 +25,7 @@ def _pairing_map(n):
     out = list(range(n))
     for a in range(0, n - 1, 2):
         out[a], out[a + 1] = out[a + 1], out[a]
-    return Transformation(out)
+    return tuple(out)
 
 
 def not_a_variety_witness(n):
@@ -53,7 +53,7 @@ def not_a_variety_witness(n):
         # the shift law behind the construction: e_i∘f = e_{i−1} for odd i
         for i in range(1, n, 2):
             instances += 1
-            moved = tuple(_e_point(i, n)[f(j)] for j in range(n))
+            moved = tuple(_e_point(i, n)[f[j]] for j in range(n))
             if moved != _e_point(i - 1, n):
                 failures.append(("shift", i))
     else:
@@ -70,7 +70,7 @@ def not_a_variety_witness(n):
     swaps = [g.tr(n) for g in generators(n, "transpositions")]
     for q in points:
         for tau in swaps:
-            if tuple(q[tau(j)] for j in range(n)) not in pset:
+            if tuple(q[tau[j]] for j in range(n)) not in pset:
                 closed = False
     x_mask = points_mask(point_index(q, k) for q in chosen)
     instances += 1
@@ -83,7 +83,7 @@ def not_a_variety_witness(n):
     for base in range(1, n + 1):
         instances += 1
         pts = list(itertools.product(range(base), repeat=n))
-        step = lambda q: tuple(q[f(j)] for j in range(n))
+        step = lambda q: tuple(q[f[j]] for j in range(n))
         found, obstruction = alternating_coloring(pts, step)
         if found is not None:
             squares_unsolvable = False
@@ -98,7 +98,7 @@ def not_a_variety_witness(n):
         "mode": "transpositions",
         "unit_size": len(points),
         "unit": sorted(unit),
-        "f": list(f.map),
+        "f": list(f),
         "witness_size": len(chosen),
         "witness_points": sorted(point_index(q, k) for q in chosen),
         "relativized_equation_holds": holds,
@@ -158,8 +158,7 @@ def product_identities(k, n=2):
                 expected = list(combo)
                 expected[j] = combo[i] & combo[j]
                 expected[i] = full
-                got = algebra.subst(Transformation(
-                    tuple(j if t == i else t for t in range(n))), rect)
+                got = algebra.subst(repl(i, j), rect)
                 if got != _rect(masks, expected, n, k):
                     failures.append(("replacement", i, j, combo))
         # transposition: coordinates swap
@@ -168,9 +167,7 @@ def product_identities(k, n=2):
                 instances += 1
                 expected = list(combo)
                 expected[i], expected[j] = expected[j], expected[i]
-                got = algebra.subst(Transformation(
-                    tuple(j if t == i else i if t == j else t
-                          for t in range(n))), rect)
+                got = algebra.subst(swap(i, j), rect)
                 if got != _rect(masks, expected, n, k):
                     failures.append(("transposition", i, j, combo))
         # complement: union of one-coordinate complements
@@ -185,7 +182,7 @@ def product_identities(k, n=2):
 
     # the two corollaries used downstream: X × ∼X (× U …) never meets the
     # diagonal, and together such rectangles tile its complement
-    tau10 = Transformation(tuple(0 if t == 1 else t for t in range(n)))
+    tau10 = repl(1, 0)
     diag01 = diagonal_mask(coordinate_runs(n, k), k, 0, 1)
     union = 0
     for x in subsets:
@@ -311,7 +308,7 @@ def counter2_truncation(spec, F_oracle=default_filter_oracle):
                 mask |= layer
         return mask, in_filter
 
-    tau10 = Transformation(tuple(0 if t == 1 else t for t in range(n)))
+    tau10 = repl(1, 0)
     top = max(layers) if layers else 1
     cases = [
         finite_set({1, 2}),

@@ -244,7 +244,7 @@ def unfold(term, point, n, bdd, relaxed=False):
             while isinstance(t, Sub):
                 step = moves.get(t.sym)
                 if step is None:
-                    step = moves[t.sym] = t.sym.tr(n).map
+                    step = moves[t.sym] = t.sym.tr(n)
                 p = tuple(map(p.__getitem__, step))
                 t = t.arg
             r = memo.get((id(t), p))

@@ -1,5 +1,7 @@
 """Transformations of {0..n-1}, substitution generators, words, kernels.
 
+A transformation tau is the tuple of its values, tau[i] = tau(i).
+
 Generator tokens use one bracket convention everywhere: ``s[i,j]`` is the
 transposition exchanging i and j, ``s[i|j]`` is the replacement sending i to
 j and fixing everything else.  Composition is ``(sigma*tau)(i) =
@@ -52,52 +54,27 @@ class NotGenerated(ValueError):
     def __init__(self, tau, mode):
         self.tau = tau
         self.mode = mode
-        super().__init__("%r is not generated in mode %s" % (tau, mode))
+        super().__init__("%r is not generated in mode %s" % (list(tau), mode))
 
 
-class Transformation:
-    """A map {0..n-1} -> {0..n-1}, stored as the tuple of its values."""
-
-    __slots__ = ("map",)
-
-    def __init__(self, values):
-        self.map = tuple(values)
-
-    @property
-    def n(self):
-        return len(self.map)
-
-    def __call__(self, i):
-        return self.map[i]
-
-    def is_permutation(self):
-        return len(set(self.map)) == len(self.map)
-
-    def __eq__(self, other):
-        return isinstance(other, Transformation) and self.map == other.map
-
-    def __hash__(self):
-        return hash(self.map)
-
-    def __lt__(self, other):
-        return self.map < other.map
-
-    def __repr__(self):
-        return "Transformation(%r)" % (list(self.map),)
+def Transformation(values):
+    """A map {0..n-1} -> {0..n-1}: the tuple of its values, the form in
+    which `cayley_graph` stores every element of a monoid."""
+    return tuple(values)
 
 
 def identity(n):
-    return Transformation(range(n))
+    return tuple(range(n))
 
 
 def compose(sigma, tau):
     """compose(sigma, tau)(i) = sigma(tau(i))."""
-    return Transformation(sigma.map[x] for x in tau.map)
+    return tuple(sigma[x] for x in tau)
 
 
 def apply_point(q, tau):
     """Right action of tau on a coordinate tuple: (q.tau)(i) = q(tau(i))."""
-    return tuple(q[x] for x in tau.map)
+    return tuple(q[x] for x in tau)
 
 
 class GenSym:
@@ -133,7 +110,7 @@ class GenSym:
             values[self.i], values[self.j] = self.j, self.i
         else:
             values[self.i] = self.j
-        return Transformation(values)
+        return tuple(values)
 
     def __eq__(self, other):
         return (
@@ -241,7 +218,7 @@ def cayley_graph(n, mode):
     # generator moves one or two coordinates, so the key of tau∘g, whose
     # coordinate i is tau(j), is tau's key plus (tau(j) − tau(i))·weight.
     steps = [(g.i, g.j, n**g.i - n**g.j if g.kind == "transposition"
-              else n**g.i, itemgetter(*g.tr(n).map), row)
+              else n**g.i, itemgetter(*g.tr(n)), row)
              for g, row in zip(gens, edges)]
     keys = array("q", [0]) * size
     keys[0] = sum(i * n**i for i in range(n))
@@ -265,18 +242,19 @@ def cayley_graph(n, mode):
 
 
 @lru_cache(maxsize=None)
-def monoid_table(n, mode, limit=DIM_LIMIT):
-    """BFS word table: every reachable transformation -> a shortest word."""
+def monoid_table(n, mode):
+    """BFS word table: every reachable map tuple -> a shortest word.  The
+    keys are the tuples of cayley_graph(n, mode).maps themselves."""
     mode = normalize_mode(mode)
-    if limit is not None and n > limit:
-        raise ValueError("dimension %d exceeds limit %d" % (n, limit))
+    if n > DIM_LIMIT:
+        raise ValueError("dimension %d exceeds limit %d" % (n, DIM_LIMIT))
     graph = cayley_graph(n, mode)
-    return dict(zip(map(Transformation, graph.maps), graph.words))
+    return dict(zip(graph.maps, graph.words))
 
 
-def enumerate_monoid(n, mode, limit=DIM_LIMIT):
+def enumerate_monoid(n, mode):
     """All transformations generated by the mode's symbols, BFS order."""
-    return list(monoid_table(n, normalize_mode(mode), limit))
+    return list(monoid_table(n, normalize_mode(mode)))
 
 
 def monoid_size(n, mode):
@@ -295,15 +273,15 @@ def _perm_cycles_word(pi):
     # each cycle (c0 c1 ... ck), c0 minimal, becomes s[c0,c1] s[c1,c2] ...
     syms = []
     seen = set()
-    for start in range(pi.n):
-        if start in seen or pi.map[start] == start:
+    for start in range(len(pi)):
+        if start in seen or pi[start] == start:
             seen.add(start)
             continue
         cycle = [start]
-        x = pi.map[start]
+        x = pi[start]
         while x != start:
             cycle.append(x)
-            x = pi.map[x]
+            x = pi[x]
         seen.update(cycle)
         for a, b in zip(cycle, cycle[1:]):
             syms.append(swap(a, b))
@@ -321,9 +299,9 @@ def canonical_word(tau, mode):
     the mode's monoid.
     """
     mode = normalize_mode(mode)
-    n = tau.n
+    n = len(tau)
     if mode == "transpositions":
-        if not tau.is_permutation():
+        if len(set(tau)) < n:
             raise NotGenerated(tau, mode)
         return tuple(_perm_cycles_word(tau))
     if mode == "replacements":
@@ -331,7 +309,7 @@ def canonical_word(tau, mode):
             return monoid_table(n, mode)[tau]
         except KeyError:
             raise NotGenerated(tau, mode) from None
-    values = list(tau.map)
+    values = list(tau)
     peeled = []
     while len(set(values)) < len(values):
         pair = next(
@@ -343,7 +321,7 @@ def canonical_word(tau, mode):
         missing = min(set(range(n)) - set(values))
         peeled.append(repl(pair[0], pair[1]))
         values[pair[0]] = missing
-    head = _perm_cycles_word(Transformation(values))
+    head = _perm_cycles_word(values)
     return tuple(head) + tuple(reversed(peeled))
 
 
@@ -357,22 +335,22 @@ def _right_factors(maps):
 
 def bijective_stabilizer(n, allowed):
     """Permutations xi with xi∘sigma in `allowed` for every sigma there."""
-    maps = {t.map for t in allowed}
+    maps = set(allowed)
     factors = _right_factors(maps)
-    return [Transformation(xi) for xi in itertools.permutations(range(n))
+    return [xi for xi in itertools.permutations(range(n))
             if all(right(xi) in maps for right in factors)]
 
 
 def check_submonoid(n, allowed):
     """`allowed` as a sorted list, once it is known to contain the identity
     and to be closed under composition; ValueError otherwise."""
-    maps = {t.map for t in allowed}
+    maps = set(allowed)
     if tuple(range(n)) not in maps:
         raise ValueError("T must contain the identity")
     factors = _right_factors(maps)
     if not all(right(s) in maps for s in maps for right in factors):
         raise ValueError("T is not closed under composition")
-    return sorted(set(allowed))
+    return sorted(maps)
 
 
 @lru_cache(maxsize=None)

@@ -85,6 +85,8 @@ def point_coords(idx, n, k):
 
 def mask_points(mask):
     """The positions of the set bits of a non-negative mask, ascending."""
+    if not mask & mask - 1:             # no bit or one: an atom's mask
+        return [mask.bit_length() - 1] if mask else []
     return [p for p, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 

@@ -112,10 +112,10 @@ def word_term(syms, arg):
     return out
 
 
-def sub_tau(tau, arg, mode="full"):
+def sub_tau(tau, arg):
     """Substitution by an arbitrary transformation, spelled as its
-    canonical word over the mode's generators."""
-    return word_term(canonical_word(tau, mode), arg)
+    canonical word over the full mode's generators."""
+    return word_term(canonical_word(tau, "full"), arg)
 
 
 def subterms(term):
@@ -605,7 +605,7 @@ def sigma_axioms(n, mode="full"):
             gt = g.tr(n)
             for i, j in itertools.combinations(range(n), 2):
                 eqs.append(Equation(
-                    Sub(g, Diag(i, j)), Diag(gt(i), gt(j)),
+                    Sub(g, Diag(i, j)), Diag(gt[i], gt[j]),
                     "diag:subst:%s:%d,%d" % (g.token(), i, j)))
 
     return eqs
@@ -633,5 +633,5 @@ def quasi_axioms(n, allowed):
             meet_all(sub_tau(compose(xi, sigma), xs[sigma]) for sigma in allowed),
             Zero())
         out.append(QuasiEquation((premise,), conclusion,
-                                 "quasi:xi=%s" % (list(xi.map),)))
+                                 "quasi:xi=%s" % (list(xi),)))
     return out

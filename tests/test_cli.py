@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from substal import cli
 from substal.cli import run
 from substal.frames import Frame, frame_to_json, point_frame
+from substal.gallery import not_a_variety_witness
 from substal.monoid import generators
 from substal.setalg import algebra_to_json, make_relativized, small_algebra
 
@@ -552,6 +553,24 @@ def test_represent_diagonal_files(tmp_path, capsys):
     assert report["failures"][0] == ["well-defined", [0, 1], [1, 1]]
 
 
+def test_represent_json_on_the_transpositions_100_square_is_fast(
+        tmp_path, capsys):
+    """`represent --json` lists the points of each of the 10⁴ one-point
+    atoms of the whole ²100 transpositions square: a ceiling of 1 s, so
+    the listing stays linear in the atoms."""
+    path = _write(tmp_path, "transpositions100.json",
+                  {"n": 2, "k": 100, "mode": "transpositions",
+                   "unit": list(range(100**2))})
+    t0 = time.monotonic()
+    assert run(["represent", "--json", path]) == 0
+    elapsed = time.monotonic() - t0
+    out, _ = _lines(capsys)
+    assert out[0] == "PASS"
+    payload = json.loads("\n".join(out[1:]))
+    assert payload["atoms"] == [[p] for p in range(100**2)]
+    assert elapsed < 1.0, "took %.2fs" % elapsed
+
+
 def test_represent_rejects_unknown_format(tmp_path, capsys):
     path = _write(tmp_path, "odd.json", {"foo": 1})
     assert run(["represent", path]) == 2
@@ -610,6 +629,22 @@ def test_quasi_on_the_full_5_5_algebra_is_fast(tmp_path, capsys):
     assert elapsed < 0.5, "took %.2fs" % elapsed
 
 
+def test_quasi_on_the_n6_not_a_variety_unit_is_fast(tmp_path, capsys):
+    """The n = 6 not-a-variety unit has an alternating set, so `quasi`
+    prints FAIL; its 720 permutations and their stabilizer come from the
+    Cayley graph's tuples: a ceiling of 1.5 s."""
+    witness = not_a_variety_witness(6)
+    path = _write(tmp_path, "not_a_variety6.json",
+                  {"n": 6, "k": witness["base"], "mode": "transpositions",
+                   "unit": witness["unit"]})
+    t0 = time.monotonic()
+    assert run(["quasi", path]) == 1
+    elapsed = time.monotonic() - t0
+    out, _ = _lines(capsys)
+    assert out == ["FAIL"]
+    assert elapsed < 1.5, "took %.2fs" % elapsed
+
+
 def test_algebra_file_over_the_closure_budget_exits_quickly(tmp_path, capsys):
     """²1000 has 10⁶ points, within the point budget, but its closure check
     would shift a 10⁶-bit mask k² = 10⁶ times: refused with one line."""
@@ -635,6 +670,7 @@ def test_quasi_rejects_a_frame_without_transpositions(tmp_path, capsys):
     out, err = _lines(capsys)
     assert out == []
     assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "[0, 2, 1] is not generated" in err
 
 
 def test_algebra_file_rejects_unit_points_outside_the_square(tmp_path, capsys):

@@ -43,8 +43,8 @@ maps3 = st.tuples(*[st.integers(0, 2)] * 3)
 @given(maps3, maps3)
 def test_compose_convention(s, t):
     got = compose(Transformation(s), Transformation(t))
-    assert got.map == ref_compose(s, t)
-    assert all(got(i) == s[t[i]] for i in range(3))
+    assert got == ref_compose(s, t)
+    assert all(got[i] == s[t[i]] for i in range(3))
 
 
 @given(maps3, maps3, maps3)
@@ -62,10 +62,10 @@ def test_apply_point_examples():
 
 
 def test_generator_transformations():
-    assert swap(0, 1).tr(2).map == (1, 0)
-    assert repl(0, 1).tr(2).map == (1, 1)
-    assert repl(1, 0).tr(3).map == (0, 0, 2)
-    assert swap(1, 2).tr(3).map == (0, 2, 1)
+    assert swap(0, 1).tr(2) == (1, 0)
+    assert repl(0, 1).tr(2) == (1, 1)
+    assert repl(1, 0).tr(3) == (0, 0, 2)
+    assert swap(1, 2).tr(3) == (0, 2, 1)
     # transpositions normalize their index order
     assert swap(2, 0).token() == "s[0,2]"
     with pytest.raises(ValueError):
@@ -77,7 +77,7 @@ def test_generator_transformations():
 def test_hat_examples():
     assert hat((), 5) == identity(5)
     w = parse_word("s[0,1] s[0|1]", 2, "full")
-    assert hat(w, 2).map == (0, 0)
+    assert hat(w, 2) == (0, 0)
     assert hat(parse_word("s[0,1] s[0,1]", 2, "full"), 2) == identity(2)
 
 
@@ -89,7 +89,7 @@ def test_hat_matches_reference_fold(triples):
         swap(i, j) if kind == "transposition" else repl(i, j)
         for kind, i, j in triples
     )
-    assert hat(syms, 3).map == ref_hat(triples, 3)
+    assert hat(syms, 3) == ref_hat(triples, 3)
 
 
 @given(st.lists(st.sampled_from([("transposition", 0, 1), ("replacement", 1, 0)]),
@@ -182,7 +182,7 @@ def test_monoid_closure_matches_reference():
                 if "transposition" in kinds and i < j:
                     gens.append(ref_gen_tuple("transposition", i, j, 3))
         want = ref_monoid_closure(3, gens)
-        got = {t.map for t in enumerate_monoid(3, mode)}
+        got = set(enumerate_monoid(3, mode))
         assert got == want
 
 
@@ -209,7 +209,7 @@ def test_cayley_graph_matches_a_breadth_first_reference():
             assert graph.gens == tuple(gens)
             want = ref_bfs_words(n, [ref_gen_tuple(g.kind, g.i, g.j, n)
                                      for g in gens])
-            assert [t.map for t in enumerate_monoid(n, mode)] == \
+            assert enumerate_monoid(n, mode) == \
                 [t for t, _ in want] == graph.maps
             table = monoid_table(n, mode)
             assert [tuple(gens.index(g) for g in w) for w in table.values()] \
@@ -220,13 +220,24 @@ def test_cayley_graph_matches_a_breadth_first_reference():
                 assert len(row) == len(graph.maps)
                 for idx, t in enumerate(graph.maps):
                     assert row[idx] == \
-                        number[compose(Transformation(t), g.tr(n)).map]
+                        number[compose(Transformation(t), g.tr(n))]
             for idx in range(1, len(graph.maps)):
                 up = graph.parent[idx]
                 assert up < idx
                 assert graph.edges[graph.via[idx]][up] == idx
                 assert graph.words[idx] == \
                     graph.words[up] + (gens[graph.via[idx]],)
+
+
+def test_monoid_elements_are_the_graph_tuples():
+    """For n ≤ 4 and every mode, enumerate_monoid and monoid_table hand out
+    the very tuples cayley_graph stores, not copies of them."""
+    for n in range(1, 5):
+        for mode in MODES:
+            maps = cayley_graph(n, mode).maps
+            for got in (enumerate_monoid(n, mode), list(monoid_table(n, mode))):
+                assert len(got) == len(maps)
+                assert all(a is b for a, b in zip(got, maps)), (n, mode)
 
 
 def test_dimension_limit():

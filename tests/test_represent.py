@@ -376,7 +376,7 @@ def test_check_quasi_generic_path():
     reference's on the subalgebra itself, the bijective unit's FAIL
     included."""
     ctx = SubMonoidCtx(2, enumerate_monoid(2, "transpositions"))
-    T = [t.map for t in ctx.T]
+    T = list(ctx.T)
     alg = small_algebra(2, 2)
     bij = make_relativized(2, 2, [1, 2], "transpositions")
     subs = [Subalgebra(alg, alg.elements()), Subalgebra(bij, bij.elements())]

@@ -99,7 +99,7 @@ def test_subst_word_composes():
     for _ in range(25):
         x = rng.getrandbits(9)
         # s_sigma(s_tau(x)) = s_{sigma∘tau}(x)
-        composed = Transformation(tuple(sigma.map[v] for v in tau.map))
+        composed = Transformation(tuple(sigma[v] for v in tau))
         assert alg.subst(sigma, alg.subst(tau, x)) == alg.subst(composed, x)
 
 
