@@ -95,7 +95,7 @@ def _valid(args):
         raise ValueError("give a formula or --axioms, not both")
     if args.axioms:
         eqs = terms.sigma_axioms(n, mode)
-        verdicts = [logic.equation_valid(eq, n, mode)[0] for eq in eqs]
+        verdicts = logic.equations_valid(eqs, n, mode)
         results = None
         if args.as_json:       # only --json prints the equations
             results = [{"tag": eq.tag, "equation": terms.format_equation(eq),

@@ -25,12 +25,18 @@ then FALSE.  No transitivity or congruence constraints are added; the
 sweep stays the exact decision.
 
 Propositional core.  The unfoldings of one decision are built into one
-reduced ordered BDD (Bryant, 1986).  Nodes are hash-consed in a unique
-table; conjunction, disjunction and negation are memoised; the unfolding
-is memoised on (subterm, point), the relaxed one in a memo of its own so
-that no kernel's unfolding reads an equality atom; a constant conjunct or
-disjunct that decides its chain skips the siblings still to come;
-variables are ordered by first appearance.  Unfolding and every BDD
+reduced ordered BDD (Bryant, 1986), with one exception: an axiom sweep
+(equations_valid) unfolds both sides of every equation, relaxed, into one
+shared BDD.  The BDD is canonical and each kernel's unfolding is a
+substitution instance of the relaxed one, so sides that are one node
+there are equal at every kernel.  Of the paper's axioms only the
+transitivity axioms diag:chain miss that test; they, and any other
+equation it misses, are decided one by one.  Nodes are hash-consed in a
+unique table; conjunction, disjunction and negation are memoised; the
+unfolding is memoised on (subterm, point), the relaxed one in a memo of
+its own so that no kernel's unfolding reads an equality atom; a constant
+conjunct or disjunct that decides its chain skips the siblings still to
+come; variables are ordered by first appearance.  Unfolding and every BDD
 operation run on explicit stacks, so neither the depth of a term nor the
 height of a BDD meets the recursion limit.  A satisfying assignment is one
 path to the TRUE terminal that takes the true branch wherever that does
@@ -65,7 +71,8 @@ class BDD:
     `atoms[level[u]]` and continues at `low[u]` when it is false and at
     `high[u]` when it is true.  Levels are handed out in the order atoms
     are first asked for; `pairs` maps the level of each equality atom to
-    its coordinate pair."""
+    its coordinate pair.  A BDD serves one dimension n: `moves` keeps the
+    point move of each generator symbol at that n."""
 
     def __init__(self):
         self.level = [_LEAF, _LEAF]
@@ -80,6 +87,7 @@ class BDD:
         self.unfolded = {}              # (id(subterm), point) -> node
         self.relaxed = {}               # the same, for relaxed unfoldings
         self._terms = []                # keeps those ids from being reused
+        self.moves = {}                 # generator symbol -> its point move
 
     def _node(self, level, low, high):
         if low == high:
@@ -234,7 +242,7 @@ def unfold(term, point, n, bdd, relaxed=False):
     equal to the chain's absorbing constant ends the chain at once."""
     memo = bdd.relaxed if relaxed else bdd.unfolded
     bdd._terms.append(term)
-    moves = {}
+    moves = bdd.moves
     todo = [(_EVAL, term, point)]
     done = []
     while todo:
@@ -405,3 +413,20 @@ def valid(term, n, mode="full"):
 def equation_valid(eq, n, mode="full"):
     """An equation holds identically iff lhs ↔ rhs is valid."""
     return valid(iff(eq.lhs, eq.rhs), n, mode)
+
+
+def equations_valid(eqs, n, mode="full"):
+    """equation_valid's verdict for each equation, in order.
+
+    Both sides of every equation are unfolded, relaxed, at the discrete
+    point in one BDD.  The unfolding at any kernel is a substitution
+    instance of the relaxed one, and the BDD is canonical, so two sides
+    that are one node are equal at every point: VALID.  Any other
+    equation is decided by equation_valid in a BDD of its own; the shared
+    one never reaches `satisfiable`, whose kernel unfoldings it would
+    confuse with relaxed ones."""
+    bdd = BDD()
+    point = tuple(range(n))
+    return [unfold(eq.lhs, point, n, bdd, relaxed=True)
+            == unfold(eq.rhs, point, n, bdd, relaxed=True)
+            or equation_valid(eq, n, mode)[0] for eq in eqs]

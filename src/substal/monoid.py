@@ -17,7 +17,6 @@ package's record classes (terms, models, reports), with the == and repr
 that dataclasses would give them.
 """
 
-import itertools
 import math
 import re
 from array import array
@@ -334,11 +333,12 @@ def _right_factors(maps):
 
 
 def bijective_stabilizer(n, allowed):
-    """Permutations xi with xi∘sigma in `allowed` for every sigma there."""
-    maps = set(allowed)
-    factors = _right_factors(maps)
-    return [xi for xi in itertools.permutations(range(n))
-            if all(right(xi) in maps for right in factors)]
+    """The permutations xi with xi∘sigma in `allowed` for every sigma
+    there, in lexicographic order.  `allowed` must hold the identity and
+    be closed under composition (check_submonoid); these are then exactly
+    its permutations, since each such xi is xi∘id, and closure keeps every
+    permutation of `allowed`."""
+    return sorted(xi for xi in allowed if len(set(xi)) == n)
 
 
 def check_submonoid(n, allowed):

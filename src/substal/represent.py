@@ -433,7 +433,8 @@ def diag_represent(algebra, a):
 
 class SubMonoidCtx:
     """A composition-closed set of transformations and its bijective
-    stabilizer G = {xi in S_n : xi∘sigma in T for all sigma in T}."""
+    stabilizer G = {xi in S_n : xi∘sigma in T for all sigma in T}, which
+    is T ∩ S_n since T holds the identity."""
 
     def __init__(self, n, T):
         self.n = n

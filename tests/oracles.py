@@ -295,6 +295,14 @@ def ref_kernel_satisfiable(term, n):
     return False
 
 
+def ref_bijective_stabilizer(n, T):
+    """The permutations xi of {0..n-1} with xi∘sigma in T for every sigma
+    in T, in lexicographic order: a sweep over all n! of them."""
+    T = set(T)
+    return [xi for xi in itertools.permutations(range(n))
+            if all(ref_compose(xi, s) in T for s in T)]
+
+
 def ref_check_quasi(algebra, T):
     """Exhaustive reference for the quasi-equations of represent.check_quasi
     on an enumerable handle; T is a composition-closed set of maps, as
@@ -306,9 +314,7 @@ def ref_check_quasi(algebra, T):
     from substal.monoid import Transformation
 
     T = sorted(set(tuple(t) for t in T))
-    n = len(T[0])
-    G = [xi for xi in itertools.permutations(range(n))
-         if all(ref_compose(xi, s) in T for s in T)]
+    G = ref_bijective_stabilizer(len(T[0]), T)
     els = algebra.elements()
 
     def s(t, x):

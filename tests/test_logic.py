@@ -1,6 +1,7 @@
 """Satisfiability, validity, and model checking over the point semantics."""
 
 import itertools
+import math
 import random
 
 from hypothesis import given
@@ -8,11 +9,12 @@ from hypothesis import strategies as st
 
 from substal.frames import ComplexAlgebra, point_frame
 from substal.logic import (BDD, FALSE, TRUE, Model, equation_valid,
-                           model_check, satisfiable, unfold, valid)
+                           equations_valid, model_check, satisfiable, unfold,
+                           valid)
 from substal.monoid import apply_point, generators, partitions
 from substal.setalg import point_index, small_algebra
-from substal.terms import (Compl, Diag, Join, Meet, One, Sub, Var, Zero,
-                           equation_holds_exhaustive, iff, modality_count,
+from substal.terms import (Compl, Diag, Equation, Join, Meet, One, Sub, Var,
+                           Zero, equation_holds_exhaustive, iff, modality_count,
                            parse, parse_equation, sigma_axioms, variables)
 
 from oracles import (brute_formula_satisfiable, ref_eval,
@@ -490,3 +492,89 @@ def test_diagonal_verdicts_agree_with_the_kernel_oracle():
     assert cases["sat"] >= 500
     assert cases["relaxed"] >= 300
     assert cases["sweep"] >= 30
+
+
+# --------------------------------------------------------- shared axiom sweep
+
+MODES = ("replacements", "transpositions", "full", "full_diagonal")
+
+
+def _node_equal(eqs, n):
+    """For each equation, whether its two sides unfold, relaxed at the
+    discrete point in one BDD for all of them, to one node."""
+    bdd = BDD()
+    point = tuple(range(n))
+    return [unfold(eq.lhs, point, n, bdd, relaxed=True)
+            == unfold(eq.rhs, point, n, bdd, relaxed=True) for eq in eqs]
+
+
+def _crossed_corpus(rng, n, mode):
+    """The mode's axioms and, for each, its lhs with the next axiom's rhs,
+    in a seeded shuffle: diagonal and diagonal-free equations interleave,
+    valid ones and invalid ones."""
+    eqs = sigma_axioms(n, mode)
+    corpus = eqs + [Equation(eq.lhs, nxt.rhs, "%s/%s" % (eq.tag, nxt.tag))
+                    for eq, nxt in zip(eqs, eqs[1:] + eqs[:1])]
+    rng.shuffle(corpus)
+    return corpus
+
+
+def test_equations_valid_agrees_on_every_axiom():
+    """For n = 2..5 and every mode, the shared sweep gives each axiom
+    instance equation_valid's verdict, VALID; only the transitivity axioms
+    diag:chain, 3·C(n, 3) of them, miss the node test."""
+    for n in range(2, 6):
+        for mode in MODES:
+            eqs = sigma_axioms(n, mode)
+            got = equations_valid(eqs, n, mode)
+            assert got == [equation_valid(eq, n, mode)[0] for eq in eqs]
+            assert all(v is True for v in got), (n, mode)
+            missed = [eq.tag for eq, same in zip(eqs, _node_equal(eqs, n))
+                      if not same]
+            assert all(tag.startswith("diag:chain:") for tag in missed)
+            chains = 3 * math.comb(n, 3) if mode == "full_diagonal" else 0
+            assert len(missed) == chains
+
+
+def test_equations_valid_agrees_on_crossed_axioms():
+    """Axioms with their sides crossed, shuffled among the axioms, n = 2..4:
+    one shared sweep gives equation_valid's verdict, each decided on its
+    own, for every equation.  The corpus holds node-equal equations,
+    misses that are valid and misses that are not, and diagonal misses
+    after diagonal-free equations, whose relaxed unfoldings open no
+    equality atom."""
+    rng = random.Random(1602)
+    seen = {"equal": 0, "valid miss": 0, "invalid": 0, "diagonal miss": 0}
+    for n in (2, 3, 4):
+        for mode in ("full", "full_diagonal"):
+            corpus = _crossed_corpus(rng, n, mode)
+            got = equations_valid(corpus, n, mode)
+            want = [equation_valid(eq, n, mode)[0] for eq in corpus]
+            assert got == want, (n, mode)
+            for eq, same, ok in zip(corpus, _node_equal(corpus, n), want):
+                if same:
+                    seen["equal"] += 1
+                else:
+                    seen["valid miss" if ok else "invalid"] += 1
+                    seen["diagonal miss"] += "diag" in eq.tag
+    assert seen["equal"] >= 1000
+    assert seen["valid miss"] >= 15         # the diag:chain axioms
+    assert seen["invalid"] >= 900
+    assert seen["diagonal miss"] >= 150
+
+
+def test_node_equal_sides_are_equal_at_every_kernel():
+    """Every equation of the axioms and the crossed corpus at n ≤ 3 whose
+    sides are one node: the exact kernel-by-kernel search finds no model
+    of ~(lhs <-> rhs)."""
+    rng = random.Random(1603)
+    checked = 0
+    for n in (2, 3):
+        for mode in MODES:
+            corpus = _crossed_corpus(rng, n, mode)
+            for eq, same in zip(corpus, _node_equal(corpus, n)):
+                if same:
+                    assert not ref_kernel_satisfiable(
+                        Compl(iff(eq.lhs, eq.rhs)), n), eq
+                    checked += 1
+    assert checked >= 500

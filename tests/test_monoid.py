@@ -1,6 +1,7 @@
 """Transformations, words, and kernel partitions."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,8 +10,10 @@ from substal.monoid import (
     NotGenerated,
     Transformation,
     apply_point,
+    bijective_stabilizer,
     canonical_word,
     cayley_graph,
+    check_submonoid,
     compose,
     enumerate_monoid,
     format_word,
@@ -30,6 +33,7 @@ from substal.monoid import (
 from oracles import (
     BELL,
     ref_bfs_words,
+    ref_bijective_stabilizer,
     ref_compose,
     ref_gen_tuple,
     ref_hat,
@@ -238,6 +242,29 @@ def test_monoid_elements_are_the_graph_tuples():
             for got in (enumerate_monoid(n, mode), list(monoid_table(n, mode))):
                 assert len(got) == len(maps)
                 assert all(a is b for a, b in zip(got, maps)), (n, mode)
+
+
+def test_bijective_stabilizer_is_the_group_of_units():
+    """For a T closed under composition with the identity in it, n ≤ 4:
+    the permutations in T, in lexicographic order, are the sweep over all
+    n! permutations, on every mode's monoid and on seeded random closed
+    submonoids of the full one."""
+    rng = random.Random(16)
+    sizes = set()
+    for n in range(1, 5):
+        full = enumerate_monoid(n, "full")
+        cases = [enumerate_monoid(n, mode) for mode in MODES]
+        for _ in range(30):
+            gens = rng.sample(full, min(len(full), rng.randint(1, 3)))
+            cases.append(ref_monoid_closure(n, gens))
+        for T in cases:
+            T = check_submonoid(n, T)
+            G = bijective_stabilizer(n, T)
+            assert G == ref_bijective_stabilizer(n, T), (n, T)
+            sizes.add((len(G) == 1, len(G) == len(T)))
+    # trivial and larger groups, inside and all of T
+    assert sizes == {(True, True), (True, False), (False, True),
+                     (False, False)}
 
 
 def test_dimension_limit():
