@@ -53,8 +53,9 @@ docstring).
 """
 
 from collections import defaultdict
+from operator import itemgetter
 
-from .monoid import Record, normalize_mode, num_blocks, partitions
+from .monoid import Record, normalize_mode, num_blocks, restricted_growth
 from .terms import (Compl, Diag, Join, Meet, One, Sub, Var, Zero, eval_term,
                     iff, variables)
 from .setalg import ConcreteAlgebra, mask_points, point_index
@@ -72,7 +73,8 @@ class BDD:
     `high[u]` when it is true.  Levels are handed out in the order atoms
     are first asked for; `pairs` maps the level of each equality atom to
     its coordinate pair.  A BDD serves one dimension n: `moves` keeps the
-    point move of each generator symbol at that n."""
+    point move of each generator symbol at that n, as an itemgetter keyed
+    by the symbol's identity; the kept terms hold every such symbol."""
 
     def __init__(self):
         self.level = [_LEAF, _LEAF]
@@ -87,7 +89,7 @@ class BDD:
         self.unfolded = {}              # (id(subterm), point) -> node
         self.relaxed = {}               # the same, for relaxed unfoldings
         self._terms = []                # keeps those ids from being reused
-        self.moves = {}                 # generator symbol -> its point move
+        self.moves = {}                 # id of a generator symbol -> its point move
 
     def _node(self, level, low, high):
         if low == high:
@@ -226,7 +228,7 @@ class BDD:
         return False
 
 
-_EVAL, _CHAIN, _NEG = range(3)
+_NEG = object()           # marks a complement whose argument's node is on `done`
 
 
 def unfold(term, point, n, bdd, relaxed=False):
@@ -239,67 +241,80 @@ def unfold(term, point, n, bdd, relaxed=False):
     operands, left to right, and folded from the right.  Levels are handed
     out left to right, so a chain over fresh variables grows one level per
     fold instead of being rebuilt under each new variable.  An operand
-    equal to the chain's absorbing constant ends the chain at once."""
+    equal to the chain's absorbing constant ends the chain at once.
+
+    Each stack frame is (subterm, point, what to do): None evaluates the
+    subterm there, _NEG complements the node on `done`, and a chain's
+    state [operands, next index, nodes so far, absorbing constant] takes
+    the node of its current operand."""
     memo = bdd.relaxed if relaxed else bdd.unfolded
     bdd._terms.append(term)
     moves = bdd.moves
-    todo = [(_EVAL, term, point)]
+    get = memo.get
+    todo = [(term, point, None)]
+    push, pop = todo.append, todo.pop
     done = []
+    keep, last = done.append, done.pop
     while todo:
-        frame = todo.pop()
-        op, t, p = frame[0], frame[1], frame[2]
-        if op == _EVAL:
-            while isinstance(t, Sub):
-                step = moves.get(t.sym)
-                if step is None:
-                    step = moves[t.sym] = t.sym.tr(n)
-                p = tuple(map(p.__getitem__, step))
+        frame = pop()
+        t, p, then = frame
+        if then is None:
+            cls = type(t)
+            while cls is Sub:
+                move = moves.get(id(t.sym))
+                if move is None:
+                    # tr refuses every symbol below n = 2, so a move reads
+                    # two or more coordinates and returns a tuple
+                    move = moves[id(t.sym)] = itemgetter(*t.sym.tr(n))
+                p = move(p)
                 t = t.arg
-            r = memo.get((id(t), p))
+                cls = type(t)
+            r = get((id(t), p))
             if r is None:
-                if isinstance(t, Var):
+                if cls is Var:
                     r = bdd.atom((t.index, p))
-                elif isinstance(t, (Meet, Join)):
+                elif cls is Meet or cls is Join:
                     operands = _chain(t)
-                    todo.append((_CHAIN, t, p, operands, 0, []))
-                    todo.append((_EVAL, operands[0], p))
+                    push((t, p, [operands, 0, [], FALSE if cls is Meet else TRUE]))
+                    push((operands[0], p, None))
                     continue
-                elif isinstance(t, Compl):
-                    todo.append((_NEG, t, p))
-                    todo.append((_EVAL, t.arg, p))
+                elif cls is Compl:
+                    push((t, p, _NEG))
+                    push((t.arg, p, None))
                     continue
-                elif isinstance(t, Zero):
+                elif cls is Zero:
                     r = FALSE
-                elif isinstance(t, One):
+                elif cls is One:
                     r = TRUE
-                elif isinstance(t, Diag):
-                    a, b = sorted((p[t.i], p[t.j]))
+                elif cls is Diag:
+                    a, b = p[t.i], p[t.j]
                     if a == b:
                         r = TRUE
                     elif relaxed:
-                        r = bdd.equality(a, b)
+                        r = bdd.equality(a, b) if a < b else bdd.equality(b, a)
                     else:
                         r = FALSE
                 else:
                     raise TypeError("not a term: %r" % (t,))
-        elif op == _CHAIN:                 # operand i's node is on `done`
-            _, t, p, operands, i, nodes = frame
-            absorb = FALSE if isinstance(t, Meet) else TRUE
-            r = done.pop()
+        elif then is _NEG:
+            r = memo[id(t), p] = bdd.neg(last())
+        else:                              # the current operand's node is on `done`
+            operands, i, nodes, absorb = then
+            r = last()
             if r != absorb:
                 if r != TRUE - absorb:
                     nodes.append(r)
-                if i + 1 < len(operands):
-                    todo.append((_CHAIN, t, p, operands, i + 1, nodes))
-                    todo.append((_EVAL, operands[i + 1], p))
+                i += 1
+                if i < len(operands):
+                    then[1] = i
+                    push(frame)
+                    push((operands[i], p, None))
                     continue
                 r = TRUE - absorb
                 for u in reversed(nodes):
                     r = bdd.apply(u, r, absorb)
             memo[id(t), p] = r
-        else:
-            r = memo[id(t), p] = bdd.neg(done.pop())
-        done.append(r)
+        keep(r)
     return done[0]
 
 
@@ -373,7 +388,7 @@ def satisfiable(term, n, mode="full"):
         # every diagonal was decided, so the relaxed unfolding is the
         # concrete one at the discrete point
         bdd.unfolded = bdd.relaxed
-    for part in partitions(n):
+    for part in restricted_growth(n):
         if bdd.pairs and not bdd.agrees(relaxed, part):
             continue
         base = max(1, num_blocks(part))

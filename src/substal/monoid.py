@@ -353,29 +353,36 @@ def check_submonoid(n, allowed):
     return sorted(maps)
 
 
-@lru_cache(maxsize=None)
-def partitions(n):
-    """Kernel partitions of {0..n-1} as restricted growth strings, in
-    restricted-growth order, as a tuple.
+def restricted_growth(n):
+    """Kernel partitions of {0..n-1} as restricted growth strings, one at a
+    time, in restricted-growth (lexicographic) order.
 
     The string itself doubles as a representative point: coordinate i
     carries its block index, and the base is the number of blocks.
     """
     if n == 0:
-        return ((),)
-    out = []
-
-    def rec(prefix, mx):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
+        yield ()
+        return
+    rgs = [0] * n
+    top = [1] * n      # top[i]: the largest value rgs[i] may take, for i > 0
+    while True:
+        yield tuple(rgs)
+        i = n - 1
+        while i > 0 and rgs[i] == top[i]:
+            i -= 1
+        if i == 0:
             return
-        for v in range(mx + 2):
-            prefix.append(v)
-            rec(prefix, max(mx, v))
-            prefix.pop()
+        rgs[i] += 1
+        bound = max(top[i], rgs[i] + 1)
+        for j in range(i + 1, n):
+            rgs[j] = 0
+            top[j] = bound
 
-    rec([0], 0)
-    return tuple(out)
+
+def partitions(n):
+    """Every kernel partition of {0..n-1}, in `restricted_growth` order, as
+    a tuple."""
+    return tuple(restricted_growth(n))
 
 
 def num_blocks(rgs):

@@ -20,9 +20,9 @@ from .monoid import (
     has_diagonals,
     mode_allows,
     normalize_mode,
-    repl,
+    repl as _repl,
     set_field,
-    swap,
+    swap as _swap,
 )
 
 
@@ -181,36 +181,43 @@ class ParseError(ValueError):
         super().__init__("%s (at position %d)" % (message, position))
 
 
+# One token after any whitespace; the group that matched is the token's
+# kind.  `\Z` matches at the end of the span being read.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<sub>s\[\d+[,|]\d+\])"
-    r"|(?P<diag>d\(\s*\d+\s*,\s*\d+\s*\))"
-    r"|(?P<var>p\d+)"
-    r"|(?P<zero>0)|(?P<one>1)"
-    r"|(?P<imp>->)|(?P<and>&)|(?P<or>\|)|(?P<neg>~)"
-    r"|(?P<lpar>\()|(?P<rpar>\))"
+    r"\s*(?:(s\[\d+[,|]\d+\])"
+    r"|(d\(\s*\d+\s*,\s*\d+\s*\))"
+    r"|(p\d+)"
+    r"|(0)|(1)"
+    r"|(->)|(\|)|(&)|(~)"
+    r"|(\()|(\))|(\Z))"
 )
+_SUB, _DIAG, _VAR, _ZERO, _ONE, _IMP, _OR, _AND, _NEG, _LPAR, _RPAR, _END = \
+    range(1, 13)
+_SPACE = re.compile(r"\s*")
 
 
-def _tokenize(text, start, end):
-    """The tokens of text[start:end], each with its position in `text`."""
-    tokens = []
-    pos = start
-    while pos < end:
-        m = _TOKEN_RE.match(text, pos, end)
+def _bad_character(text, pos, end):
+    """The error for the first character of text[pos:end] that starts no
+    token, read token by token from `pos`; None when there is none."""
+    match = _TOKEN_RE.match
+    while True:
+        m = match(text, pos, end)
         if m is None:
-            raise ParseError("unexpected character %r" % text[pos], pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
+            pos = _SPACE.match(text, pos, end).end()
+            return ParseError("unexpected character %r" % text[pos], pos)
+        if m.lastindex == _END:
+            return None
         pos = m.end()
-    tokens.append(("end", "", end))
-    return tokens
 
 
-# Prefix chains and operator chains are read in loops; only parentheses
-# recurse, so their depth is bounded.
+# Parentheses may nest this deep.  The parser keeps its own stack and no
+# longer needs the cap; it stays the documented limit of the input.
 MAX_NESTING = 100
 
+# A parenthesized group this long or longer is remembered under its first
+# _KEY characters: a shorter one is cheap to read again, and 16 characters
+# set most distinct groups apart.
+_KEY = 16
 
 _LEAVES = frozenset((Var, Zero, One, Diag))
 
@@ -220,13 +227,23 @@ class _Parser:
     once (hash-consing): `node` keeps one table, keyed by class, field
     values and child identities, for all the text this parser reads, so
     equal subformulas are one object and the walks keyed by id visit each
-    once."""
+    once.
+
+    The text is read left to right in one loop with its own stack, so no
+    depth of nesting meets the recursion limit.  Each distinct
+    parenthesized group of text is parsed once per parser: a group is
+    remembered with its node and its own nesting depth, and a later copy
+    of the same text, found by its first characters and one
+    `str.startswith`, takes that node without being read again.  A copy
+    is taken only where its depth still fits under MAX_NESTING; elsewhere
+    it is read, and refused, as any other group."""
 
     def __init__(self, n, mode):
         self.n = n
         self.mode = normalize_mode(mode)
         self.table = {}
         self.syms = {}         # token text -> its checked generator symbol
+        self.groups = {}       # first _KEY characters -> [(text, node, depth)]
 
     def node(self, cls, *fields):
         # the fields of an inner node are children and generator symbols
@@ -252,94 +269,125 @@ class _Parser:
                 (GenSym, g.kind, g.i, g.j), g)
         return g
 
-    def peek(self):
-        return self.tokens[self.k][0]
-
-    def take(self):
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
-
-    def expect(self, kind):
-        if self.peek() != kind:
-            tok = self.tokens[self.k]
-            raise ParseError("expected %s, found %r" % (kind, tok[1]), tok[2])
-        return self.take()
-
     def parse(self, text, start=0, end=None):
-        """The formula in text[start:end]; error positions are in `text`."""
-        self.tokens = _tokenize(text, start, len(text) if end is None else end)
-        self.k = 0
-        self.depth = 0
-        t = self.implication()
-        if self.peek() != "end":
-            tok = self.tokens[self.k]
-            raise ParseError("trailing input %r" % tok[1], tok[2])
-        return t
+        """The formula in text[start:end]; error positions are in `text`.
 
-    def implication(self):
-        # right-associative: a -> b -> c is a -> (b -> c)
-        parts = [self.disjunction()]
-        while self.peek() == "imp":
-            self.take()
-            parts.append(self.disjunction())
-        out = parts.pop()
-        while parts:
-            out = self.node(Join, self.node(Compl, parts.pop()), out)
-        return out
+        Binding, tightest first: the prefixes ~ and s[..], then & and |
+        (each associating left), then -> (associating right).  Tokens are
+        read as the loop needs them, but the errors are those of reading
+        the whole span first: a character that starts no token is
+        reported before any error of the grammar."""
+        if end is None:
+            end = len(text)
+        match = _TOKEN_RE.match
+        node, groups = self.node, self.groups
+        ops = [0]        # binding strengths of pending operators; 0 opens a group
+        left = []        # their left operands
+        frames = []      # per open parenthesis: [position, prefixes, depth inside]
+        pos = start      # the end of the text read so far
+        try:
+            while True:
+                # an operand: prefixes, then an atom or a group
+                prefix = []            # None for ~, else the generator symbol
+                m = match(text, pos, end)
+                while m is not None and m.lastindex in (_NEG, _SUB):
+                    pos = m.end()
+                    if m.lastindex == _NEG:
+                        prefix.append(None)
+                    else:
+                        prefix.append(self.sym(m.group(_SUB), m.start(_SUB)))
+                    m = match(text, pos, end)
+                if m is None:
+                    raise _bad_character(text, pos, end)
+                kind = m.lastindex
+                pos = m.end()
+                if kind == _VAR:
+                    t = node(Var, int(m.group(kind)[1:]))
+                elif kind == _LPAR:
+                    at = pos - 1
+                    for g, t, depth in groups.get(text[at:at + _KEY], ()):
+                        if (len(frames) + depth <= MAX_NESTING
+                                and text.startswith(g, at, end)):
+                            pos = at + len(g)
+                            if frames and frames[-1][2] < depth:
+                                frames[-1][2] = depth
+                            break
+                    else:
+                        if len(frames) >= MAX_NESTING:
+                            raise ParseError("parentheses nest deeper than %d"
+                                             % MAX_NESTING, at)
+                        frames.append([at, prefix, 0])
+                        ops.append(0)
+                        continue
+                elif kind == _ZERO:
+                    t = node(Zero)
+                elif kind == _ONE:
+                    t = node(One)
+                elif kind == _DIAG:
+                    tok, at = m.group(kind), m.start(kind)
+                    if not has_diagonals(self.mode):
+                        raise ParseError(
+                            "diagonals are not allowed in mode %s" % self.mode, at)
+                    i, j = (int(x) for x in tok[2:-1].split(","))
+                    if i >= self.n or j >= self.n:
+                        raise ParseError("%s is out of range for n=%d"
+                                         % (tok, self.n), at)
+                    t = node(Diag, i, j)
+                else:
+                    raise ParseError("unexpected token %r" % m.group(kind),
+                                     m.start(kind))
+                # the operand `t` is read: apply its prefixes, then take the
+                # operator after it, or close the groups it ends
+                while True:
+                    for g in reversed(prefix):
+                        t = node(Compl, t) if g is None else node(Sub, g, t)
+                    m = match(text, pos, end)
+                    if m is None:
+                        raise _bad_character(text, pos, end)
+                    kind = m.lastindex
+                    pos = m.end()
+                    if _IMP <= kind <= _AND:
+                        bind = kind - _IMP + 1
+                        # -> associates right, & and | left
+                        while ops[-1] >= bind + (kind == _IMP):
+                            t = _reduce(ops.pop(), left.pop(), t, node)
+                        ops.append(bind)
+                        left.append(t)
+                        break
+                    if not ((kind == _RPAR and frames)
+                            or (kind == _END and not frames)):
+                        raise ParseError(
+                            ("expected rpar, found %r" if frames
+                             else "trailing input %r") % m.group(kind),
+                            m.start(kind))
+                    while ops[-1]:
+                        t = _reduce(ops.pop(), left.pop(), t, node)
+                    if kind == _END:
+                        return t
+                    ops.pop()
+                    at, prefix, depth = frames.pop()
+                    depth += 1
+                    if pos - at >= _KEY:
+                        groups.setdefault(text[at:at + _KEY], []).append(
+                            (text[at:pos], t, depth))
+                    if frames and frames[-1][2] < depth:
+                        frames[-1][2] = depth
+        except ValueError:             # a ParseError, or a bad number or symbol
+            # the text before `pos` is read; report a bad character after
+            # it first, as a reader that lexes the whole span would
+            bad = _bad_character(text, pos, end)
+            if bad is not None:
+                raise bad from None
+            raise
 
-    def disjunction(self):
-        out = self.conjunction()
-        while self.peek() == "or":
-            self.take()
-            out = self.node(Join, out, self.conjunction())
-        return out
 
-    def conjunction(self):
-        out = self.unary()
-        while self.peek() == "and":
-            self.take()
-            out = self.node(Meet, out, self.unary())
-        return out
-
-    def unary(self):
-        prefix = []            # None for ~, else the generator symbol
-        while self.peek() in ("neg", "sub"):
-            kind, text, pos = self.take()
-            if kind == "neg":
-                prefix.append(None)
-                continue
-            prefix.append(self.sym(text, pos))
-        out = self.atom()
-        for g in reversed(prefix):
-            out = self.node(Compl, out) if g is None else self.node(Sub, g, out)
-        return out
-
-    def atom(self):
-        kind, text, pos = self.take()
-        if kind == "zero":
-            return self.node(Zero)
-        if kind == "one":
-            return self.node(One)
-        if kind == "var":
-            return self.node(Var, int(text[1:]))
-        if kind == "diag":
-            if not has_diagonals(self.mode):
-                raise ParseError("diagonals are not allowed in mode %s" % self.mode, pos)
-            i, j = (int(x) for x in text[2:-1].split(","))
-            if i >= self.n or j >= self.n:
-                raise ParseError("%s is out of range for n=%d" % (text, self.n), pos)
-            return self.node(Diag, i, j)
-        if kind == "lpar":
-            # each open parenthesis costs a few Python frames
-            if self.depth >= MAX_NESTING:
-                raise ParseError("parentheses nest deeper than %d" % MAX_NESTING, pos)
-            self.depth += 1
-            t = self.implication()
-            self.expect("rpar")
-            self.depth -= 1
-            return t
-        raise ParseError("unexpected token %r" % text, pos)
+def _reduce(bind, a, b, node):
+    """The node of a pending operator of binding strength `bind`."""
+    if bind == 3:
+        return node(Meet, a, b)
+    if bind == 2:
+        return node(Join, a, b)
+    return node(Join, node(Compl, a), b)
 
 
 def parse(text, n, mode="full"):
@@ -486,6 +534,19 @@ def _bool_axioms():
     return [Equation(l, r, tag) for tag, l, r in eqs]
 
 
+def _one_object_each(make):
+    """`make` returning one object per pair of arguments, so that the walks
+    that key a generator symbol by its identity meet each one once."""
+    made = {}
+
+    def once(i, j):
+        g = made.get((i, j))
+        if g is None:
+            g = made[i, j] = make(i, j)
+        return g
+    return once
+
+
 def sigma_axioms(n, mode="full"):
     """The finite axiom list for dimension n in the given mode, tagged.
 
@@ -495,6 +556,7 @@ def sigma_axioms(n, mode="full"):
     of which are word-pair equations), diag:* (diagonal constants).
     """
     mode = normalize_mode(mode)
+    swap, repl = _one_object_each(_swap), _one_object_each(_repl)
     x, y = Var(0), Var(1)
     eqs = list(_bool_axioms())
 

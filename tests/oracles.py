@@ -6,6 +6,7 @@ the public AST node types.
 """
 
 import itertools
+import re
 
 BELL = [1, 1, 2, 5, 15, 52, 203]
 
@@ -293,6 +294,158 @@ def ref_kernel_satisfiable(term, n):
             if truth(term, q, {a for a, b in zip(atoms, bits) if b}):
                 return True
     return False
+
+
+_REF_TOKEN = re.compile(
+    r"(?P<ws>\s+)"
+    r"|(?P<sub>s\[\d+[,|]\d+\])"
+    r"|(?P<diag>d\(\s*\d+\s*,\s*\d+\s*\))"
+    r"|(?P<var>p\d+)"
+    r"|(?P<zero>0)|(?P<one>1)"
+    r"|(?P<imp>->)|(?P<and>&)|(?P<or>\|)|(?P<neg>~)"
+    r"|(?P<lpar>\()|(?P<rpar>\))"
+)
+
+
+class _RefParser:
+    """Recursive descent over a token list lexed in full up front: one
+    method per binding level, a recursive call per parenthesis, plain
+    (unshared) nodes."""
+
+    def __init__(self, n, mode):
+        self.n = n
+        self.mode = mode               # one of the four mode names
+
+    def parse(self, text, start, end):
+        from substal.terms import ParseError
+
+        self.tokens = []
+        pos = start
+        while pos < end:
+            m = _REF_TOKEN.match(text, pos, end)
+            if m is None:
+                raise ParseError("unexpected character %r" % text[pos], pos)
+            if m.lastgroup != "ws":
+                self.tokens.append((m.lastgroup, m.group(), pos))
+            pos = m.end()
+        self.tokens.append(("end", "", end))
+        self.k = 0
+        self.depth = 0
+        t = self.implication()
+        if self.tokens[self.k][0] != "end":
+            _, tok, at = self.tokens[self.k]
+            raise ParseError("trailing input %r" % tok, at)
+        return t
+
+    def take(self, *kinds):
+        if self.tokens[self.k][0] in kinds:
+            self.k += 1
+            return self.tokens[self.k - 1]
+        return None
+
+    def implication(self):
+        from substal.terms import Compl, Join
+
+        parts = [self.disjunction()]
+        while self.take("imp"):
+            parts.append(self.disjunction())
+        out = parts.pop()
+        while parts:
+            out = Join(Compl(parts.pop()), out)
+        return out
+
+    def disjunction(self):
+        from substal.terms import Join
+
+        out = self.conjunction()
+        while self.take("or"):
+            out = Join(out, self.conjunction())
+        return out
+
+    def conjunction(self):
+        from substal.terms import Meet
+
+        out = self.unary()
+        while self.take("and"):
+            out = Meet(out, self.unary())
+        return out
+
+    def unary(self):
+        from substal.monoid import GenSym
+        from substal.terms import Compl, ParseError, Sub
+
+        prefix = []
+        while True:
+            tok = self.take("neg", "sub")
+            if tok is None:
+                break
+            kind, text, pos = tok
+            if kind == "neg":
+                prefix.append(None)
+                continue
+            kind = "transposition" if "," in text else "replacement"
+            g = GenSym(kind, *(int(x) for x in re.findall(r"\d+", text)))
+            one_kind = self.mode in ("replacements", "transpositions")
+            if one_kind and not self.mode.startswith(kind):
+                raise ParseError("%s is not allowed in mode %s"
+                                 % (g.token(), self.mode), pos)
+            if g.j >= self.n or g.i >= self.n:
+                raise ParseError("%s is out of range for n=%d"
+                                 % (g.token(), self.n), pos)
+            prefix.append(g)
+        out = self.atom()
+        for g in reversed(prefix):
+            out = Compl(out) if g is None else Sub(g, out)
+        return out
+
+    def atom(self):
+        from substal.terms import Diag, One, ParseError, Var, Zero
+
+        kind, text, pos = self.tokens[self.k]
+        self.k += 1
+        if kind == "zero":
+            return Zero()
+        if kind == "one":
+            return One()
+        if kind == "var":
+            return Var(int(text[1:]))
+        if kind == "diag":
+            if self.mode != "full_diagonal":
+                raise ParseError("diagonals are not allowed in mode %s"
+                                 % self.mode, pos)
+            i, j = (int(x) for x in text[2:-1].split(","))
+            if i >= self.n or j >= self.n:
+                raise ParseError("%s is out of range for n=%d" % (text, self.n), pos)
+            return Diag(i, j)
+        if kind == "lpar":
+            if self.depth >= 100:
+                raise ParseError("parentheses nest deeper than 100", pos)
+            self.depth += 1
+            t = self.implication()
+            kind, text, pos = self.tokens[self.k]
+            if kind != "rpar":
+                raise ParseError("expected rpar, found %r" % text, pos)
+            self.k += 1
+            self.depth -= 1
+            return t
+        raise ParseError("unexpected token %r" % text, pos)
+
+
+def ref_parse(text, n, mode="full"):
+    """The formula `text` as a plain term, read by recursive descent."""
+    return _RefParser(n, mode).parse(text, 0, len(text))
+
+
+def ref_parse_equation(text, n, mode="full"):
+    """The equation `text` as a pair of plain terms (lhs, rhs)."""
+    from substal.terms import ParseError
+
+    if text.count("=") != 1:
+        raise ParseError("an equation needs exactly one '='",
+                         text.find("=") if "=" in text else len(text))
+    cut = text.index("=")
+    parser = _RefParser(n, mode)
+    return parser.parse(text, 0, cut), parser.parse(text, cut + 1, len(text))
 
 
 def ref_bijective_stabilizer(n, T):

@@ -146,7 +146,7 @@ def test_parity_pair_at_sixteen_literals(capsys):
         elapsed = time.monotonic() - t0
         out, _ = _lines(capsys)
         assert out[0] == verdict
-        assert elapsed < 1.0, "%s took %.2fs" % (verdict, elapsed)
+        assert elapsed < 0.25, "%s took %.2fs" % (verdict, elapsed)
 
 
 def test_valid_needs_formula_or_axioms(capsys):

@@ -27,6 +27,7 @@ from substal.monoid import (
     parse_word,
     partitions,
     repl,
+    restricted_growth,
     swap,
     word_equiv,
 )
@@ -284,6 +285,14 @@ def test_partitions_as_restricted_growth_strings():
                 assert p[idx] <= max(p[:idx]) + 1
             # the string is its own kernel representative
             assert rgs_of_point(p) == p
+
+
+def test_restricted_growth_is_lexicographic_and_lazy():
+    for n in range(7):
+        assert list(partitions(n)) == sorted(partitions(n))
+    first = restricted_growth(40)      # Bell(40) strings, made one at a time
+    assert next(first) == (0,) * 40
+    assert next(first) == (0,) * 39 + (1,)
 
 
 def test_num_blocks():

@@ -1,7 +1,7 @@
 """AST, parser, axiom schemas, and evaluation."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from substal.monoid import Transformation, enumerate_monoid, identity, repl, swap
 from substal.setalg import small_algebra
@@ -31,6 +31,8 @@ from substal.terms import (
     variables,
     word_pair,
 )
+
+from oracles import ref_parse, ref_parse_equation
 
 
 def test_terms_are_immutable_values():
@@ -145,6 +147,104 @@ def test_parity_chain_has_one_object_per_distinct_subformula():
     distinct = {format_term(s) for s in subterms(t)}
     assert len(subterms(t)) == len(distinct)
     assert term_size(t) > 10 * len(distinct)
+
+
+def test_parse_repeated_groups_keep_the_nesting_cap():
+    """A group seen before is not read again, but where its copy would
+    pass the nesting cap the copy is refused as its first reading would
+    be: the 41st parenthesis of the inner g sits at depth 101."""
+    g = "(" * 50 + "p0 & p1" + ")" * 50
+    with pytest.raises(ParseError) as info:
+        parse(g + " & " + "(" * 60 + g + ")" * 60, 2)
+    assert str(info.value) == ("parentheses nest deeper than 100 "
+                               "(at position 210)")
+    t = parse(g + " & " + "(" * 50 + g + ")" * 50, 2)
+    assert t.left is t.right
+
+
+_ATOMS = ["p0", "p1", "p12", "0", "1", "d(0,1)", "d( 1 ,0 )", "d(0,4)"]
+_SOUP = _ATOMS + ["~", "&", "|", "->", "(", ")", "=", "s[0,1]", "s[1,0]",
+                  "s[1|0]", "s[0|2]", "s[3,0]", "s[1,1]", "$", "-", " ", "\t"]
+_JOINS = [" & ", " | ", " -> ", "&", "|~", " & s[0,1] ", " | s[0|1] ~"]
+
+_terms = st.recursive(st.sampled_from([Var(0), Var(1), One(), Zero(),
+                                       Diag(0, 1)]),
+                      lambda children: st.one_of(
+                          st.builds(Compl, children),
+                          st.builds(Meet, children, children),
+                          st.builds(Join, children, children),
+                          st.builds(lambda t: Sub(swap(0, 1), t), children),
+                          st.builds(lambda t: Sub(repl(1, 0), t), children)),
+                      max_leaves=5)
+
+
+@st.composite
+def _formula_texts(draw):
+    """Token soup, or operands joined by operators.  An operand may be a
+    parenthesized group written more than once, some groups nested near
+    the cap of 100 and some copies deeper than the first; the whole text
+    may sit inside more parentheses."""
+    def soup(size):
+        sep = draw(st.sampled_from(["", " "]))
+        return sep.join(draw(st.lists(st.sampled_from(_SOUP), max_size=size)))
+
+    shape = draw(st.integers(0, 3))
+    if shape == 0:
+        return soup(12)
+    groups = []
+    for _ in range(draw(st.integers(0, 3))):
+        depth = draw(st.sampled_from([1, 2, 3, 49, 50, 51, 98, 99, 100, 101]))
+        inner = draw(st.builds(format_term, _terms)) if draw(
+            st.integers(0, 4)) else soup(6)
+        groups.append("(" * depth + inner + ")" * depth)
+    operand = st.one_of(st.sampled_from(_ATOMS), st.builds(format_term, _terms))
+    if groups:
+        operand = st.one_of(operand, st.builds(
+            lambda g, k: "(" * k + g + ")" * k,
+            st.sampled_from(groups), st.sampled_from([0, 0, 1, 2, 50, 51])))
+    if shape == 1 and groups:
+        g = draw(st.sampled_from(groups))
+        k = draw(st.sampled_from([1, 2, 49, 50, 51]))
+        parts = [g, "(" * k + g + ")" * k]
+    else:
+        parts = draw(st.lists(operand, min_size=1, max_size=6))
+    text = parts[0]
+    for part in parts[1:]:
+        text += draw(st.sampled_from(_JOINS)) + part
+    wrap = draw(st.sampled_from([0, 0, 0, 1, 2, 50, 99, 100]))
+    return "(" * wrap + text + ")" * wrap
+
+
+def _outcome(read, *args):
+    """The term(s) read, or the error's class, message and position."""
+    try:
+        return read(*args)
+    except ValueError as exc:      # a ParseError is a ValueError
+        return type(exc).__name__, str(exc), getattr(exc, "position", None)
+
+
+def _one_object_per_distinct_subterm(t):
+    return len(subterms(t)) == len({format_term(s) for s in subterms(t)})
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_formula_texts(), _formula_texts(), st.sampled_from([1, 2, 2, 3]),
+       st.sampled_from(["full", "full_diagonal", "full_diagonal",
+                        "replacements", "transpositions"]))
+def test_parse_agrees_with_the_recursive_descent_reader(text, other, n, mode):
+    """The same term, one object per distinct subterm, or the same error
+    at the same position, for formulas and for both sides of equations."""
+    got = _outcome(parse, text, n, mode)
+    assert got == _outcome(ref_parse, text, n, mode)
+    if not isinstance(got, tuple):
+        assert _one_object_per_distinct_subterm(got)
+    for equation in (text + " = " + other, text + "=" + text):
+        got = _outcome(parse_equation, equation, n, mode)
+        if isinstance(got, Equation):
+            assert (got.lhs, got.rhs) == ref_parse_equation(equation, n, mode)
+            assert _one_object_per_distinct_subterm(Meet(got.lhs, got.rhs))
+        else:
+            assert got == _outcome(ref_parse_equation, equation, n, mode)
 
 
 def test_term_measures():
