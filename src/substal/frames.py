@@ -29,8 +29,9 @@ from .monoid import (
     monoid_size,
     normalize_mode,
 )
-from .setalg import (ComplexAlgebra, Square, fold_tables, gather_map,
-                     json_int, json_ints, lowest_bit, mask_points, points_mask)
+from .setalg import (FAILURES_KEPT, ComplexAlgebra, Square, fold_tables,
+                     gather_map, json_int, json_ints, lowest_bit, mask_points,
+                     morphism_report, points_mask)
 
 
 class Frame:
@@ -95,7 +96,6 @@ class Frame:
 
 # The walk steps every world of the unit along every Cayley edge.
 COHERENCE_BUDGET = 2 * 10**6
-FAILURES_KEPT = 10
 
 
 def walk_steps(n, mode, worlds):
@@ -322,13 +322,14 @@ def insep_zigzag(frame_b, frame_c, label_b, label_c):
     return Frame(n, mode, len(worlds), action), worlds
 
 
-def _dual_atom_map(sub, big, embed):
-    """For each atom u of `big`, the unique atom a of `sub` with u ≤ embed(a)."""
-    sub_atoms = sub.atoms()
+def _dual_atom_map(sub_atoms, big, embed):
+    """For each atom u of `big`, the index of the unique atom a among
+    `sub_atoms` with u ≤ embed(a)."""
+    images = [embed(a) for a in sub_atoms]
     out = []
     for u in big.atoms():
-        hits = [idx for idx, a in enumerate(sub_atoms)
-                if big.meet(u, embed(a)) == u]
+        hits = [idx for idx, image in enumerate(images)
+                if big.meet(u, image) == u]
         if len(hits) != 1:
             raise ValueError("not an embedding: atom %r lies under %d images"
                              % (u, len(hits)))
@@ -339,40 +340,55 @@ def _dual_atom_map(sub, big, embed):
 def superamalgam(A, B, C, f, h):
     """Amalgamate B and C over their common subalgebra A.
 
-    f: A→B and h: A→C must be injective homomorphisms (verified).  The
-    amalgam D is the complex algebra of the pullback of the dual atom maps
-    At B → At A ← At C, with m(b) = {(u,v) : u ≤ b} and k(c) symmetric.
-    Returns (D, m, k, report); the report carries the commuting square,
-    injectivity, and the order-interpolation biconditional
-    m(b) ≤ k(c) ⇔ ∃a: b ≤ f(a) and h(a) ≤ c over every pair.
+    f: A→B and h: A→C must be injective homomorphisms.  Each is verified
+    as its dual world map At B → At A (setalg.morphism_report on the atom
+    frames), and f(z) must be the join of the atoms of B sent below z for
+    every z in A.  The amalgam D is the complex algebra of the pullback
+    of the dual atom maps At B → At A ← At C, with m(b) = {(u,v) : u ≤ b}
+    and k(c) symmetric, whose world maps (u,v) ↦ u and (u,v) ↦ v are
+    certified the same way.  Returns (D, m, k, report); the report
+    carries the commuting square, injectivity, and the
+    order-interpolation biconditional m(b) ≤ k(c) ⇔ ∃a: b ≤ f(a) and
+    h(a) ≤ c over every pair.
     """
-    from .represent import hom_report
-
-    for name, src, tgt, emb in (("f", A, B, f), ("h", A, C, h)):
-        check = hom_report(src, tgt, emb)
-        if not check["injective"]:
+    frame_a, atoms_a = atom_frame(A)
+    cm_a = ComplexAlgebra(frame_a)
+    a_els = A.elements()
+    sides = []
+    for name, side, embed in (("f", B, f), ("h", C, h)):
+        frame, atoms = atom_frame(side)
+        label = _dual_atom_map(atoms_a, side, embed)
+        cm = ComplexAlgebra(frame)
+        failures = morphism_report(cm_a, cm, dict(enumerate(label)))["failures"]
+        images = [side.zero] * len(atoms_a)
+        for u, a in zip(atoms, label):
+            images[a] |= u
+        for z in a_els:
+            joined = side.zero
+            for x, image in zip(atoms_a, images):
+                if A.meet(x, z) == x:
+                    joined |= image
+            if embed(z) != joined:
+                failures.append(("additive", z))
+        if failures:
             raise ValueError("%s is not an embedding: %r"
-                             % (name, check["failures"][:3]))
+                             % (name, failures[:3]))
+        sides.append((cm, atoms, label))
 
-    frame_b, atoms_b = atom_frame(B)
-    frame_c, atoms_c = atom_frame(C)
-    label_b = _dual_atom_map(A, B, f)
-    label_c = _dual_atom_map(A, C, h)
-    frame_d, pairs = insep_zigzag(frame_b, frame_c, label_b, label_c)
+    (cm_b, atoms_b, label_b), (cm_c, atoms_c, label_c) = sides
+    frame_d, pairs = insep_zigzag(cm_b.space, cm_c.space, label_b, label_c)
     D = ComplexAlgebra(frame_d)
 
     # b contains the atom u exactly when it contains u's lowest bit
     worlds = range(len(pairs))
-    m_gather = ([lowest_bit(atoms_b[u]) for u, _ in pairs], worlds)
-    k_gather = ([lowest_bit(atoms_c[v]) for _, v in pairs], worlds)
-    m, k = gather_map(*m_gather), gather_map(*k_gather)
+    m = gather_map([lowest_bit(atoms_b[u]) for u, _ in pairs], worlds)
+    k = gather_map([lowest_bit(atoms_c[v]) for _, v in pairs], worlds)
 
     report = {"worlds": len(pairs), "failures": []}
-    a_els = A.elements()
     report["square_commutes"] = all(m(f(z)) == k(h(z)) for z in a_els)
 
-    m_check = hom_report(B, D, m, gather=m_gather)
-    k_check = hom_report(C, D, k, gather=k_gather)
+    m_check = morphism_report(cm_b, D, dict(enumerate(u for u, _ in pairs)))
+    k_check = morphism_report(cm_c, D, dict(enumerate(v for _, v in pairs)))
     report["m_homomorphism"] = m_check["homomorphism"]
     report["k_homomorphism"] = k_check["homomorphism"]
     report["m_injective"] = m_check["injective"]

@@ -18,8 +18,10 @@ orbit map equivariant, so the walk certifies all blocks at once, and one
 builder (`_represent`) checks per block only what the walk cannot know
 and writes one report for the whole product.  Any other handle reaches
 the engine through `canonical_extension`, Cm of its atom frame, whose
-isomorphism is itself a gather certified by `hom_report` from the atom
-images.
+world map is equivariant by the construction of the atom frame; its
+report checks that the atoms partition the unit and that the diagonals
+are kept.  Maps between two set algebras that are no representations
+are certified by their world maps (setalg.morphism_report).
 """
 
 from .monoid import (
@@ -32,10 +34,11 @@ from .monoid import (
     generators,
     has_diagonals,
 )
-from .setalg import (ComplexAlgebra, ConcreteAlgebra, algebra_to_json,
-                     alternating_coloring, gather_map, lowest_bit, mask_points,
-                     point_coords, point_index, points_mask, small_algebra)
-from .frames import FAILURES_KEPT, action_tables, atom_frame, walk_steps
+from .setalg import (FAILURES_KEPT, ComplexAlgebra, ConcreteAlgebra,
+                     algebra_to_json, alternating_coloring, gather_map,
+                     lowest_bit, mask_points, point_coords, point_index,
+                     points_mask, small_algebra)
+from .frames import action_tables, atom_frame, walk_steps
 
 
 def atom_below(algebra, a):
@@ -43,92 +46,6 @@ def atom_below(algebra, a):
     if a == algebra.zero:
         raise ValueError("zero element has no atom below it")
     return a & -a
-
-
-def hom_report(source, target, h, gather=None):
-    """Certify h: source -> target as a homomorphism of the full signature,
-    for a source that may be any algebra handle (canonical_extension,
-    frames.superamalgam, setalg.relativization_hom).  The representations
-    of a set algebra are certified by its Cayley walk instead
-    (`_represent`); this is their reference in the tests.
-
-    The certificate is exact and reads only the atom images.  A map that
-    preserves finite joins is fixed by its values on the atoms, and
-    substitutions here are preimage operators, hence additive; so h is a
-    homomorphism exactly when
-
-    - h is additive: a bit gather (`gather` = (src_bits, dst_bits)) is by
-      construction, and any other map is checked once against
-      h(z) = h(z - a) v h(a) for an atom a below each element z;
-    - h(0) = 0, the atom images are pairwise disjoint and their union is
-      the target's unit (so h keeps meets, complements and 1);
-    - h(d(i,j)) = d(i,j) for every diagonal of a diagonal signature;
-    - h(S_g a) = S_g h(a) for every atom a and generator g (Jonsson-Tarski:
-      an additive operator on an atomic algebra is fixed by its atoms).
-
-    A homomorphism is injective exactly when no atom image is zero.
-    """
-    gens = generators(source.n, source.mode)
-    atoms = source.atoms()
-    images = [h(a) for a in atoms]
-    failures = []
-
-    def record(kind, *args):
-        if len(failures) < 10:
-            failures.append((kind,) + args)
-
-    if gather is None:
-        imgs = {z: h(z) for z in source.elements()}
-        for z, hz in imgs.items():
-            below = next((a for a in atoms if source.meet(a, z) == a), None)
-            if below is None:
-                continue
-            rest = imgs[source.meet(z, source.compl(below))]
-            if hz != target.join(rest, imgs[below]):
-                record("additive", z)
-    if h(source.zero) != target.zero:
-        record("zero")
-    cover = atom_cover_report(target, images)
-    if not cover["cover_disjoint"]:
-        record("overlap")
-    if not cover["cover_union_ok"]:
-        record("cover")
-    if has_diagonals(source.mode):
-        for i in range(source.n):
-            for j in range(source.n):
-                if h(source.diag(i, j)) != target.diag(i, j):
-                    record("diag", i, j)
-    for a, ha in zip(atoms, images):
-        for g in gens:
-            if h(source.subst(g, a)) != target.subst(g, ha):
-                record("subst", g.token(), a)
-    homomorphism = not failures
-    dead = [a for a, ha in zip(atoms, images) if ha == target.zero]
-    for a in dead:
-        record("atom-image-zero", a)
-    report = {
-        "method": "atom-certificate",
-        "atoms_checked": len(atoms),
-        "homomorphism": homomorphism,
-        "injective": homomorphism and not dead,
-        "injective_method": "atom-images-nonzero",
-        "failures": failures,
-    }
-    report.update(cover)
-    return report
-
-
-def atom_cover_report(target, images):
-    """Do the atom images partition the target unit?"""
-    total = target.zero
-    disjoint = True
-    for hx in images:
-        if target.meet(total, hx) != target.zero:
-            disjoint = False
-        total = target.join(total, hx)
-    return {"atom_cover": total == target.one and disjoint,
-            "cover_union_ok": total == target.one,
-            "cover_disjoint": disjoint}
 
 
 class RepMap(Record):
@@ -402,14 +319,35 @@ def check_psi_witnesses(algebra):
 
 def canonical_extension(algebra):
     """Cm(atom frame) with the natural isomorphism z ↦ {atoms below z},
-    the gather of each atom's lowest bit to its world, certified by
-    hom_report from the atom images, as the source may be any handle; for
-    finite algebras this is a (complete) isomorphic copy."""
+    the gather of each atom's lowest bit to its world; for finite
+    algebras this is a (complete) isomorphic copy.  The source may be any
+    handle, and the report checks what atom_frame leaves open: the atoms
+    partition the unit ("overlap", "cover"), and the gather keeps every
+    diagonal ("diag").  Each atom has a world of its own, so a
+    homomorphism is injective and its atom images cover ext."""
     frame, ats = atom_frame(algebra)
     ext = ComplexAlgebra(frame)
     gather = ([lowest_bit(x) for x in ats], list(range(len(ats))))
-    report = hom_report(algebra, ext, gather_map(*gather), gather=gather)
-    report["bijective"] = report["injective"] and algebra.size() == ext.size()
+    image = gather_map(*gather)
+    failures, union = [], algebra.zero
+    for x in ats:
+        if union & x:
+            failures.append(("overlap", x))
+        union |= x
+    if union != algebra.one:
+        failures.append(("cover",))
+    # atom_frame found one atom y with x ≤ s_g(y) for each atom x and
+    # generator g.  With the atoms a partition, each s_g(y) is the join of
+    # the atoms it holds, so the gather sends s_g(y) to S_g of y's world:
+    # the atom map is equivariant, and "subst" needs no check.
+    if has_diagonals(algebra.mode):
+        failures += [("diag", i, j) for i in range(algebra.n)
+                     for j in range(i + 1, algebra.n)
+                     if image(algebra.diag(i, j)) != ext.diag(i, j)]
+    homomorphism = not failures
+    report = {"homomorphism": homomorphism, "injective": homomorphism,
+              "atom_cover": True, "failures": failures[:FAILURES_KEPT],
+              "bijective": homomorphism and algebra.size() == ext.size()}
     return ext, RepMap(algebra, ext, gather, report)
 
 

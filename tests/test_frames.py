@@ -19,14 +19,14 @@ from substal.frames import (
     random_coherent_frame,
     superamalgam,
 )
-from substal.represent import hom_report
-from substal.setalg import (Subalgebra, fold_tables, gather_map,
-                            generate_subalgebra, small_algebra)
+from substal.setalg import (Subalgebra, fold_tables, generate_subalgebra,
+                            morphism_report, small_algebra)
 from substal.monoid import (MODES, Transformation, cayley_graph, generators,
                             repl, swap)
 from substal.terms import equation_holds_exhaustive, sigma_axioms, word_pair
 
-from oracles import ref_frame_coherent, ref_gen_tuple, ref_hat
+from oracles import hom_report, ref_frame_coherent, ref_gen_tuple, ref_hat
+from test_acceptance import _preimage_hom, _relabeled
 
 
 def test_point_frames_pass_frame_check():
@@ -204,13 +204,11 @@ def test_atom_frame_of_two_element_algebra():
 
 
 def _equivariant(domain, codomain, mapping):
-    """The atom certificate of the inverse image Cm(codomain) → Cm(domain)
-    of the world map domain → codomain, the gather of each world's image
-    to the world: a homomorphism exactly when the map is equivariant and
-    keeps the diagonals."""
-    gather = (list(mapping), list(range(domain.num_worlds)))
-    return hom_report(ComplexAlgebra(codomain), ComplexAlgebra(domain),
-                      gather_map(*gather), gather=gather)
+    """The certificate of the inverse image Cm(codomain) → Cm(domain) of
+    the world map domain → codomain: a homomorphism exactly when the map
+    is equivariant and keeps the diagonals."""
+    return morphism_report(ComplexAlgebra(codomain), ComplexAlgebra(domain),
+                           dict(enumerate(mapping)))
 
 
 def test_equivariant_maps():
@@ -320,6 +318,75 @@ def test_superamalgam_rejects_non_embeddings():
     squash = lambda a: alg.zero
     with pytest.raises(ValueError):
         superamalgam(alg, alg, alg, squash, lambda a: a)
+
+
+def _amalgamation_trials(rng, trials):
+    """Bases in the style of c09: a generated subalgebra A of the complex
+    algebra of a random frame or of a ²2 point frame, and two shuffled
+    unions of copies of that frame, up to four worlds each, with the
+    label of each world in the frame; then the two maps, each also bent
+    at one element and with one world relabelled."""
+    for _ in range(trials):
+        if rng.random() < 0.5:
+            base = random_coherent_frame(rng.choice([2, 3]), "full",
+                                         max_worlds=2, rng=rng)
+        else:
+            base = point_frame(2, 2, rng.choice(
+                ["full", "transpositions", "replacements"]))
+        full = ComplexAlgebra(base)
+        seeds = [rng.getrandbits(base.num_worlds)
+                 for _ in range(rng.randint(0, 2))]
+        A = Subalgebra(full, generate_subalgebra(full, seeds))
+        sides = []
+        for _ in range(2):
+            big, offsets = disjoint_union(
+                [base] * rng.randint(1, 4 // base.num_worlds))
+            shuffled, perm = _relabeled(big, rng)
+            label = [0] * big.num_worlds
+            for w in range(big.num_worlds):
+                label[perm[w]] = w % base.num_worlds
+            sides.append((ComplexAlgebra(shuffled), label))
+        variants = []
+        for B, label in sides:
+            embed = _preimage_hom(label, len(label))
+            z0 = rng.choice(A.elements())
+            flip = 1 << rng.randrange(len(label))
+            moved = list(label)
+            moved[rng.randrange(len(moved))] = rng.randrange(base.num_worlds)
+            variants.append((B, [
+                embed,
+                lambda z, e=embed, z0=z0, flip=flip: e(z) ^ flip if z == z0
+                else e(z),
+                _preimage_hom(moved, len(moved))]))
+        (B, fs), (C, hs) = variants
+        yield A, B, C, [(f, hs[0]) for f in fs] + [(fs[0], h) for h in hs[1:]]
+
+
+def test_superamalgam_refuses_where_the_atom_certificate_refuses():
+    """On seeded c09 bases, with f or h bent at one element or with one
+    world relabelled, superamalgam refuses a pair of maps exactly when
+    hom_report finds one of them no injective homomorphism; otherwise its
+    m and k certificates agree with hom_report's and the amalgam
+    passes."""
+    rng = random.Random(2013)
+    maps = refused = 0
+    for A, B, C, pairs in _amalgamation_trials(rng, 60):
+        for f, h in pairs:
+            maps += 1
+            embeds = (hom_report(A, B, f)["injective"]
+                      and hom_report(A, C, h)["injective"])
+            if not embeds:
+                refused += 1
+                with pytest.raises(ValueError, match="not an embedding"):
+                    superamalgam(A, B, C, f, h)
+                continue
+            D, m, k, report = superamalgam(A, B, C, f, h)
+            for name, side, fn in (("m", B, m), ("k", C, k)):
+                want = hom_report(side, D, fn)
+                assert report[name + "_homomorphism"] == want["homomorphism"]
+                assert report[name + "_injective"] == want["injective"]
+            assert report["pass"], report
+    assert maps == 300 and 0 < refused < maps
 
 
 def test_random_coherent_frames():

@@ -1,7 +1,9 @@
 """The package surface: lazy exports, and no cache outside the modules that
 every CLI call loads."""
 
+import ast
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -83,3 +85,54 @@ def test_submodules_import_through_the_package():
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _substal_imports(tree):
+    """(node, module) for each import of a substal module in a parsed
+    module of the package, relative or absolute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                yield node, node.module.split(".")[0]
+            elif node.level == 1:
+                for alias in node.names:
+                    yield node, alias.name
+            elif (node.module or "").startswith("substal."):
+                yield node, node.module.split(".")[1]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("substal."):
+                    yield node, alias.name.split(".")[1]
+
+
+def test_modules_import_in_layers():
+    """Only cli imports substal modules inside functions (each command
+    loads what it needs), and the imports between modules, wherever they
+    stand, have no cycle."""
+    graph, local = {}, []
+    for path in sorted(pathlib.Path(substal.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = set(map(id, tree.body))
+        graph[path.stem] = set()
+        for node, module in _substal_imports(tree):
+            graph[path.stem].add(module)
+            if id(node) not in top and path.stem != "cli":
+                local.append((path.stem, module, node.lineno))
+    assert not local
+    done, path = set(), []
+
+    def visit(name):
+        assert name not in path, "import cycle: %s" % " -> ".join(
+            path[path.index(name):] + [name])
+        if name not in done:
+            path.append(name)
+            for dep in sorted(graph.get(name, ())):
+                visit(dep)
+            path.pop()
+            done.add(name)
+
+    for name in graph:
+        visit(name)
+    assert graph["setalg"] == {"monoid"}
+    assert graph["frames"] == {"monoid", "setalg"}
+    assert graph["represent"] == {"monoid", "setalg", "frames"}

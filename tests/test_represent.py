@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from substal import cli
-from substal.frames import (ComplexAlgebra, Frame, frame_to_json, point_frame,
-                            random_coherent_frame)
+from substal.frames import (ComplexAlgebra, Frame, atom_frame, frame_to_json,
+                            point_frame, random_coherent_frame)
 from substal.monoid import (MODES, Transformation, cayley_graph,
                             enumerate_monoid, generators, has_diagonals,
                             identity)
@@ -21,13 +21,15 @@ from substal.represent import (SubMonoidCtx, atom_below, canonical_extension,
                                check_complete_additivity, check_psi,
                                check_psi_witnesses, check_quasi,
                                complete_representation, diag_represent,
-                               full_representation, hom_report, represent_at,
+                               full_representation, represent_at,
                                special_quasi_witness)
 from substal.setalg import (ConcreteAlgebra, Subalgebra, algebra_to_json,
                             generate_subalgebra, make_relativized,
-                            point_coords, point_index, small_algebra)
+                            morphism_report, point_coords, point_index,
+                            small_algebra)
 
-from oracles import ref_check_quasi, ref_hom_sweep, ref_product_hom
+from oracles import (hom_report, ref_check_quasi, ref_hom_sweep,
+                     ref_product_hom)
 from test_acceptance import representation_corpus
 
 SWAP = Transformation((1, 0))
@@ -409,7 +411,7 @@ def test_hom_report_exhaustive_identity():
     assert report["failures"] == []
 
 
-def test_hom_report_sampled_large_source():
+def test_hom_report_certifies_a_large_source_from_its_atoms():
     alg = small_algebra(2, 4)   # 65536 elements: certified from atoms alone
     pts = list(range(16))
     report = hom_report(alg, alg, lambda z: z, gather=(pts, pts))
@@ -593,6 +595,109 @@ def test_walk_certificate_agrees_with_the_atom_certificate():
             verdicts.add(verdict)
     assert verdicts >= {(True, True, True), (True, False, True),
                         (False, False, True), (False, False, False)}
+
+
+def _world_map(source, src, dst):
+    """A gather (src, dst) from any handle read as a world map into the
+    source's atom frame: each destination goes to the atom that holds its
+    source bit, or nowhere (None) when two pairs send it to two atoms or
+    its source bit lies in no atom."""
+    frame, ats = atom_frame(source)
+    world_of = {}
+    for s, d in zip(src, dst):
+        holder = next((w for w, x in enumerate(ats) if x >> s & 1), None)
+        world_of[d] = holder if world_of.get(d, holder) == holder else None
+    return ComplexAlgebra(frame), world_of
+
+
+def test_morphism_report_agrees_with_the_atom_certificate():
+    """On every _certificate_cases gather, correct or mutated, the world
+    map certificate of its atom-frame reading gives hom_report's
+    (homomorphism, injective, atom_cover) verdict."""
+    rng = random.Random(2024)
+    verdicts, cases = set(), 0
+    for source, target, _, (src, dst) in _certificate_cases(rng):
+        cm, world_of = _world_map(source, src, dst)
+        report = morphism_report(cm, target, world_of)
+        want = hom_report(source, target, _gather(src, dst), gather=(src, dst))
+        verdict = tuple(report[key] for key in
+                        ("homomorphism", "injective", "atom_cover"))
+        assert verdict == tuple(want[key] for key in (
+            "homomorphism", "injective", "atom_cover")), (source, report)
+        assert len(report["failures"]) <= 10
+        verdicts.add(verdict[:2])
+        cases += 1
+    assert verdicts == {(True, True), (True, False), (False, False)}
+    assert cases > 200
+
+
+def _canonical_verdicts(sub):
+    """(homomorphism, injective, bijective) of canonical_extension's
+    report on sub, and of hom_report on the same gather."""
+    ext, rep = canonical_extension(sub)
+    want = hom_report(sub, ext, rep.image, gather=rep.gather)
+    return ((rep.report["homomorphism"], rep.report["injective"],
+             rep.report["bijective"]),
+            (want["homomorphism"], want["injective"],
+             want["injective"] and sub.size() == ext.size()))
+
+
+def test_canonical_extension_agrees_with_the_atom_certificate():
+    """On seeded subalgebras of squares in every mode and of random
+    frames, canonical_extension's report gives hom_report's verdict, the
+    two-element subalgebra of the ²2 diagonal algebra, whose one atom
+    straddles d(0,1), included."""
+    diagonal = small_algebra(2, 2, "full_diagonal")
+    two = Subalgebra(diagonal, [diagonal.zero, diagonal.one])
+    ext, rep = canonical_extension(two)
+    assert not rep.report["homomorphism"]
+    assert ("diag", 0, 1) in rep.report["failures"]
+    assert ("diag", 0, 1) in hom_report(two, ext, rep.image,
+                                        gather=rep.gather)["failures"]
+    subs = [two]
+    rng = random.Random(19)
+    parents = [small_algebra(n, 2, mode) for mode in MODES for n in (2, 3)]
+    parents += [ComplexAlgebra(random_coherent_frame(
+        2, mode, max_worlds=5, rng=rng)) for mode in ("full", "replacements")]
+    for parent in parents:
+        for _ in range(4):
+            gens = [rng.getrandbits(parent.num_points) & parent.unit
+                    for _ in range(rng.randint(0, 2))]
+            els = generate_subalgebra(parent, gens)
+            if len(els) <= 256:
+                subs.append(Subalgebra(parent, els))
+    verdicts = set()
+    for sub in subs:
+        got, want = _canonical_verdicts(sub)
+        assert got == want, sub
+        verdicts.add(got)
+    assert verdicts == {(True, True, True), (False, False, False)}
+
+
+def test_canonical_extension_is_strict_on_universes_that_are_no_algebras():
+    """On seeded universes that are not Boolean algebras (atoms that
+    overlap or miss the unit), canonical_extension may refuse a map that
+    hom_report passes, but never passes one that hom_report refuses; and
+    it refuses every universe whose atoms do not partition the unit."""
+    rng = random.Random(23)
+    parents = [small_algebra(2, 2, mode) for mode in MODES]
+    refused = 0
+    for parent in parents * 40:
+        universe = {parent.zero, parent.one}
+        universe.update(rng.getrandbits(parent.num_points)
+                        for _ in range(rng.randint(1, 4)))
+        sub = Subalgebra(parent, universe)
+        try:
+            got, want = _canonical_verdicts(sub)
+        except ValueError:          # atom_frame: no functional atom action
+            continue
+        assert all(w or not g for g, w in zip(got, want)), sub
+        ats = sub.atoms()
+        overlap = any(x & y for i, x in enumerate(ats) for y in ats[:i])
+        if overlap or sum(ats) != parent.one:
+            assert not got[0], sub
+            refused += not want[0]
+    assert refused > 0
 
 
 def _broken_involution_frame():

@@ -27,6 +27,7 @@ from substal.setalg import (
     point_coords,
     point_index,
     points_mask,
+    morphism_report,
     relativization_hom,
     small_algebra,
     subalgebra_size_bound,
@@ -34,8 +35,8 @@ from substal.setalg import (
 )
 from substal.terms import Diag, Sub, Var, parse
 
-from oracles import (ref_closure_witness, ref_eval, ref_gen_tuple, ref_hat,
-                     ref_monoid_closure, ref_preimage)
+from oracles import (hom_report, ref_closure_witness, ref_eval,
+                     ref_gen_tuple, ref_hat, ref_monoid_closure, ref_preimage)
 
 MODES = ("replacements", "transpositions", "full", "full_diagonal")
 
@@ -182,6 +183,43 @@ def test_relativization_hom():
 
     with pytest.raises(NotLocallySquare):
         relativization_hom(alg, 1 << point_index((0, 1), 2))
+
+
+def test_relativization_hom_agrees_with_the_atom_certificate():
+    """On every closed unit of ²2 in each mode, relativization_hom's
+    world-map certificate gives hom_report's verdict on the gather x ↦
+    x ∩ V: a homomorphism, injective only on the whole square."""
+    keys = ("homomorphism", "injective", "atom_cover")
+    verdicts = set()
+    for mode in MODES:
+        alg = small_algebra(2, 2, mode)
+        for unit in range(16):
+            if is_locally_square(2, 2, unit, mode) is not None:
+                continue
+            B, report = relativization_hom(alg, unit)
+            pts = B.unit_points
+            want = hom_report(alg, B, lambda x: x & B.unit, gather=(pts, pts))
+            verdict = tuple(report[key] for key in keys)
+            assert verdict == tuple(want[key] for key in keys), (mode, unit)
+            verdicts.add((verdict, unit == alg.unit))
+    assert verdicts == {((True, True, True), True),
+                        ((True, False, True), False)}
+
+
+def test_morphism_report_refuses_a_map_out_of_the_source_unit():
+    """The identity of the ²2 square read as a world map into the closed
+    unit of its two constant points leaves that unit at the other two
+    points: no homomorphism, as the atom certificate of the same gather
+    says, though the map commutes with every generator."""
+    diag_unit = (1 << point_index((0, 0), 2)) | (1 << point_index((1, 1), 2))
+    source = make_relativized(2, 2, diag_unit)
+    target = small_algebra(2, 2)
+    report = morphism_report(source, target, {p: p for p in range(4)})
+    assert not report["homomorphism"] and not report["atom_cover"]
+    assert report["failures"] == [("cover", 1), ("cover", 2)]
+    pts = list(range(4))
+    want = hom_report(source, target, lambda x: x, gather=(pts, pts))
+    assert not want["homomorphism"] and not want["atom_cover"]
 
 
 def test_generate_subalgebra_trivial():
