@@ -16,14 +16,13 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "monoid": """MODES NotGenerated Transformation apply_point canonical_word
         compose enumerate_monoid generators hat identity normalize_mode
-        parse_word partitions repl swap word_equiv""",
+        parse_word partitions point_index repl swap word_equiv""",
     "terms": """Equation ParseError QuasiEquation equation_holds_exhaustive
         eval_term format_equation format_term parse parse_equation
         quasi_axioms sigma_axioms""",
     "setalg": """ComplexAlgebra ConcreteAlgebra NotLocallySquare Square
         Subalgebra alternating_coloring algebra_from_json algebra_to_json
-        generate_subalgebra make_relativized point_coords point_index
-        small_algebra""",
+        generate_subalgebra make_relativized point_coords small_algebra""",
     "frames": """Frame atom_frame disjoint_union frame_check frame_from_json
         frame_to_json insep_zigzag point_frame random_coherent_frame
         superamalgam""",

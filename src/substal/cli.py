@@ -27,10 +27,18 @@ from .monoid import (DIM_LIMIT, enumerate_monoid, normalize_mode, parse_word,
                      word_equiv)
 
 
+# The formula commands decide at points and never build the monoid, so
+# they are not held to DIM_LIMIT, which the Cayley graph sets.  Their cap
+# is measured: at n = 8 a cold full_diagonal axiom sweep takes about 1.5 s
+# and the all-distinct witness, which needs k = n, 0.1 s (CHANGES.md).
+FORMULA_LIMIT = 8
+FORMULA_COMMANDS = ("sat", "valid", "eq", "word")
+
 # Arguments shared by several commands, as (flags, add_argument keywords).
 _N = (("-n",), dict(type=int, default=2, metavar="N",
-                    help="dimension (number of coordinates), 2 to %d"
-                         % DIM_LIMIT))
+                    help="dimension (number of coordinates): 2 to %d for "
+                         "sat, valid, eq and word, 2 to %d for the other "
+                         "commands" % (FORMULA_LIMIT, DIM_LIMIT)))
 _MODE = (("--mode",), dict(default="full",
                            choices=["pinter", "replacements", "transpositions",
                                     "full", "diag", "full_diagonal"],
@@ -306,8 +314,10 @@ def run(argv):
 
     try:
         n = getattr(args, "n", None)
-        if n is not None and not 2 <= n <= DIM_LIMIT:
-            raise ValueError("need -n at least 2 and at most %d" % DIM_LIMIT)
+        cap = FORMULA_LIMIT if args.command in FORMULA_COMMANDS else DIM_LIMIT
+        if n is not None and not 2 <= n <= cap:
+            raise ValueError("need -n at least 2 and at most %d for %s"
+                             % (cap, args.command))
         return COMMANDS[args.command].handler(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -82,9 +82,9 @@ def not_a_variety_witness(n):
     squares_unsolvable = True
     for base in range(1, n + 1):
         instances += 1
-        pts = list(itertools.product(range(base), repeat=n))
         step = lambda q: tuple(q[f[j]] for j in range(n))
-        found, obstruction = alternating_coloring(pts, step)
+        found, obstruction = alternating_coloring(
+            itertools.product(range(base), repeat=n), step)
         if found is not None:
             squares_unsolvable = False
             failures.append(("square-solvable", base))

@@ -43,22 +43,23 @@ path to the TRUE terminal that takes the true branch wherever that does
 not lead to FALSE, and the points of its atoms are the points the decision
 touched.
 
-Re-check.  A witness is rebuilt as a valuation in the full set algebra
-℘(ⁿk) of its kernel's base k (setalg.ConcreteAlgebra) and the whole term
-is evaluated there over every point, independently of the unfolding.  Each
-substitution is one word-parallel preimage on the bitmask: a few masks
-and shifts per generator, with no table of point moves
-(the kernel and its fold along canonical words are in setalg's
-docstring).
+Re-check.  A witness is checked again at its point alone, apart from the
+BDD: one walk of the term from the witness point moves the point by each
+substitution's transformation, reads atom (v, q) as the satisfying
+assignment gives it (false where the assignment leaves it free) and
+d(i,j) as q[i] = q[j].  The truth of a term at q depends only on the
+points its substitutions reach from q, so the walk decides the term
+there exactly, at a cost that grows with the term and not with the kⁿ
+points of the witness's square ⁿk.  It reads neither the BDD nor its
+point moves, so a faulty BDD cannot vouch for itself.
 """
 
 from collections import defaultdict
 from operator import itemgetter
 
-from .monoid import Record, normalize_mode, num_blocks, restricted_growth
-from .terms import (Compl, Diag, Join, Meet, One, Sub, Var, Zero, eval_term,
-                    iff, variables)
-from .setalg import ConcreteAlgebra, mask_points, point_index
+from .monoid import (Record, normalize_mode, num_blocks, point_index,
+                     restricted_growth)
+from .terms import Compl, Diag, Join, Meet, One, Sub, Var, Zero, eval_term, iff
 
 FALSE, TRUE = 0, 1
 _LEAF = 1 << 62           # the level of both terminals, below every variable
@@ -357,29 +358,80 @@ def model_check(model, term, world):
     return bool(value >> world & 1)
 
 
-def _witness_model(n, mode, point, base, assignment):
-    """Rebuild a kernel witness as a model in ℘(ⁿbase), the full square."""
-    algebra = ConcreteAlgebra(n, base, mode)
-    valuation = {}
-    touched = set()
-    for (var, q), value in assignment.items():
-        touched.add(q)
-        if value:
-            valuation[var] = valuation.get(var, 0) | (1 << point_index(q, base))
-    model = Model(algebra, valuation)
-    world = point_index(point, base)
-    return model, world, touched
+def check_at(term, point, assignment):
+    """The truth of `term` at the tuple `point` when atom (v, q) is true
+    exactly where `assignment` ({(v, q): bool}) says so, and for every
+    variable v of the term the set of points q where it says (v, q) is
+    true among those the term reaches from `point`.
+
+    Each distinct (subterm, point) pair is read once, on an explicit stack,
+    and no subterm is skipped, so every variable of the term is met.  A
+    substitution moves the point by its symbol's transformation; nothing
+    is read from a BDD (module docstring, "Re-check")."""
+    n = len(point)
+    moves = {}                         # id of a generator symbol -> its move
+    truth = {}                         # (id(subterm), point) -> bool
+    true_at = {}
+    todo = [(term, point)]
+    while todo:
+        t, p = todo[-1]
+        if (id(t), p) in truth:
+            todo.pop()
+            continue
+        cls = type(t)
+        if cls is Var:
+            r = assignment.get((t.index, p), False)
+            points = true_at.setdefault(t.index, set())
+            if r:
+                points.add(p)
+        elif cls is Sub:
+            move = moves.get(id(t.sym))
+            if move is None:
+                move = moves[id(t.sym)] = itemgetter(*t.sym.tr(n))
+            q = move(p)
+            r = truth.get((id(t.arg), q))
+            if r is None:
+                todo.append((t.arg, q))
+                continue
+        elif cls is Meet or cls is Join:
+            a = truth.get((id(t.left), p))
+            b = truth.get((id(t.right), p))
+            if a is None or b is None:
+                if a is None:
+                    todo.append((t.left, p))
+                if b is None:
+                    todo.append((t.right, p))
+                continue
+            r = (a and b) if cls is Meet else (a or b)
+        elif cls is Compl:
+            a = truth.get((id(t.arg), p))
+            if a is None:
+                todo.append((t.arg, p))
+                continue
+            r = not a
+        elif cls is Diag:
+            r = p[t.i] == p[t.j]
+        elif cls is Zero or cls is One:
+            r = cls is One
+        else:
+            raise TypeError("not a term: %r" % (t,))
+        truth[id(t), p] = r
+        todo.pop()
+    return truth[id(term), point], true_at
 
 
 def satisfiable(term, n, mode="full"):
     """Decide satisfiability over the square point algebras of this mode.
 
-    Returns (verdict, witness).  The witness carries the base, the
-    satisfying point, the valuation, and the set of points the decision
-    actually touched; it has already been re-checked against a concrete
-    model when returned.
+    Returns (verdict, witness).  The witness carries the base k, the
+    satisfying point and its number among the points of ⁿk ("world"), the
+    valuation (each variable of the term with the numbers of the points
+    where it is true, ascending), the kernel, and the points the decision
+    touched.  Before it is returned it is re-checked at its point by
+    `check_at`, apart from the BDD; a witness that fails there raises
+    AssertionError.
     """
-    mode = normalize_mode(mode)
+    normalize_mode(mode)
     bdd = BDD()
     relaxed = unfold(term, tuple(range(n)), n, bdd, relaxed=True)
     if relaxed == FALSE:
@@ -396,20 +448,18 @@ def satisfiable(term, n, mode="full"):
         assignment = bdd.path(unfold(term, point, n, bdd))
         if assignment is None:
             continue
-        model, world, touched = _witness_model(n, mode, point, base, assignment)
-        for v in variables(term):
-            model.valuation.setdefault(v, 0)
-        if not model_check(model, term, world):
+        holds, true_at = check_at(term, point, assignment)
+        if not holds:
             raise AssertionError(
                 "internal: witness failed re-verification at %r" % (point,))
         witness = {
             "k": base,
             "point": list(point),
-            "world": world,
-            "valuation": {"p%d" % v: mask_points(mask) for v, mask in
-                          sorted(model.valuation.items())},
+            "world": point_index(point, base),
+            "valuation": {"p%d" % v: sorted(point_index(q, base) for q in qs)
+                          for v, qs in sorted(true_at.items())},
             "partition": list(part),
-            "touched": sorted(touched),
+            "touched": sorted({q for _, q in assignment}),
         }
         return True, witness
     return False, None

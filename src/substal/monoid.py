@@ -76,6 +76,15 @@ def apply_point(q, tau):
     return tuple(q[x] for x in tau)
 
 
+def point_index(q, k):
+    """The number of the point q of ⁿk: its coordinates read as base-k
+    digits, coordinate 0 the least significant."""
+    idx = 0
+    for pos in range(len(q) - 1, -1, -1):
+        idx = idx * k + q[pos]
+    return idx
+
+
 class GenSym:
     """A single substitution generator symbol.
 

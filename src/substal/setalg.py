@@ -68,14 +68,8 @@ from .monoid import (
     generators,
     has_diagonals,
     normalize_mode,
+    point_index,
 )
-
-
-def point_index(q, k):
-    idx = 0
-    for pos in range(len(q) - 1, -1, -1):
-        idx = idx * k + q[pos]
-    return idx
 
 
 def point_coords(idx, n, k):
@@ -130,10 +124,13 @@ def alternating_coloring(worlds, g):
 
     Returns (X, None) on success — X as a sorted list — or (None, cycle)
     where cycle is an odd cycle of g (a fixed point in the shortest case).
+    The worlds are read once, in order, and only up to the first odd
+    cycle, so they may come from an iterator that is never listed.
     """
-    worlds = list(worlds)
+    read = []
     color = {}
     for start in worlds:
+        read.append(start)
         if start in color:
             continue
         path = []
@@ -158,7 +155,7 @@ def alternating_coloring(worlds, g):
             for node in reversed(path[:seen[w]]):
                 c = 1 - c
                 color[node] = c
-    chosen = sorted(w for w in worlds if color[w] == 1)
+    chosen = sorted(w for w in read if color[w] == 1)
     return chosen, None
 
 

@@ -2,10 +2,12 @@
 
 Everything here is deliberately written against plain tuples / frozensets
 with its own recursion, sharing no code paths with substal internals beyond
-the public AST node types.  The one exception is `hom_report`, the atom
-certificate of a map between any two algebra handles, which reads the
+the public AST node types.  There are two exceptions.  `hom_report`, the
+atom certificate of a map between any two algebra handles, reads the
 handles' own operations: it is the reference of the library's world-map
-certificates.
+certificates.  `ref_square_witness` evaluates a witness over the whole
+square with the library's set algebra: it is the reference of the
+point-local re-check in `logic.satisfiable`.
 """
 
 import itertools
@@ -300,6 +302,20 @@ def ref_kernel_satisfiable(term, n):
             if truth(term, q, {a for a, b in zip(atoms, bits) if b}):
                 return True
     return False
+
+
+def ref_square_witness(term, n, mode, witness):
+    """Whether a witness of `logic.satisfiable` holds when it is rebuilt as
+    a valuation in the full set algebra ℘(ⁿk) of its base k and the whole
+    term is evaluated there over every point: one word-parallel preimage
+    per substitution on bitmasks of kⁿ bits.  Variables the witness does
+    not list denote the empty set."""
+    from substal.logic import Model, model_check
+
+    valuation = {int(name[1:]): sum(1 << p for p in points)
+                 for name, points in witness["valuation"].items()}
+    model = Model(ConcreteAlgebra(n, witness["k"], mode), valuation)
+    return model_check(model, term, witness["world"])
 
 
 _REF_TOKEN = re.compile(

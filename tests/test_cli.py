@@ -1,6 +1,8 @@
 """Command-line protocol: verdict-first lines, JSON payloads, exit codes."""
 
 import argparse
+import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -205,9 +207,51 @@ def test_dimension_floor(capsys):
 
 
 def test_dimension_ceiling(capsys):
-    assert run(["sat", "-n", "9", "p0"]) == 2
-    _, err = _lines(capsys)
-    assert "at most 6" in err
+    """The formula commands take n up to 8, every other command up to 6
+    (the monoid's cap); one past its cap, a command exits 2 with one line
+    naming it.  The -n help states both caps."""
+    for argv, cap in ((["sat", "-n", "9", "p0"], 8),
+                      (["valid", "-n", "9", "p0"], 8),
+                      (["eq", "-n", "9", "p0 = p0"], 8),
+                      (["word", "-n", "9", "s[0,1]", "s[0,1]"], 8),
+                      (["axioms", "-n", "7"], 6),
+                      (["gallery", "not-a-variety", "-n", "7"], 6)):
+        assert run(argv) == 2, argv
+        out, err = _lines(capsys)
+        assert out == []
+        assert err == "error: need -n at least 2 and at most %d for %s\n" % (
+            cap, argv[0])
+    for argv, verdict in ((["sat", "-n", "8", "p0"], "SAT"),
+                          (["valid", "-n", "8", "p0 | ~p0"], "VALID"),
+                          (["eq", "-n", "8", "s[0,7] s[0,7] p0 = p0"], "VALID"),
+                          (["word", "-n", "8", "s[6|7]", "s[7,6] s[7|6]"],
+                           "EQUIVALENT")):
+        assert run(argv) == 0, argv
+        out, _ = _lines(capsys)
+        assert out[0] == verdict, argv
+    assert run(["sat", "-h"]) == 0
+    out, _ = _lines(capsys)
+    assert ("2 to 8 for sat, valid, eq and word, 2 to 6 for the other "
+            "commands") in " ".join(" ".join(out).split())
+
+
+def test_all_distinct_witness_at_n8_is_fast():
+    """A cold `sat` at n = 8 whose every model puts eight distinct values at
+    its point: SAT with k = 8 within 1 s.  The witness is re-checked at
+    its point, not over the 8⁸ points of its square."""
+    pairs = itertools.combinations(range(8), 2)
+    formula = (" & ".join("~d(%d,%d)" % pair for pair in pairs)
+               + " & p0 & ~ s[0,1] p0")
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "substal.cli", "sat", "-n", "8", "--mode",
+         "full_diagonal", formula], capture_output=True, text=True)
+    elapsed = time.monotonic() - t0
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.split("\n")
+    assert out[0] == "SAT"
+    assert json.loads("\n".join(out[1:]))["k"] == 8
+    assert elapsed < 1.0, "took %.2fs" % elapsed
 
 
 def test_malformed_formula(capsys):
@@ -412,8 +456,9 @@ def test_a_cold_call_loads_only_the_modules_its_command_needs(tmp_path):
                  ["sat", "-n", "2", "--mode", "diag", "~d(0,1) & s[0|1] p0"]):
         code, _, loaded = _cold(argv)
         assert code == 0, argv
-        assert not loaded & {"argparse", "dataclasses", "substal.frames",
-                             "substal.represent", "substal.gallery"}, argv
+        assert not loaded & {"argparse", "dataclasses", "substal.setalg",
+                             "substal.frames", "substal.represent",
+                             "substal.gallery"}, argv
     frame = _write(tmp_path, "frame.json",
                    frame_to_json(point_frame(2, 2, "full")))
     for argv in (["frame-check", frame], ["represent", frame]):
@@ -727,6 +772,24 @@ def test_gallery_exhibits(capsys):
     payload = json.loads("\n".join(out[1:]))
     assert payload["check"] == "counter2-truncation"
     assert payload["pass"] is True
+
+
+# sha256 of the stdout of `gallery --json not-a-variety -n N`, recorded
+# while each square's points were still listed before the search
+NOT_A_VARIETY_JSON = {
+    2: "07347b0c862dc03bb0d5bb538cd1fefbf1f43cfa779c7b19a98665df188dd07f",
+    3: "b1dc3b13ad548e887db93c4e17b02a137ad88c9821a621c4cf0939611f44fd24",
+    4: "95643b62c1d286a2569e2a8ef4164cc7c95d60413f2834bda58da06e87cc3f0e",
+    5: "b8709255796f66423f773ac659b890a7414c325e063a870b1d4e5e712a2b8295",
+    6: "5b30306fe471fc9d2d263cf2da3da79c8513f323af5262e59925f38a8e552b07",
+}
+
+
+def test_not_a_variety_json_is_unchanged(capsys):
+    for n, digest in NOT_A_VARIETY_JSON.items():
+        assert run(["gallery", "--json", "not-a-variety", "-n", str(n)]) == 0
+        out, _ = capsys.readouterr()
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, n
 
 
 def test_gallery_sizes_over_budget_exit_quickly(capsys):

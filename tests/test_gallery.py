@@ -1,6 +1,7 @@
 """Worked counterexamples and identity sweeps."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -61,7 +62,37 @@ def test_alternating_coloring_matches_reference():
                 assert table[a] == b
 
 
+def test_alternating_coloring_stops_at_a_leading_fixed_point():
+    """The worlds are read only up to the first odd cycle: an iterator that
+    fails if read past its first world, a fixed point, is never read
+    further, and that point is the obstruction."""
+    def worlds():
+        yield (0, 0, 0)
+        raise AssertionError("read past the obstruction")
+
+    chosen, obstruction = alternating_coloring(
+        worlds(), lambda q: (q[1], q[0], q[2]))
+    assert chosen is None
+    assert obstruction == [(0, 0, 0)]
+
+
 # --------------------------------------------------------- variety obstacle
+
+def test_not_a_variety_witness_lists_no_square():
+    """The squares ᵏ6, k ≤ 6, hold 67,171 points, and each is refuted at its
+    first point (0,…,0), which f fixes: the exhibit reads no further and
+    peaks under 1 MB of allocations."""
+    tracemalloc.start()
+    try:
+        report = not_a_variety_witness(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["pass"]
+    assert report["square_obstructions"] == {
+        str(base): [[0] * 6] for base in range(1, 7)}
+    assert peak < 1 << 20, "peak %.2f MB" % (peak / 2**20)
+
 
 def test_not_a_variety_witness_n2():
     report = not_a_variety_witness(2)

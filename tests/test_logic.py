@@ -4,21 +4,22 @@ import itertools
 import math
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from substal.frames import ComplexAlgebra, point_frame
-from substal.logic import (BDD, FALSE, TRUE, Model, equation_valid,
+from substal.logic import (BDD, FALSE, TRUE, Model, check_at, equation_valid,
                            equations_valid, model_check, satisfiable, unfold,
                            valid)
 from substal.monoid import apply_point, generators, partitions
-from substal.setalg import point_index, small_algebra
+from substal.setalg import point_coords, point_index, small_algebra
 from substal.terms import (Compl, Diag, Equation, Join, Meet, One, Sub, Var,
                            Zero, equation_holds_exhaustive, iff, modality_count,
                            parse, parse_equation, sigma_axioms, variables)
 
 from oracles import (brute_formula_satisfiable, ref_eval,
-                     ref_kernel_satisfiable)
+                     ref_kernel_satisfiable, ref_square_witness)
 
 
 def _truth(bdd, node, asg):
@@ -275,6 +276,72 @@ def test_satisfiable_witnesses_check_out():
         model = Model(ComplexAlgebra(point_frame(n, wit["k"], mode)), valuation)
         assert model_check(model, term, wit["world"])
     assert seen_sat > 100
+
+
+def test_point_local_recheck_agrees_with_the_square_reference():
+    """Seeded terms in every mode, n = 2..5: each witness holds when it is
+    rebuilt over the whole square ℘(ⁿk).  With one touched point of one
+    variable flipped, `check_at` and that reference give one verdict, and
+    both refuse the flipped witness in many cases."""
+    rng = random.Random(2020)
+    witnesses = refused = 0
+    for _ in range(600):
+        n = rng.randint(2, 5)
+        mode = rng.choice(MODES)
+        term = _random_term(rng, n, mode, rng.randint(1, 10),
+                            generators(n, mode))
+        ok, wit = satisfiable(term, n, mode)
+        if not ok:
+            continue
+        witnesses += 1
+        assert ref_square_witness(term, n, mode, wit), term
+        if not wit["valuation"] or not wit["touched"]:
+            continue
+        k = wit["k"]
+        name = rng.choice(sorted(wit["valuation"]))
+        flip = point_index(rng.choice(wit["touched"]), k)
+        flipped = dict(wit["valuation"])
+        flipped[name] = sorted(set(flipped[name]) ^ {flip})
+        assignment = {(int(v[1:]), point_coords(p, n, k)): True
+                      for v, points in flipped.items() for p in points}
+        local, _ = check_at(term, tuple(wit["point"]), assignment)
+        assert local == ref_square_witness(term, n, mode,
+                                           dict(wit, valuation=flipped)), term
+        refused += not local
+    assert witnesses >= 300
+    assert refused >= 200
+
+
+def test_a_wrong_assignment_is_refused(monkeypatch):
+    """The re-check does not trust the BDD: when its path gives every atom
+    the wrong value, satisfiable raises its internal error."""
+    path = BDD.path
+
+    def flipped_path(bdd, f):
+        found = path(bdd, f)
+        return found and {atom: not value for atom, value in found.items()}
+
+    monkeypatch.setattr(BDD, "path", flipped_path)
+    with pytest.raises(AssertionError, match="internal: witness failed"):
+        satisfiable(parse("p0 & s[0|1] ~p0", 2), 2)
+
+
+def test_verdicts_and_witness_bound_at_n7():
+    """At n = 7, past the monoid's cap: seeded terms in every mode get the
+    verdict of the kernel-by-kernel oracle, and every witness touches at
+    most (modalities + 1) points, the bound of criterion 5."""
+    rng = random.Random(7007)
+    counts = {True: 0, False: 0}
+    for _ in range(80):
+        mode = rng.choice(MODES)
+        term = _random_term(rng, 7, mode, rng.randint(2, 10),
+                            generators(7, mode))
+        ok, wit = satisfiable(term, 7, mode)
+        assert ok == ref_kernel_satisfiable(term, 7), term
+        counts[ok] += 1
+        if ok:
+            assert len(wit["touched"]) <= modality_count(term) + 1, term
+    assert min(counts.values()) >= 10
 
 
 # ------------------------------------------------------------------ validity

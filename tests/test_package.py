@@ -133,6 +133,7 @@ def test_modules_import_in_layers():
 
     for name in graph:
         visit(name)
+    assert graph["logic"] == {"monoid", "terms"}
     assert graph["setalg"] == {"monoid"}
     assert graph["frames"] == {"monoid", "setalg"}
     assert graph["represent"] == {"monoid", "setalg", "frames"}
