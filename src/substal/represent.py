@@ -24,15 +24,18 @@ are kept.  Maps between two set algebras that are no representations
 are certified by their world maps (setalg.morphism_report).
 """
 
+import itertools
+
 from .monoid import (
     NotGenerated,
     Record,
     bijective_stabilizer,
-    canonical_word,
     cayley_graph,
     check_submonoid,
     generators,
     has_diagonals,
+    mode_allows,
+    swap,
 )
 from .setalg import (FAILURES_KEPT, ComplexAlgebra, ConcreteAlgebra,
                      algebra_to_json, alternating_coloring, gather_map,
@@ -370,9 +373,10 @@ def diag_represent(algebra, a):
 
 
 class SubMonoidCtx:
-    """A composition-closed set of transformations and its bijective
-    stabilizer G = {xi in S_n : xi∘sigma in T for all sigma in T}, which
-    is T ∩ S_n since T holds the identity."""
+    """A hand-given composition-closed set T of transformations and its
+    bijective stabilizer G = {xi in S_n : xi∘sigma in T for all sigma in
+    T}, which is T ∩ S_n since T holds the identity.  No verdict path
+    builds one: `check_quasi` fixes T = S_n."""
 
     def __init__(self, n, T):
         self.n = n
@@ -395,31 +399,35 @@ def special_quasi_witness(algebra, f):
     return mask
 
 
-def check_quasi(algebra, ctx):
-    """Do the quasi-equations attached to ctx hold in the algebra?
+def check_quasi(algebra):
+    """Do the quasi-equations for T = S_n hold in the algebra?
 
-    Two families: the stabilizer schemas (a zero meet of substituted
-    variables stays zero under any xi in G), and the alternating forms
-    s_f(x) = −x → 0 = 1 for f in G.  Both are decided exactly on the set
-    algebra (any other handle is given through its canonical extension):
-    coloring for the alternating forms, the coherence of the action for
-    the schemas.  Every s_tau, tau in T, must exist in the algebra's
-    signature; ValueError otherwise.
+    T is fixed, since the quasi-equations for all permutations separate
+    the quasi-variety of square algebras from the variety it generates;
+    S_n is a group, so it is closed and its bijective stabilizer G is S_n
+    itself.  Three steps decide them (any other handle is given through
+    its canonical extension):
+
+    - signature: every s_tau exists exactly when the mode has every
+      transposition; ValueError otherwise, naming the swap of the last
+      two coordinates;
+    - stabilizer schemas (a zero meet of substituted variables stays zero
+      under any xi in G) hold exactly when the action is coherent:
+      pulling a world back along act_xi turns a conclusion witness into a
+      premise witness;
+    - alternating forms s_f(x) = −x → 0 = 1, one per permutation f,
+      by coloring the cycles of w ↦ w·f (`special_quasi_witness`).
     """
-    for tau in ctx.T:
-        try:
-            canonical_word(tau, algebra.mode)
-        except NotGenerated as exc:
-            raise ValueError("the quasi-equations need s_tau for every tau "
-                             "in T: %s" % exc) from None
-    if algebra.one != algebra.zero:
-        for f in ctx.G:
-            if special_quasi_witness(algebra, f) is not None:
-                return False
-    # a coherent action makes every stabilizer schema hold: pulling a world
-    # back along act_xi turns a conclusion witness into a premise witness.
-    # The point action of the square is a right action by definition; a
-    # frame's is certified by its Cayley walk (frames.action_tables), which
-    # the frame keeps, so a frame file checked on loading is not walked
-    # again.
-    return algebra.space.coherent()
+    n = algebra.n
+    if not all(mode_allows(algebra.mode, g)
+               for g in generators(n, "transpositions")):
+        raise ValueError("the quasi-equations need s_tau for every tau in "
+                         "T: %s" % NotGenerated(swap(n - 2, n - 1).tr(n),
+                                                algebra.mode))
+    # a square's point action is a right action by definition; a frame
+    # keeps the verdict of its Cayley walk (frames.action_tables)
+    if not algebra.space.coherent():
+        return False
+    return algebra.one == algebra.zero or all(
+        special_quasi_witness(algebra, f) is None
+        for f in itertools.permutations(range(n)))

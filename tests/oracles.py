@@ -7,7 +7,9 @@ atom certificate of a map between any two algebra handles, reads the
 handles' own operations: it is the reference of the library's world-map
 certificates.  `ref_square_witness` evaluates a witness over the whole
 square with the library's set algebra: it is the reference of the
-point-local re-check in `logic.satisfiable`.
+point-local re-check in `logic.satisfiable`.  `ref_quasi_sweep` is the
+T-generic quasi-equation check that `represent.check_quasi` replaced,
+built on the library's `SubMonoidCtx`: the reference of its fixed T.
 """
 
 import itertools
@@ -513,6 +515,30 @@ def ref_check_quasi(algebra, T):
             if meet_of(s(t, x) for t, x in zip(shifted, choice)) != algebra.zero:
                 return False
     return True
+
+
+def ref_quasi_sweep(algebra):
+    """`represent.check_quasi` for T = S_n as the sweep over a hand-given
+    T: T read off the transposition monoid and proved closed with its
+    stabilizer G (`SubMonoidCtx`), every tau in T given a word in the
+    algebra's mode, the alternating forms decided for each f in G, and the
+    stabilizer schemas by the coherence of the action."""
+    from substal.monoid import NotGenerated, canonical_word, enumerate_monoid
+    from substal.represent import SubMonoidCtx, special_quasi_witness
+
+    ctx = SubMonoidCtx(algebra.n,
+                       enumerate_monoid(algebra.n, "transpositions"))
+    for tau in ctx.T:
+        try:
+            canonical_word(tau, algebra.mode)
+        except NotGenerated as exc:
+            raise ValueError("the quasi-equations need s_tau for every tau "
+                             "in T: %s" % exc) from None
+    if algebra.one != algebra.zero:
+        for f in ctx.G:
+            if special_quasi_witness(algebra, f) is not None:
+                return False
+    return algebra.space.coherent()
 
 
 def hom_report(source, target, h, gather=None):

@@ -676,8 +676,9 @@ def test_quasi_on_the_full_5_5_algebra_is_fast(tmp_path, capsys):
 
 def test_quasi_on_the_n6_not_a_variety_unit_is_fast(tmp_path, capsys):
     """The n = 6 not-a-variety unit has an alternating set, so `quasi`
-    prints FAIL; its 720 permutations and their stabilizer come from the
-    Cayley graph's tuples: a ceiling of 1.5 s."""
+    prints FAIL at the first permutation that colors it; T = S_6 is fixed,
+    so no stabilizer is computed and no closure is proved: a ceiling of
+    0.3 s."""
     witness = not_a_variety_witness(6)
     path = _write(tmp_path, "not_a_variety6.json",
                   {"n": 6, "k": witness["base"], "mode": "transpositions",
@@ -687,7 +688,7 @@ def test_quasi_on_the_n6_not_a_variety_unit_is_fast(tmp_path, capsys):
     elapsed = time.monotonic() - t0
     out, _ = _lines(capsys)
     assert out == ["FAIL"]
-    assert elapsed < 1.5, "took %.2fs" % elapsed
+    assert elapsed < 0.3, "took %.2fs" % elapsed
 
 
 def test_algebra_file_over_the_closure_budget_exits_quickly(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Ultrafilter representations, quotients, and quasi-equation checks."""
 
 import io
+import itertools
 import json
 import os
 import random
+import re
 import tempfile
 from contextlib import redirect_stdout
 
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from substal import cli
 from substal.frames import (ComplexAlgebra, Frame, atom_frame, frame_to_json,
                             point_frame, random_coherent_frame)
+from substal.gallery import not_a_variety_witness
 from substal.monoid import (MODES, Transformation, cayley_graph,
                             enumerate_monoid, generators, has_diagonals,
                             identity)
@@ -29,8 +32,8 @@ from substal.setalg import (ConcreteAlgebra, Subalgebra, algebra_to_json,
                             small_algebra)
 
 from oracles import (hom_report, ref_check_quasi, ref_hom_sweep,
-                     ref_product_hom)
-from test_acceptance import representation_corpus
+                     ref_product_hom, ref_quasi_sweep)
+from test_acceptance import _relabeled, representation_corpus
 
 SWAP = Transformation((1, 0))
 
@@ -363,13 +366,12 @@ def test_special_quasi_witness():
 
 
 def test_check_quasi_concrete_paths():
-    ctx = SubMonoidCtx(2, enumerate_monoid(2, "transpositions"))
-    assert check_quasi(small_algebra(2, 1), ctx)
-    assert check_quasi(small_algebra(2, 2), ctx)
-    assert check_quasi(small_algebra(2, 0), ctx)   # trivial algebra
+    assert check_quasi(small_algebra(2, 1))
+    assert check_quasi(small_algebra(2, 2))
+    assert check_quasi(small_algebra(2, 0))   # trivial algebra
 
     bij = make_relativized(2, 2, [1, 2], "transpositions")
-    assert not check_quasi(bij, ctx)
+    assert not check_quasi(bij)
 
 
 def test_check_quasi_generic_path():
@@ -377,8 +379,7 @@ def test_check_quasi_generic_path():
     extension; on seeded subalgebras the verdict is the exhaustive
     reference's on the subalgebra itself, the bijective unit's FAIL
     included."""
-    ctx = SubMonoidCtx(2, enumerate_monoid(2, "transpositions"))
-    T = list(ctx.T)
+    T = sorted(enumerate_monoid(2, "transpositions"))
     alg = small_algebra(2, 2)
     bij = make_relativized(2, 2, [1, 2], "transpositions")
     subs = [Subalgebra(alg, alg.elements()), Subalgebra(bij, bij.elements())]
@@ -394,10 +395,90 @@ def test_check_quasi_generic_path():
     verdicts = []
     for sub in subs:
         want = ref_check_quasi(sub, T)
-        assert check_quasi(canonical_extension(sub)[0], ctx) == want, sub
+        assert check_quasi(canonical_extension(sub)[0]) == want, sub
         verdicts.append(want)
     assert verdicts[:2] == [True, False]
     assert len(verdicts) > 10
+
+
+def _quasi_outcome(check, algebra):
+    """The verdict of a quasi check, or the text of its ValueError."""
+    try:
+        return check(algebra)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _quasi_cases():
+    """Square algebras, not-a-variety units, seeded transposition-closed
+    units, canonical extensions of seeded subalgebras, and seeded random
+    frames mixed with relabelled point frames, which have no diagonals."""
+    rng = random.Random(2323)
+    for n in range(1, 5):
+        for k in range(1, n + 2):
+            for mode in ("full", "transpositions", "full_diagonal"):
+                yield small_algebra(n, k, mode)
+    for n in range(2, 7):
+        report = not_a_variety_witness(n)
+        yield make_relativized(n, report["base"], report["unit"],
+                               "transpositions")
+    for _ in range(60):
+        n, k = rng.randint(2, 4), rng.randint(1, 3)
+        seeds = [[rng.randrange(k) for _ in range(n)]
+                 for _ in range(rng.randint(1, 3))]
+        unit = {point_index(q, k) for seed in seeds
+                for q in itertools.permutations(seed)}
+        yield make_relativized(n, k, unit, "transpositions")
+    for _ in range(40):
+        n, k = rng.randint(2, 3), rng.randint(1, 2)
+        parent = small_algebra(n, k, rng.choice(MODES))
+        gens = [rng.getrandbits(parent.num_points) & parent.unit
+                for _ in range(rng.randint(0, 2))]
+        els = generate_subalgebra(parent, gens)
+        if len(els) <= 64:
+            yield canonical_extension(Subalgebra(parent, els))[0]
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        modes = ["full", "transpositions", "replacements"]  # no diagonals
+        frame = random_coherent_frame(n, rng.choice(modes), 8, rng)
+        yield ComplexAlgebra(frame)
+        frame = point_frame(n, rng.randint(1, 3), rng.choice(modes))
+        yield ComplexAlgebra(_relabeled(frame, rng)[0])
+
+
+def test_check_quasi_agrees_with_the_sweep_over_a_given_t():
+    """check_quasi with T = S_n fixed gives the verdict, or the error
+    text, of the sweep that reads T off the transposition monoid."""
+    outcomes = []
+    for algebra in _quasi_cases():
+        got = _quasi_outcome(check_quasi, algebra)
+        assert got == _quasi_outcome(ref_quasi_sweep, algebra), algebra
+        outcomes.append(got)
+    assert outcomes.count(True) > 50
+    assert outcomes.count(False) > 20
+    assert sum(isinstance(o, str) for o in outcomes) > 5
+
+
+def test_check_quasi_refuses_an_incoherent_frame():
+    """Given straight to check_quasi, with no frame check before it: a
+    transposition acting as a 3-cycle leaves no alternating set, so only
+    the stabilizer schemas can refuse, and they do."""
+    alg = ComplexAlgebra(_broken_involution_frame())
+    assert special_quasi_witness(alg, SWAP) is None
+    assert check_quasi(alg) is False
+    assert ref_quasi_sweep(alg) is False
+
+
+def test_check_quasi_names_the_last_swap_outside_the_signature():
+    """T = S_1 is the identity alone, which every mode has; past n = 1 a
+    replacements signature lacks the swap of the last two coordinates."""
+    assert check_quasi(ComplexAlgebra(point_frame(1, 2, "replacements")))
+    for n in range(2, 5):
+        alg = ComplexAlgebra(point_frame(n, 2, "replacements"))
+        swapped = list(range(n - 2)) + [n - 1, n - 2]
+        with pytest.raises(ValueError, match=re.escape(
+                "%s is not generated in mode replacements" % swapped)):
+            check_quasi(alg)
 
 
 # ------------------------------------------------------------- hom reporting
