@@ -9,15 +9,20 @@ is every subset of its worlds, with substitution by action preimage,
 S_g(X) = {w : act_g(w) in X}.  A frame holds one table per generator; the
 table of any other element is folded from them (setalg.fold_tables).
 action_tables walks monoid.cayley_graph once per space and unit, on
-either kind of space, and the space keeps the walk: it certifies that
-the fold does not depend on the word (frame_check, Frame.coherent), which
-makes every orbit map of represent equivariant, and gives the orbit of
-every world.  point_frame is the square's generator tables written out.
+either kind of space, and the space keeps the walk.  It numbers every
+element's world table along the graph's breadth-first tree, steps each
+distinct table by each generator once, and checks each generator's whole
+row of Cayley edges in one comparison of table numbers.  That certifies
+that the fold does not depend on the word (frame_check, Frame.coherent),
+which makes every orbit map of represent equivariant, and gives the
+orbit of every world.  point_frame is the square's generator tables
+written out.
 """
 
 import random
 from bisect import bisect_left
 from collections import namedtuple
+from itertools import chain, islice
 
 from .monoid import (
     DIM_LIMIT,
@@ -94,7 +99,7 @@ class Frame:
         return "Frame(n=%d, mode=%s, worlds=%d)" % (self.n, self.mode, self.num_worlds)
 
 
-# The walk steps every world of the unit along every Cayley edge.
+# The walk moves each world of the unit along each Cayley edge at most once.
 COHERENCE_BUDGET = 2 * 10**6
 
 
@@ -108,8 +113,8 @@ class ActionWalk(namedtuple("ActionWalk",
     """The unit's worlds in order, each distinct world table over them,
     the number of every element's table (in the order of
     monoid.cayley_graph), the first FAILURES_KEPT coherence failures in
-    the walk's edge order, and the edges walked up to the last of them,
-    or all edges."""
+    the (tau, g) order of the graph's edges, and the edges checked up to
+    the last of them, or all edges."""
 
     def orbit(self, w):
         """w·tau for every element tau, w a world of the unit."""
@@ -124,17 +129,21 @@ def action_tables(space, unit=None):
     a unit of its worlds (all of them by default).  It runs once per space
     and unit; the space keeps the result.
 
-    Each element's table is set from its breadth-first tree parent's, and
-    every edge tau -> tau∘g must give tau's table followed by g's.  Each
-    distinct table is interned, so the step "table · g" is built once per
-    distinct table and generator, and every other edge is a comparison of
-    table numbers: on a frame where many elements act alike this skips
-    most steps, and on a faithful action (a square ⁿk, k ≥ 2) every table
-    is distinct and each step is built once, as without interning.  When
-    no edge disagrees, act(sigma∘tau) = act(sigma) followed by act(tau)
-    for every pair, by induction on the length of tau's word, and the
-    orbit of every world is read off the tables.  Work is `walk_steps`;
-    callers bound it."""
+    Every element's table is numbered along the graph's breadth-first
+    tree: element t gets the table of parent[t] followed by generator
+    via[t].  Each distinct table is interned, and each table so reached
+    is stepped by each generator once, all tables at a time.  The edge
+    tau -> tau∘g is coherent when the number of tau∘g's table is the
+    number of tau's table stepped by g, so a generator's whole row of
+    edges is certified by one comparison of two lists of table numbers.
+    Only a row that disagrees makes the walk look at single edges, in
+    (tau, g) order, and it stops at the FAILURES_KEPT-th failure.  On a
+    frame where many elements act alike most steps are skipped, and on a
+    faithful action (a square ⁿk, k ≥ 2) every table is distinct and
+    each step is built once.  When no edge disagrees, act(sigma∘tau) =
+    act(sigma) followed by act(tau) for every pair, by induction on the
+    length of tau's word, and the orbit of every world is read off the
+    tables.  Work is at most `walk_steps`; callers bound it."""
     if unit is None:
         unit = (1 << space.num_worlds) - 1
     walk = space.walks.get(unit)
@@ -143,35 +152,88 @@ def action_tables(space, unit=None):
     return walk
 
 
+def _table_form(space, gens):
+    """How the walk stores a world table and steps it by a generator: as
+    bytes, stepped by one translate, when every world of the space fits a
+    byte, else as a tuple.  Returns (pack, moves, step, join): pack makes
+    a table of a tuple, moves[g] is what step(table, moves[g]) applies,
+    and join lays tables end to end, which step moves as one."""
+    gtabs = [space.act(g) for g in gens]
+    if space.num_worlds <= 256:
+        return (bytes, [bytes(tab).ljust(256, b"\0") for tab in gtabs],
+                bytes.translate, b"".join)
+    return (tuple, gtabs,
+            lambda table, gtab: tuple(map(gtab.__getitem__, table)),
+            lambda tables: tuple(chain.from_iterable(tables)))
+
+
 def _walk(space, unit):
     worlds = tuple(mask_points(unit))
     graph = cayley_graph(space.n, space.mode)
-    steps = [(g.token(), space.act(g), row)
-             for g, row in zip(graph.gens, graph.edges)]
-    tables, index, after = [worlds], {worlds: 0}, [[None] * len(steps)]
-    number = [0] + [None] * (len(graph.maps) - 1)
-    failures, edges = [], len(graph.maps) * len(steps)
-    # an element's table is set from its tree parent's, before it is read
-    for t in range(len(graph.maps)):
-        a = number[t]
-        for g, (token, gtab, row) in enumerate(steps):
-            b = after[a][g]
-            if b is None:
-                derived = tuple(map(gtab.__getitem__, tables[a]))
-                b = after[a][g] = index.setdefault(derived, len(tables))
-                if b == len(tables):
-                    tables.append(derived)
-                    after.append([None] * len(steps))
-            u = row[t]
-            if number[u] is None:
-                number[u] = b
-            elif number[u] != b and len(failures) < FAILURES_KEPT:
-                i = next(i for i, (x, y) in enumerate(
-                    zip(tables[number[u]], tables[b])) if x != y)
-                failures.append(("coherence", graph.maps[t], token, worlds[i]))
-                if len(failures) == FAILURES_KEPT:
-                    edges = t * len(steps) + g + 1
-    return ActionWalk(worlds, tables, number, failures, edges)
+    pack, moves, step, join = _table_form(space, graph.gens)
+    tables = [pack(worlds)]
+    index = {tables[0]: 0}
+
+    def intern(a, g):
+        """The number of table a stepped by generator g."""
+        derived = step(tables[a], moves[g])
+        b = index.setdefault(derived, len(tables))
+        if b == len(tables):
+            tables.append(derived)
+        return b
+
+    # a parent precedes its children in the walk order, so its table is
+    # numbered first; each (table, generator) step on the tree is built once
+    number, on_tree, width = [0], {}, len(moves)
+    for parent, g in islice(zip(graph.parent, graph.via), 1, None):
+        a = number[parent]
+        b = on_tree.get(a * width + g)
+        if b is None:
+            b = on_tree[a * width + g] = intern(a, g)
+        number.append(b)
+    # Each reached table is stepped by each generator in one step of the
+    # tables laid end to end.  Where the action is coherent, table a
+    # stepped by g is the table of head∘g, head the first element with
+    # table a, which one comparison of the laid-out tables confirms for
+    # every a at once; otherwise each step is interned on its own.
+    reached = len(tables)
+    first = dict(zip(reversed(number), range(len(number) - 1, -1, -1)))
+    heads = [first[a] for a in range(reached)]
+    laid = join(tables)
+    stepped = []
+    for g, (move, row) in enumerate(zip(moves, graph.edges)):
+        by_g = list(map(number.__getitem__, map(row.__getitem__, heads)))
+        if step(laid, move) != join(map(tables.__getitem__, by_g)):
+            by_g = [intern(a, g) for a in range(reached)]
+        stepped.append(by_g)
+    failures, edges = [], len(number) * width
+    for row, by_g in zip(graph.edges, stepped):
+        if list(map(number.__getitem__, row)) != list(
+                map(by_g.__getitem__, number)):
+            failures, edges = _failures(graph, worlds, tables, number,
+                                        stepped)
+            break
+    return ActionWalk(worlds, list(map(tuple, tables)), number, failures,
+                      edges)
+
+
+def _failures(graph, worlds, tables, number, stepped):
+    """The first FAILURES_KEPT incoherent edges tau -> tau∘g in (tau, g)
+    order, and the edges checked up to the last of them, or all edges."""
+    failures, last = [], len(number) * len(stepped)
+    rows = list(zip(graph.gens, graph.edges, stepped))
+    for t, a in enumerate(number):
+        for g, (sym, row, by_g) in enumerate(rows):
+            u, b = number[row[t]], by_g[a]
+            if u == b:
+                continue
+            i = next(i for i, (x, y) in enumerate(
+                zip(tables[u], tables[b])) if x != y)
+            failures.append(("coherence", graph.maps[t], sym.token(),
+                             worlds[i]))
+            if len(failures) == FAILURES_KEPT:
+                return failures, t * len(rows) + g + 1
+    return failures, last
 
 
 class FrameReport(Record):
@@ -505,12 +567,15 @@ def frame_from_json(data):
     if not isinstance(tables, dict):
         raise ValueError("frame file needs an \"action\" object")
     gens = generators(n, mode)
+    by_token = {g.token(): g for g in gens}
     action = {}
     for tok, tab in tables.items():
-        g = gensym_from_token(tok)
-        if g not in gens:
-            raise ValueError("%s is not a generator of mode %s at n=%d"
-                             % (tok, mode, n))
+        g = by_token.get(tok)
+        if g is None:       # another spelling, or no generator of the mode
+            g = gensym_from_token(tok)
+            if g not in gens:
+                raise ValueError("%s is not a generator of mode %s at n=%d"
+                                 % (tok, mode, n))
         if g in action:
             raise ValueError("generator %s is given twice" % g.token())
         action[g] = json_ints(tab, 0, m - 1, "action table %s" % tok)

@@ -105,15 +105,26 @@ def not_a_variety_witness(n):
     }
 
 
-def _rect(masks, subsets, n, k):
-    """The product set ∏ X_m as a point mask; subsets are masks over k."""
-    out = (1 << (k ** n)) - 1
-    for m in range(n):
-        layer = 0
-        for v in range(k):
-            if subsets[m] >> v & 1:
-                layer |= masks[m][v]
-        out &= layer
+def _subset_layers(n, k):
+    """layers[m][s]: the points of ⁿk whose coordinate m lies in the
+    subset s of k (a mask over k), every s built from s without its
+    lowest value by one join."""
+    layers = []
+    for masks in coordinate_masks(n, k):
+        layer = [0] * (1 << k)
+        for s in range(1, 1 << k):
+            low = s & -s
+            layer[s] = layer[s ^ low] | masks[low.bit_length() - 1]
+        layers.append(layer)
+    return layers
+
+
+def _rect(layers, subsets, full):
+    """The product set ∏ X_m as a point mask, one layer lookup per
+    coordinate; subsets are masks over k, full is the whole square."""
+    out = full
+    for layer, s in zip(layers, subsets):
+        out &= layer[s]
     return out
 
 
@@ -133,7 +144,7 @@ def product_identities(k, n=2):
         raise ValueError("rectangles over %d^%d exceed budget %d"
                          % (k, n, RECTANGLE_BUDGET))
     algebra = small_algebra(n, k, "full")
-    masks = coordinate_masks(n, k)
+    layers = _subset_layers(n, k)
     full = (1 << k) - 1
     unit = algebra.one
     failures = []
@@ -141,7 +152,7 @@ def product_identities(k, n=2):
 
     subsets = list(range(1 << k))
     for combo in itertools.product(subsets, repeat=n):
-        rect = _rect(masks, list(combo), n, k)
+        rect = _rect(layers, combo, unit)
         # replacement: coordinate i is freed, j picks up the intersection
         for i in range(n):
             for j in range(n):
@@ -152,7 +163,7 @@ def product_identities(k, n=2):
                 expected[j] = combo[i] & combo[j]
                 expected[i] = full
                 got = algebra.subst(repl(i, j), rect)
-                if got != _rect(masks, expected, n, k):
+                if got != _rect(layers, expected, unit):
                     failures.append(("replacement", i, j, combo))
         # transposition: coordinates swap
         for i in range(n):
@@ -161,7 +172,7 @@ def product_identities(k, n=2):
                 expected = list(combo)
                 expected[i], expected[j] = expected[j], expected[i]
                 got = algebra.subst(swap(i, j), rect)
-                if got != _rect(masks, expected, n, k):
+                if got != _rect(layers, expected, unit):
                     failures.append(("transposition", i, j, combo))
         # complement: union of one-coordinate complements
         instances += 1
@@ -169,7 +180,7 @@ def product_identities(k, n=2):
         for m in range(n):
             box = [full] * n
             box[m] = full ^ combo[m]
-            expected_mask |= _rect(masks, box, n, k)
+            expected_mask |= _rect(layers, box, unit)
         if algebra.compl(rect) != expected_mask:
             failures.append(("complement", combo))
 
@@ -181,7 +192,7 @@ def product_identities(k, n=2):
     for x in subsets:
         box = [full] * n
         box[0], box[1] = x, full ^ x
-        rect = _rect(masks, box, n, k)
+        rect = _rect(layers, box, unit)
         union |= rect
         instances += 1
         if algebra.subst(tau10, rect) != 0:

@@ -92,7 +92,7 @@ class GenSym:
     "replacement" (token s[i|j]: i is the moved index, j the value it takes).
     """
 
-    __slots__ = ("kind", "i", "j")
+    __slots__ = ("kind", "i", "j", "_hash")
 
     def __init__(self, kind, i, j):
         if i == j:
@@ -104,6 +104,7 @@ class GenSym:
         self.kind = kind
         self.i = i
         self.j = j
+        self._hash = hash((kind, i, j))
 
     def token(self):
         sep = "," if self.kind == "transposition" else "|"
@@ -127,7 +128,7 @@ class GenSym:
         )
 
     def __hash__(self):
-        return hash((self.kind, self.i, self.j))
+        return self._hash
 
     def __repr__(self):
         return self.token()
@@ -161,15 +162,17 @@ def mode_allows(mode, sym):
     return True
 
 
+@lru_cache(maxsize=None)
 def generators(n, mode):
-    """All generator symbols of the given mode at dimension n, fixed order."""
+    """All generator symbols of the given mode at dimension n, as a tuple
+    in a fixed order, built once per (n, mode)."""
     mode = normalize_mode(mode)
     gens = []
     if mode in ("transpositions", "full", "full_diagonal"):
         gens.extend(swap(i, j) for i in range(n) for j in range(i + 1, n))
     if mode in ("replacements", "full", "full_diagonal"):
         gens.extend(repl(i, j) for i in range(n) for j in range(n) if i != j)
-    return gens
+    return tuple(gens)
 
 
 def hat(syms, n):
@@ -216,7 +219,7 @@ def cayley_graph(n, mode):
     mode's generator symbols; maps[t] is element t as a tuple and words[t]
     a shortest word for it; edges[g][t] is the number of t∘gens[g]; each
     element t > 0 is parent[t]∘gens[via[t]], its breadth-first tree edge."""
-    gens = tuple(generators(n, mode))
+    gens = generators(n, mode)
     size = monoid_size(n, mode)
     # element numbers fit two bytes for every n up to DIM_LIMIT
     rows = [array("H" if size <= 1 << 16 else "I", [0]) * size

@@ -569,25 +569,24 @@ def algebra_to_json(algebra):
     }
 
 
-def _int_in(value, lo, hi):
-    return (isinstance(value, int) and not isinstance(value, bool)
-            and lo <= value <= hi)
-
-
 def json_int(data, key, lo, hi):
     """data[key] as an int in [lo, hi]; ValueError for anything else."""
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
-    if not _int_in(data.get(key), lo, hi):
+    value = data.get(key)
+    if not (type(value) is int and lo <= value <= hi):
         raise ValueError("field %r must be an integer in [%d, %d], got %r"
-                         % (key, lo, hi, data.get(key)))
-    return data[key]
+                         % (key, lo, hi, value))
+    return value
 
 
 def json_ints(values, lo, hi, what):
-    """A JSON list of ints in [lo, hi], as a tuple; ValueError otherwise."""
-    if not isinstance(values, list) or not all(
-            _int_in(v, lo, hi) for v in values):
+    """A JSON list of ints in [lo, hi], as a tuple; ValueError otherwise.
+    The checks are whole-list builtins: bool is a subclass of int, not
+    int itself, so True and False are refused with every other type."""
+    if not isinstance(values, list) or values and not (
+            set(map(type, values)) == {int}
+            and lo <= min(values) and max(values) <= hi):
         raise ValueError("%s must be a list of integers in [%d, %d]"
                          % (what, lo, hi))
     return tuple(values)
@@ -607,10 +606,11 @@ def algebra_from_json(data):
     k = json_int(data, "k", 0, 10**6)
     if k**n > 10**6:
         raise ValueError("point space %d exceeds budget" % (k**n,))
+    mode = normalize_mode(data.get("mode", "full"))
     work = k**n * sum(k * k if g.kind == "transposition" else 2 * k
-                      for g in generators(n, data.get("mode", "full")))
+                      for g in generators(n, mode))
     if work > CLOSURE_BUDGET:
         raise ValueError("closure check of %d^%d (about %.1e steps) exceeds "
                          "budget %.0e" % (k, n, work, CLOSURE_BUDGET))
     mask = points_mask(json_ints(data.get("unit"), 0, k**n - 1, "unit"))
-    return _relativized(n, k, mask, data.get("mode", "full"))
+    return _relativized(n, k, mask, mode)

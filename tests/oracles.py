@@ -2,21 +2,24 @@
 
 Everything here is deliberately written against plain tuples / frozensets
 with its own recursion, sharing no code paths with substal internals beyond
-the public AST node types.  There are two exceptions.  `hom_report`, the
-atom certificate of a map between any two algebra handles, reads the
-handles' own operations: it is the reference of the library's world-map
-certificates.  `ref_square_witness` evaluates a witness over the whole
-square with the library's set algebra: it is the reference of the
-point-local re-check in `logic.satisfiable`.  `ref_quasi_sweep` is the
-T-generic quasi-equation check that `represent.check_quasi` replaced,
-built on the library's `SubMonoidCtx`: the reference of its fixed T.
+the public AST node types.  These exceptions read the library's own
+code.  `hom_report`, the atom certificate of a map between any two algebra
+handles, reads the handles' own operations: it is the reference of the
+library's world-map certificates.  `ref_square_witness` evaluates a
+witness over the whole square with the library's set algebra: it is the
+reference of the point-local re-check in `logic.satisfiable`.
+`ref_action_walk` is the edge-by-edge walk of the library's Cayley graph
+over a space's world tables: the reference of the row-at-a-time walk of
+`frames.action_tables`.  `ref_quasi_sweep` is the T-generic
+quasi-equation check that `represent.check_quasi` replaced, built on the
+library's `SubMonoidCtx`: the reference of its fixed T.
 """
 
 import itertools
 import re
 
-from substal.monoid import generators, has_diagonals
-from substal.setalg import ConcreteAlgebra
+from substal.monoid import cayley_graph, generators, has_diagonals
+from substal.setalg import FAILURES_KEPT, ConcreteAlgebra, mask_points
 
 BELL = [1, 1, 2, 5, 15, 52, 203]
 
@@ -247,6 +250,42 @@ def ref_frame_coherent(frame):
             if acts[ref_compose(s, t)] != [a_t[a_s[w]] for w in range(m)]:
                 return False
     return True
+
+
+def ref_action_walk(space, unit):
+    """The Cayley walk that frames.action_tables replaced: every edge
+    tau -> tau∘g, in (tau, g) order, steps tau's table by g and compares
+    it with the table already set for tau∘g, which its breadth-first tree
+    edge set first.  Returns (worlds, tables, number, failures, edges) in
+    the shape of frames.ActionWalk: the first FAILURES_KEPT failures, and
+    the edges up to the last of them, or all edges."""
+    worlds = tuple(mask_points(unit))
+    graph = cayley_graph(space.n, space.mode)
+    steps = [(g.token(), space.act(g), row)
+             for g, row in zip(graph.gens, graph.edges)]
+    tables, index, after = [worlds], {worlds: 0}, [[None] * len(steps)]
+    number = [0] + [None] * (len(graph.maps) - 1)
+    failures, edges = [], len(graph.maps) * len(steps)
+    for t in range(len(graph.maps)):
+        a = number[t]
+        for g, (token, gtab, row) in enumerate(steps):
+            b = after[a][g]
+            if b is None:
+                derived = tuple(map(gtab.__getitem__, tables[a]))
+                b = after[a][g] = index.setdefault(derived, len(tables))
+                if b == len(tables):
+                    tables.append(derived)
+                    after.append([None] * len(steps))
+            u = row[t]
+            if number[u] is None:
+                number[u] = b
+            elif number[u] != b and len(failures) < FAILURES_KEPT:
+                i = next(i for i, (x, y) in enumerate(
+                    zip(tables[number[u]], tables[b])) if x != y)
+                failures.append(("coherence", graph.maps[t], token, worlds[i]))
+                if len(failures) == FAILURES_KEPT:
+                    edges = t * len(steps) + g + 1
+    return worlds, tables, number, failures, edges
 
 
 def ref_kernel_satisfiable(term, n):

@@ -19,13 +19,16 @@ from substal.frames import (
     random_coherent_frame,
     superamalgam,
 )
-from substal.setalg import (Subalgebra, fold_tables, generate_subalgebra,
-                            morphism_report, small_algebra)
+from substal.setalg import (FAILURES_KEPT, Square, Subalgebra,
+                            algebra_from_json, fold_tables,
+                            generate_subalgebra, morphism_report,
+                            small_algebra)
 from substal.monoid import (MODES, Transformation, cayley_graph, generators,
                             repl, swap)
 from substal.terms import equation_holds_exhaustive, sigma_axioms, word_pair
 
-from oracles import hom_report, ref_frame_coherent, ref_gen_tuple, ref_hat
+from oracles import (hom_report, ref_action_walk, ref_frame_coherent,
+                     ref_gen_tuple, ref_hat)
 from test_acceptance import _preimage_hom, _relabeled
 
 
@@ -429,6 +432,105 @@ def test_orbits_along_the_tree_match_the_word_fold():
                 q = [w // k**i % k for i in range(n)]
                 moved = sum(q[ref[i]] * k**i for i in range(n))
                 assert orbits[w][t] == moved, (frame, tau, w)
+
+
+def _closed_unit(n, k, mode, rng):
+    """A random set of points of ⁿk closed under the mode's generators."""
+    square = Square(n, k, mode)
+    unit = {rng.randrange(k**n) for _ in range(rng.randint(1, 3))}
+    frontier = list(unit)
+    while frontier:
+        p = frontier.pop()
+        for g in generators(n, square.mode):
+            q = square.act(g)[p]
+            if q not in unit:
+                unit.add(q)
+                frontier.append(q)
+    return sorted(unit)
+
+
+def test_row_walk_matches_the_edge_walk():
+    """The row-at-a-time walk gives the edge-by-edge reference's failures
+    and edge count on every space, and on a coherent one its tables and
+    their numbering too."""
+    rng = random.Random(2024)
+    coherent, broken = [], []
+    for n in (1, 2, 3, 4):
+        for mode in MODES[:3]:
+            for _ in range(3):
+                frame = random_coherent_frame(n, mode, max_worlds=6, rng=rng)
+                coherent.append((frame, None))
+                if frame.num_worlds > 1 and frame.action:
+                    g = rng.choice(sorted(frame.action,
+                                          key=lambda s: s.token()))
+                    action = dict(frame.action)
+                    action[g] = [rng.randrange(frame.num_worlds)] \
+                        * frame.num_worlds
+                    broken.append(Frame(n, mode, frame.num_worlds, action))
+    coherent += [(point_frame(n, k, "full_diagonal"), None)
+                 for n in (1, 2, 3) for k in (1, 2, 3)]
+    # past 256 worlds a table is no longer one byte per world
+    wide = point_frame(2, 17, "full")
+    coherent.append((wide, None))
+    broken.append(Frame(2, "full", wide.num_worlds,
+                        {**wide.action, swap(0, 1): [5] * 289}))
+    for n, k in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 17)):
+        for mode in MODES:
+            algebra = algebra_from_json({
+                "n": n, "k": k, "mode": mode,
+                "unit": _closed_unit(n, k, mode, rng)})
+            coherent.append((algebra.space, algebra.unit))
+    for space, unit in coherent:
+        unit = (1 << space.num_worlds) - 1 if unit is None else unit
+        want = ref_action_walk(space, unit)
+        assert want[3] == []
+        assert tuple(action_tables(space, unit)) == want, space
+    assert sum(1 for f in broken if not ref_frame_coherent(f)) > 10
+    for frame in broken:
+        unit = (1 << frame.num_worlds) - 1
+        got = action_tables(frame)
+        _, _, _, failures, edges = ref_action_walk(frame, unit)
+        assert (got.failures, got.edges) == (failures, edges), frame
+        assert (got.failures == []) == ref_frame_coherent(frame)
+
+
+def test_walk_stops_at_the_last_kept_failure():
+    """A frame with more than FAILURES_KEPT incoherent edges is walked up
+    to the edge of its last kept failure, as the reference walks it."""
+    gens = generators(3, "full")
+    action = {g: (0, 1) for g in gens}
+    action[swap(0, 1)] = (0, 0)
+    frame = Frame(3, "full", 2, action)
+    report = frame_check(frame)
+    want = ref_action_walk(frame, 3)
+    assert len(report.failures) == FAILURES_KEPT == len(want[3])
+    assert report.failures == want[3]
+    assert report.pairs_checked == want[4] < 27 * len(gens)
+
+
+def test_frame_file_tokens_in_any_spelling():
+    """A table's token is looked up among the mode's generators; any
+    other spelling of a generator is parsed, so s[1,0] and " s[0,1] "
+    name s[0,1], and every refusal keeps its message."""
+    data = frame_to_json(point_frame(2, 2, "full"))
+    plain = frame_from_json(data)
+    for spelling in ("s[1,0]", " s[0,1] "):
+        action = dict(data["action"])
+        action[spelling] = action.pop("s[0,1]")
+        back = frame_from_json(dict(data, action=action))
+        assert back.action == plain.action
+        assert all(g in generators(2, "full") for g in back.action)
+    for extra, message in (
+            ("s[1,0]", r"^generator s\[0,1\] is given twice$"),
+            ("s[0|2]", r"^s\[0\|2\] is not a generator of mode full at n=2$"),
+            ("s[0;1]", r"^bad generator token: 's\[0;1\]'$"),
+            ("s[1|1]", r"^generator indices must differ$")):
+        action = dict(data["action"], **{extra: [0, 1, 2, 3]})
+        with pytest.raises(ValueError, match=message):
+            frame_from_json(dict(data, action=action))
+    with pytest.raises(ValueError, match=r"^s\[0\|1\] is not a generator "
+                       r"of mode transpositions at n=2$"):
+        frame_from_json(dict(data, mode="transpositions"))
 
 
 def _perturbed(frame, rng):

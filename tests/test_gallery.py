@@ -1,12 +1,14 @@
 """Worked counterexamples and identity sweeps."""
 
+import itertools
 import random
 import tracemalloc
 
 import pytest
 
 from oracles import ref_alternating_set
-from substal.gallery import (TruncationSpec, alternating_coloring,
+from substal.gallery import (RECTANGLE_BUDGET, TruncationSpec, _rect,
+                             _subset_layers, alternating_coloring,
                              cofinite_set, counter2_truncation,
                              default_filter_oracle, finite_set,
                              not_a_variety_witness, product_identities)
@@ -154,6 +156,39 @@ def test_product_identities_small_bases():
 def test_product_identities_three_dimensional():
     report = product_identities(2, n=3)
     assert report["pass"], report["failures"]
+
+
+def test_rectangles_read_from_subset_layers():
+    """Each rectangle, an AND of one subset layer per coordinate, is the
+    set of points whose every coordinate lies in its subset."""
+    for n, k in ((1, 3), (2, 2), (2, 3), (3, 2)):
+        layers = _subset_layers(n, k)
+        full = (1 << k**n) - 1
+        for combo in itertools.product(range(1 << k), repeat=n):
+            want = sum(1 << p for p in range(k**n)
+                       if all(combo[m] >> p // k**m % k & 1
+                              for m in range(n)))
+            assert _rect(layers, combo, full) == want, (n, k, combo)
+
+
+def test_product_identities_at_every_admitted_size():
+    """Every (n, k) within the budget passes with its full count of
+    instances: n(n−1) replacements, n(n−1)/2 transpositions and one
+    complement per rectangle, then 2^k + 1 corollaries."""
+    admitted = 0
+    for n in range(2, 7):
+        for k in itertools.count(0):
+            if k * n > 16 or 2 ** (k * n) * n * n > RECTANGLE_BUDGET:
+                with pytest.raises(ValueError, match="exceed budget"):
+                    product_identities(k, n)
+                break
+            report = product_identities(k, n)
+            admitted += 1
+            per_rect = n * (n - 1) + n * (n - 1) // 2 + 1
+            assert report["instances"] == \
+                2 ** (k * n) * per_rect + 2**k + 1, (n, k)
+            assert report["pass"], (n, k, report["failures"])
+    assert admitted == 22
 
 
 # ------------------------------------------------------- truncated chain

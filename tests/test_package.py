@@ -50,7 +50,20 @@ def test_every_cache_is_loaded_with_the_cli():
     assert proc.returncode == 0, proc.stderr
     on_import, everything = json.loads(proc.stdout)
     assert "substal.monoid.monoid_table" in on_import
+    assert "substal.monoid.generators" in on_import
     assert on_import == everything
+
+
+def test_generator_symbols_are_built_once_per_cache_fill():
+    """generators gives one tuple per (n, mode) until its cache is
+    emptied, and a fresh one after, equal to the first."""
+    from substal.monoid import generators
+    first = generators(3, "full")
+    assert isinstance(first, tuple) and generators(3, "full") is first
+    generators.cache_clear()
+    again = generators(3, "full")
+    assert again is not first and again == first
+    assert all(hash(g) == hash(h) for g, h in zip(first, again))
 
 
 def test_exports_are_the_objects_their_modules_define():

@@ -22,6 +22,8 @@ from substal.setalg import (
     coordinate_masks,
     generate_subalgebra,
     is_locally_square,
+    json_int,
+    json_ints,
     make_relativized,
     mask_points,
     point_coords,
@@ -278,6 +280,36 @@ def test_json_round_trip():
     full = algebra_from_json({"n": 2, "k": 2, "mode": "full",
                               "unit": [0, 1, 2, 3]})
     assert full.unit == 15
+
+
+def test_json_ints_refuse_every_entry_that_is_no_int_in_range():
+    """Bools, floats, strings, None, nested lists and out-of-range ints
+    are each refused with the one message; the empty list reads as ()."""
+    message = r"^unit must be a list of integers in \[0, 7\]$"
+    assert json_ints([], 0, 7, "unit") == ()
+    assert json_ints([], 0, -1, "unit") == ()
+    assert json_ints([3, 0, 7, 3], 0, 7, "unit") == (3, 0, 7, 3)
+    for bad in ([True], [0, False], [1.0], [2, 0.5], ["1"], [None],
+                [[1]], [1, [2]], [-1], [8], [0, 10**30], [float("nan")],
+                (1, 2), {"0": 1}, "01", None, 3):
+        with pytest.raises(ValueError, match=message):
+            json_ints(bad, 0, 7, "unit")
+    with pytest.raises(ValueError, match=r"must be a list of integers"):
+        json_ints([0], 0, -1, "unit")
+    for good in (0, 6):
+        assert json_int({"n": good}, "n", 0, 6) == good
+    for bad in (True, 1.0, "2", None, [2], -1, 7):
+        with pytest.raises(ValueError, match=r"^field 'n' must be an "
+                           r"integer in \[0, 6\], got "):
+            json_int({"n": bad}, "n", 0, 6)
+    with pytest.raises(ValueError, match="^expected a JSON object$"):
+        json_int([], "n", 0, 6)
+
+
+def test_algebra_file_with_an_unhashable_mode_is_refused():
+    for mode in (["full"], {"full": 1}):
+        with pytest.raises(ValueError, match="unknown mode"):
+            algebra_from_json({"n": 2, "k": 2, "mode": mode, "unit": [0]})
 
 
 # ----------------------------------------------- word-parallel substitution
