@@ -22,7 +22,7 @@ written out.
 import random
 from bisect import bisect_left
 from collections import namedtuple
-from itertools import chain, islice
+from itertools import islice
 
 from .monoid import (
     DIM_LIMIT,
@@ -132,10 +132,10 @@ def action_tables(space, unit=None):
     Every element's table is numbered along the graph's breadth-first
     tree: element t gets the table of parent[t] followed by generator
     via[t].  Each distinct table is interned, and each table so reached
-    is stepped by each generator once, all tables at a time.  The edge
-    tau -> tau∘g is coherent when the number of tau∘g's table is the
-    number of tau's table stepped by g, so a generator's whole row of
-    edges is certified by one comparison of two lists of table numbers.
+    is stepped by each generator once.  The edge tau -> tau∘g is
+    coherent when the number of tau∘g's table is the number of tau's
+    table stepped by g, so a generator's whole row of edges is certified
+    by one comparison of two lists of table numbers.
     Only a row that disagrees makes the walk look at single edges, in
     (tau, g) order, and it stops at the FAILURES_KEPT-th failure.  On a
     frame where many elements act alike most steps are skipped, and on a
@@ -155,22 +155,20 @@ def action_tables(space, unit=None):
 def _table_form(space, gens):
     """How the walk stores a world table and steps it by a generator: as
     bytes, stepped by one translate, when every world of the space fits a
-    byte, else as a tuple.  Returns (pack, moves, step, join): pack makes
-    a table of a tuple, moves[g] is what step(table, moves[g]) applies,
-    and join lays tables end to end, which step moves as one."""
+    byte, else as a tuple.  Returns (pack, moves, step): pack makes a
+    table of a tuple, and moves[g] is what step(table, moves[g]) applies."""
     gtabs = [space.act(g) for g in gens]
     if space.num_worlds <= 256:
         return (bytes, [bytes(tab).ljust(256, b"\0") for tab in gtabs],
-                bytes.translate, b"".join)
+                bytes.translate)
     return (tuple, gtabs,
-            lambda table, gtab: tuple(map(gtab.__getitem__, table)),
-            lambda tables: tuple(chain.from_iterable(tables)))
+            lambda table, gtab: tuple(map(gtab.__getitem__, table)))
 
 
 def _walk(space, unit):
     worlds = tuple(mask_points(unit))
     graph = cayley_graph(space.n, space.mode)
-    pack, moves, step, join = _table_form(space, graph.gens)
+    pack, moves, step = _table_form(space, graph.gens)
     tables = [pack(worlds)]
     index = {tables[0]: 0}
 
@@ -191,21 +189,9 @@ def _walk(space, unit):
         if b is None:
             b = on_tree[a * width + g] = intern(a, g)
         number.append(b)
-    # Each reached table is stepped by each generator in one step of the
-    # tables laid end to end.  Where the action is coherent, table a
-    # stepped by g is the table of head∘g, head the first element with
-    # table a, which one comparison of the laid-out tables confirms for
-    # every a at once; otherwise each step is interned on its own.
+    # each reached table stepped by each generator, off the tree as well
     reached = len(tables)
-    first = dict(zip(reversed(number), range(len(number) - 1, -1, -1)))
-    heads = [first[a] for a in range(reached)]
-    laid = join(tables)
-    stepped = []
-    for g, (move, row) in enumerate(zip(moves, graph.edges)):
-        by_g = list(map(number.__getitem__, map(row.__getitem__, heads)))
-        if step(laid, move) != join(map(tables.__getitem__, by_g)):
-            by_g = [intern(a, g) for a in range(reached)]
-        stepped.append(by_g)
+    stepped = [[intern(a, g) for a in range(reached)] for g in range(width)]
     failures, edges = [], len(number) * width
     for row, by_g in zip(graph.edges, stepped):
         if list(map(number.__getitem__, row)) != list(
@@ -567,15 +553,12 @@ def frame_from_json(data):
     if not isinstance(tables, dict):
         raise ValueError("frame file needs an \"action\" object")
     gens = generators(n, mode)
-    by_token = {g.token(): g for g in gens}
     action = {}
     for tok, tab in tables.items():
-        g = by_token.get(tok)
-        if g is None:       # another spelling, or no generator of the mode
-            g = gensym_from_token(tok)
-            if g not in gens:
-                raise ValueError("%s is not a generator of mode %s at n=%d"
-                                 % (tok, mode, n))
+        g = gensym_from_token(tok)
+        if g not in gens:
+            raise ValueError("%s is not a generator of mode %s at n=%d"
+                             % (tok, mode, n))
         if g in action:
             raise ValueError("generator %s is given twice" % g.token())
         action[g] = json_ints(tab, 0, m - 1, "action table %s" % tok)

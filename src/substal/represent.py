@@ -222,18 +222,12 @@ def _represent(algebra, worlds, quotient):
     span, places = base**n, {}
     unit_points, src, dst = [], [], []
     for b, (t, (s, d)) in enumerate(zip(targets, gathers)):
-        offset = b * span
-        if t.k == base:             # a point of ⁿbase is its own place
-            unit_points += [p + offset for p in t.unit_points]
-            dst += [p + offset for p in d]
-        else:
-            place = places.get(t)
-            if place is None:
-                place = places[t] = {
-                    p: point_index(point_coords(p, n, t.k), base)
-                    for p in t.unit_points}
-            unit_points += [q + offset for q in place.values()]
-            dst += [place[p] + offset for p in d]
+        place = places.get(t)
+        if place is None:
+            place = places[t] = {p: point_index(point_coords(p, n, t.k), base)
+                                 for p in t.unit_points}
+        unit_points += [q + b * span for q in place.values()]
+        dst += [place[p] + b * span for p in d]
         src += s
     report = {
         "method": "cayley-walk",

@@ -509,9 +509,9 @@ def test_walk_stops_at_the_last_kept_failure():
 
 
 def test_frame_file_tokens_in_any_spelling():
-    """A table's token is looked up among the mode's generators; any
-    other spelling of a generator is parsed, so s[1,0] and " s[0,1] "
-    name s[0,1], and every refusal keeps its message."""
+    """A table's token is parsed as any spelling of a generator, so
+    s[1,0] and " s[0,1] " name s[0,1], and every refusal keeps its
+    message."""
     data = frame_to_json(point_frame(2, 2, "full"))
     plain = frame_from_json(data)
     for spelling in ("s[1,0]", " s[0,1] "):
