@@ -14,7 +14,7 @@ The exports are loaded on first use (PEP 562): ``substal.parse`` imports
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "monoid": """MODES NotGenerated Transformation apply_point canonical_word
+    "monoid": """MODES NotGenerated apply_point canonical_word
         compose enumerate_monoid generators hat identity normalize_mode
         parse_word partitions point_index repl swap word_equiv""",
     "terms": """Equation ParseError QuasiEquation equation_holds_exhaustive
@@ -26,7 +26,7 @@ _EXPORTS = {
     "frames": """Frame atom_frame disjoint_union frame_check frame_from_json
         frame_to_json insep_zigzag point_frame random_coherent_frame
         superamalgam""",
-    "logic": "BDD Model model_check satisfiable unfold valid",
+    "logic": "BDD satisfiable unfold valid",
     "represent": """RepMap SubMonoidCtx canonical_extension check_psi
         check_quasi complete_representation diag_represent
         full_representation represent_at""",

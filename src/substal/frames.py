@@ -9,19 +9,21 @@ is every subset of its worlds, with substitution by action preimage,
 S_g(X) = {w : act_g(w) in X}.  A frame holds one table per generator; the
 table of any other element is folded from them (setalg.fold_tables).
 action_tables walks monoid.cayley_graph once per space and unit, on
-either kind of space, and the space keeps the walk.  It numbers every
-element's world table along the graph's breadth-first tree, steps each
-distinct table by each generator once, and checks each generator's whole
-row of Cayley edges in one comparison of table numbers.  That certifies
-that the fold does not depend on the word (frame_check, Frame.coherent),
-which makes every orbit map of represent equivariant, and gives the
-orbit of every world.  point_frame is the square's generator tables
-written out.
+either kind of space, and the space keeps the walk: every element's world
+table, numbered along the graph's breadth-first tree, which gives the
+orbit of every world.  Whether that fold depends on the word is a frame's
+question (a square's point action is a right action by definition):
+row_certificate steps each distinct table by each generator once and
+checks each generator's whole row of Cayley edges in one comparison of
+table numbers, and the frame keeps the result (frame_check,
+Frame.coherent).  A coherent action makes every orbit map of represent
+equivariant.  point_frame is the square's generator tables written out.
 """
 
 import random
 from bisect import bisect_left
 from collections import namedtuple
+from functools import cached_property
 from itertools import islice
 
 from .monoid import (
@@ -57,7 +59,7 @@ class Frame:
                     0 <= min(tab) and max(tab) < num_worlds):
                 raise ValueError("bad action table for %s" % g.token())
             self.action[g] = tab
-        self.walks = {}       # unit -> its ActionWalk (action_tables)
+        self.walks = {}       # unit -> its ActionWalk and intern (_walk)
         self.diag = None
         if has_diagonals(self.mode):
             self.diag = {}
@@ -84,9 +86,15 @@ class Frame:
         tab = fold_tables(self, g, range(self.num_worlds))
         return points_mask(w for w, v in enumerate(tab) if x >> v & 1)
 
+    @cached_property
+    def certificate(self):
+        """The frame's `row_certificate`, computed once: (failures,
+        edges checked)."""
+        return row_certificate(self)
+
     def coherent(self):
-        """Is the generated action a right action (`action_tables`)?"""
-        return not action_tables(self).failures
+        """Is the generated action a right action (`row_certificate`)?"""
+        return not self.certificate[0]
 
     def diag_mask(self, i, j):
         if self.diag is None:
@@ -99,22 +107,16 @@ class Frame:
         return "Frame(n=%d, mode=%s, worlds=%d)" % (self.n, self.mode, self.num_worlds)
 
 
-# The walk moves each world of the unit along each Cayley edge at most once.
+# The certificate moves each world along each Cayley edge at most once.
 COHERENCE_BUDGET = 2 * 10**6
 
 
-def walk_steps(n, mode, worlds):
-    """The steps of the action walk over a unit of `worlds` worlds."""
-    return monoid_size(n, mode) * len(generators(n, mode)) * max(worlds, 1)
-
-
-class ActionWalk(namedtuple("ActionWalk",
-                             "worlds tables number failures edges")):
-    """The unit's worlds in order, each distinct world table over them,
+class ActionWalk(namedtuple("ActionWalk", "worlds tables number")):
+    """The unit's worlds in order, each distinct world table over them
+    (bytes when every world of the space fits a byte, else a tuple), and
     the number of every element's table (in the order of
-    monoid.cayley_graph), the first FAILURES_KEPT coherence failures in
-    the (tau, g) order of the graph's edges, and the edges checked up to
-    the last of them, or all edges."""
+    monoid.cayley_graph).  A frame's `row_certificate` appends the tables
+    it steps to off the tree; only an incoherent action has any."""
 
     def orbit(self, w):
         """w·tau for every element tau, w a world of the unit."""
@@ -124,64 +126,55 @@ class ActionWalk(namedtuple("ActionWalk",
 
 
 def action_tables(space, unit=None):
-    """The walk of the right Cayley graph (monoid.cayley_graph) over the
-    world tables of a space, a `Frame` or a `setalg.Square`, restricted to
-    a unit of its worlds (all of them by default).  It runs once per space
-    and unit; the space keeps the result.
+    """The world tables of every element of the monoid on a space, a
+    `Frame` or a `setalg.Square`, restricted to a unit of its worlds (all
+    of them by default).  It runs once per space and unit; the space
+    keeps the result.
 
-    Every element's table is numbered along the graph's breadth-first
-    tree: element t gets the table of parent[t] followed by generator
-    via[t].  Each distinct table is interned, and each table so reached
-    is stepped by each generator once.  The edge tau -> tau∘g is
-    coherent when the number of tau∘g's table is the number of tau's
-    table stepped by g, so a generator's whole row of edges is certified
-    by one comparison of two lists of table numbers.
-    Only a row that disagrees makes the walk look at single edges, in
-    (tau, g) order, and it stops at the FAILURES_KEPT-th failure.  On a
-    frame where many elements act alike most steps are skipped, and on a
-    faithful action (a square ⁿk, k ≥ 2) every table is distinct and
-    each step is built once.  When no edge disagrees, act(sigma∘tau) =
-    act(sigma) followed by act(tau) for every pair, by induction on the
-    length of tau's word, and the orbit of every world is read off the
-    tables.  Work is at most `walk_steps`; callers bound it."""
+    Every element's table is numbered along the breadth-first tree of
+    monoid.cayley_graph: element t gets the table of parent[t] followed
+    by generator via[t], each distinct table interned and each (table,
+    generator) step on the tree built once.  That is |M| − 1 steps at
+    most.  The tables are the fold of the generator tables along one
+    word per element; they are the action of the element when the action
+    is coherent (a square, or a frame whose `row_certificate` finds no
+    failure), and then the orbit of every world is read off them."""
+    return _walk(space, unit)[0]
+
+
+def _walk(space, unit=None):
+    """The kept (ActionWalk, intern) of a unit, made on first use:
+    intern(a, g) is the number of the walk's table a stepped by the g-th
+    generator of the graph, appended to the walk's tables when new.  A
+    table is bytes, stepped by one translate, when every world of the
+    space fits a byte, else a tuple."""
     if unit is None:
         unit = (1 << space.num_worlds) - 1
-    walk = space.walks.get(unit)
-    if walk is None:
-        walk = space.walks[unit] = _walk(space, unit)
-    return walk
-
-
-def _table_form(space, gens):
-    """How the walk stores a world table and steps it by a generator: as
-    bytes, stepped by one translate, when every world of the space fits a
-    byte, else as a tuple.  Returns (pack, moves, step): pack makes a
-    table of a tuple, and moves[g] is what step(table, moves[g]) applies."""
-    gtabs = [space.act(g) for g in gens]
-    if space.num_worlds <= 256:
-        return (bytes, [bytes(tab).ljust(256, b"\0") for tab in gtabs],
-                bytes.translate)
-    return (tuple, gtabs,
-            lambda table, gtab: tuple(map(gtab.__getitem__, table)))
-
-
-def _walk(space, unit):
+    kept = space.walks.get(unit)
+    if kept is not None:
+        return kept
     worlds = tuple(mask_points(unit))
     graph = cayley_graph(space.n, space.mode)
-    pack, moves, step = _table_form(space, graph.gens)
+    gtabs = [space.act(g) for g in graph.gens]
+    if space.num_worlds <= 256:
+        pack, step = bytes, bytes.translate
+        moves = [bytes(tab).ljust(256, b"\0") for tab in gtabs]
+    else:
+        pack, moves = tuple, gtabs
+
+        def step(table, gtab):
+            return tuple(map(gtab.__getitem__, table))
     tables = [pack(worlds)]
     index = {tables[0]: 0}
 
     def intern(a, g):
-        """The number of table a stepped by generator g."""
         derived = step(tables[a], moves[g])
         b = index.setdefault(derived, len(tables))
         if b == len(tables):
             tables.append(derived)
         return b
-
     # a parent precedes its children in the walk order, so its table is
-    # numbered first; each (table, generator) step on the tree is built once
+    # numbered first
     number, on_tree, width = [0], {}, len(moves)
     for parent, g in islice(zip(graph.parent, graph.via), 1, None):
         a = number[parent]
@@ -189,25 +182,35 @@ def _walk(space, unit):
         if b is None:
             b = on_tree[a * width + g] = intern(a, g)
         number.append(b)
-    # each reached table stepped by each generator, off the tree as well
-    reached = len(tables)
-    stepped = [[intern(a, g) for a in range(reached)] for g in range(width)]
-    failures, edges = [], len(number) * width
-    for row, by_g in zip(graph.edges, stepped):
-        if list(map(number.__getitem__, row)) != list(
-                map(by_g.__getitem__, number)):
-            failures, edges = _failures(graph, worlds, tables, number,
-                                        stepped)
-            break
-    return ActionWalk(worlds, list(map(tuple, tables)), number, failures,
-                      edges)
+    kept = space.walks[unit] = ActionWalk(worlds, tables, number), intern
+    return kept
 
 
-def _failures(graph, worlds, tables, number, stepped):
-    """The first FAILURES_KEPT incoherent edges tau -> tau∘g in (tau, g)
-    order, and the edges checked up to the last of them, or all edges."""
-    failures, last = [], len(number) * len(stepped)
-    rows = list(zip(graph.gens, graph.edges, stepped))
+def row_certificate(frame):
+    """The first FAILURES_KEPT coherence failures of a frame's action in
+    the (tau, g) order of the Cayley graph's edges, and the edges checked
+    up to the last of them, or all edges.
+
+    Each table of the frame's walk (`action_tables`) is stepped by each
+    generator once, through the walk's own interning.  The edge
+    tau -> tau∘g is coherent when the number of tau∘g's table is the
+    number of tau's table stepped by g, so a generator's whole row of
+    edges is certified by one comparison of two lists of table numbers.
+    Only a row that disagrees makes it look at single edges, and it
+    stops at the FAILURES_KEPT-th failure.  When no edge disagrees,
+    act(sigma∘tau) = act(sigma) followed by act(tau) for every pair, by
+    induction on the length of tau's word."""
+    walk, intern = _walk(frame)
+    graph = cayley_graph(frame.n, frame.mode)
+    number, tables, width = walk.number, walk.tables, len(graph.gens)
+    reached = range(len(tables))
+    rows = [(sym, row, [intern(a, g) for a in reached])
+            for g, (sym, row) in enumerate(zip(graph.gens, graph.edges))]
+    edges = len(number) * width
+    if all(list(map(number.__getitem__, row)) == list(
+            map(by_g.__getitem__, number)) for _, row, by_g in rows):
+        return [], edges
+    failures = []
     for t, a in enumerate(number):
         for g, (sym, row, by_g) in enumerate(rows):
             u, b = number[row[t]], by_g[a]
@@ -216,10 +219,10 @@ def _failures(graph, worlds, tables, number, stepped):
             i = next(i for i, (x, y) in enumerate(
                 zip(tables[u], tables[b])) if x != y)
             failures.append(("coherence", graph.maps[t], sym.token(),
-                             worlds[i]))
+                             walk.worlds[i]))
             if len(failures) == FAILURES_KEPT:
-                return failures, t * len(rows) + g + 1
-    return failures, last
+                return failures, t * width + g + 1
+    return failures, edges
 
 
 class FrameReport(Record):
@@ -237,16 +240,17 @@ class FrameReport(Record):
 def frame_check(frame):
     """Semantic coherence: the generated action must be a genuine right
     action, certified once per edge of the right Cayley graph
-    (`action_tables`); diagonal markings must satisfy their
+    (`row_certificate`); diagonal markings must satisfy their
     correspondents.  At most FAILURES_KEPT failures are reported, and the
-    walk is at most COHERENCE_BUDGET steps."""
+    certificate is at most COHERENCE_BUDGET world moves."""
     n, mode = frame.n, frame.mode
-    work = walk_steps(n, mode, frame.num_worlds)
+    work = monoid_size(n, mode) * len(generators(n, mode)) * max(
+        frame.num_worlds, 1)
     if work > COHERENCE_BUDGET:
         raise ValueError("the action walk (%d steps) exceeds budget %d"
                          % (work, COHERENCE_BUDGET))
-    walk = action_tables(frame)
-    failures = list(walk.failures)
+    failures, edges = frame.certificate
+    failures = list(failures)
     if frame.diag is not None and len(failures) < FAILURES_KEPT:
         for i in range(n):
             for j in range(n):
@@ -263,7 +267,7 @@ def frame_check(frame):
                     if pre != frame.diag_mask(gt[i], gt[j]):
                         failures.append(("diag-subst", g.token(), i, j))
         failures = failures[:FAILURES_KEPT]
-    return FrameReport(not failures, failures, walk.edges)
+    return FrameReport(not failures, failures, edges)
 
 
 def point_frame(n, k, mode="full"):

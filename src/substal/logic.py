@@ -54,12 +54,10 @@ points of the witness's square ⁿk.  It reads neither the BDD nor its
 point moves, so a faulty BDD cannot vouch for itself.
 """
 
-from collections import defaultdict
 from operator import itemgetter
 
-from .monoid import (Record, normalize_mode, num_blocks, point_index,
-                     restricted_growth)
-from .terms import Compl, Diag, Join, Meet, One, Sub, Var, Zero, eval_term, iff
+from .monoid import normalize_mode, num_blocks, point_index, restricted_growth
+from .terms import Compl, Diag, Join, Meet, One, Sub, Var, Zero, iff
 
 FALSE, TRUE = 0, 1
 _LEAF = 1 << 62           # the level of both terminals, below every variable
@@ -335,27 +333,6 @@ def _chain(term):
             seen.add(id(t))
             out.append(t)
     return out
-
-
-class Model(Record):
-    """An algebra handle and a valuation in it: var index -> bitmask over
-    its points or worlds."""
-
-    __slots__ = _fields = ("algebra", "valuation")
-
-    def __init__(self, algebra, valuation):
-        self.algebra = algebra
-        self.valuation = valuation
-
-
-def model_check(model, term, world):
-    """Truth of `term` at `world` under the model's valuation.
-
-    Variables the valuation does not mention denote the empty set.
-    """
-    valuation = defaultdict(int, model.valuation)
-    value = eval_term(model.algebra, term, valuation)
-    return bool(value >> world & 1)
 
 
 def check_at(term, point, assignment):

@@ -56,12 +56,6 @@ class NotGenerated(ValueError):
         super().__init__("%r is not generated in mode %s" % (list(tau), mode))
 
 
-def Transformation(values):
-    """A map {0..n-1} -> {0..n-1}: the tuple of its values, the form in
-    which `cayley_graph` stores every element of a monoid."""
-    return tuple(values)
-
-
 def identity(n):
     return tuple(range(n))
 

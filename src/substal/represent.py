@@ -10,12 +10,12 @@ into the full-diagonal square ⁿm_u (diag_represent).
 The engine acts on set algebras (setalg.ComplexAlgebra) only.  There the
 atom of a world w lies below s_tau(z) exactly when w·tau lies in z, so
 every block is a bit gather h(z) = {p : f(p) ∈ z} read off the orbit of w,
-from the one Cayley walk that the space keeps per unit
-(frames.action_tables, which frame-check and quasi read too).  By
-Jónsson-Tarski duality such a map is a homomorphism exactly when its world
-map f is equivariant and keeps the diagonals.  A coherent walk makes every
-orbit map equivariant, so the walk certifies all blocks at once, and one
-builder (`_represent`) checks per block only what the walk cannot know
+from the world tables that the space keeps per unit (frames.action_tables).
+By Jónsson-Tarski duality such a map is a homomorphism exactly when its
+world map f is equivariant and keeps the diagonals.  A coherent action
+(`coherent()` of the space: by definition on a square, by the frame's row
+certificate on a frame) makes every orbit map equivariant, so one
+builder (`_represent`) checks per block only what coherence cannot know
 and writes one report for the whole product.  Any other handle reaches
 the engine through `canonical_extension`, Cm of its atom frame, whose
 world map is equivariant by the construction of the atom frame; its
@@ -35,13 +35,14 @@ from .monoid import (
     generators,
     has_diagonals,
     mode_allows,
+    monoid_size,
     swap,
 )
 from .setalg import (FAILURES_KEPT, ComplexAlgebra, ConcreteAlgebra,
                      algebra_to_json, alternating_coloring, gather_map,
                      lowest_bit, mask_points, point_coords, point_index,
                      points_mask, small_algebra)
-from .frames import action_tables, atom_frame, walk_steps
+from .frames import action_tables, atom_frame
 
 
 def atom_below(algebra, a):
@@ -99,14 +100,13 @@ class RepMap(Record):
 
 
 # full_representation refuses, before any walk, a unit whose
-# (atoms + 1)·|M|·|G| + BLOCK_STEPS·atoms exceeds REPRESENT_BUDGET.  The
-# walk over the unit is |M|·|G| steps per world (frames.walk_steps) and
-# the monoid's graph about one |M|·|G| more; each block then reads one
-# orbit of |M| worlds, and BLOCK_STEPS stands for a block's fixed cost.
-# The full ⁵2 square (about 0.6 s) is within the budget, while ⁵3, 5⁵ and
-# any n = 6 file are not.
-BLOCK_STEPS = 200
-REPRESENT_BUDGET = 35 * 10**5
+# atoms·(|M| + 20) exceeds REPRESENT_BUDGET: each atom's block reads an
+# orbit of |M| worlds and gathers |M| points, and its own fixed cost (the
+# cover check, the placement, its atom under --json) counts as 20 such
+# entries; the walk over the unit is |M| tables of one entry per atom.
+# The full ⁵3 square (about 0.5 s cold, 1.2 s with --json) is within the
+# budget, while ⁶2, 5⁵ and ²400 are not.
+REPRESENT_BUDGET = 10**6
 
 
 def _quotient(n, related):
@@ -143,10 +143,10 @@ def _represent(algebra, worlds, quotient):
     the target unit into the source unit (the atom images partition the
     target), f(p·g) = f(p)·g for every target point p and generator g,
     and p ∈ d(i,j) ⇔ f(p) ∈ d(i,j).  The point of tau moves under g to
-    the point of tau∘g, so the coherence of the unit's one walk,
-    w·(tau∘g) = (w·tau)·g, is the equivariance of every block at once; a
-    space whose walk finds coherence failures raises ValueError.  Each
-    block checks the rest: its orbit stays in the unit ("cover"); a
+    the point of tau∘g, so the coherence of the space's action,
+    w·(tau∘g) = (w·tau)·g, is the equivariance of every block at once; an
+    incoherent space (`coherent()`) raises ValueError.  Each block checks
+    the rest: its orbit stays in the unit ("cover"); a
     quotient block is an equivalence and is well defined (every tau that
     gives a point gives it one world); and the diagonals.  A quotient
     block covers ⁿm without a check: the diagonal monoid holds every map,
@@ -154,10 +154,10 @@ def _represent(algebra, worlds, quotient):
     It is injective exactly when the blocks' worlds cover the unit, so
     that no atom image is zero.
     """
-    walk = action_tables(algebra.space, algebra.unit)
-    if walk.failures:
+    if not algebra.space.coherent():
         raise ValueError("the action fails coherence, so this is no "
-                         "substitution algebra: %r" % (walk.failures[:3],))
+                         "substitution algebra")
+    walk = action_tables(algebra.space, algebra.unit)
     n, mode = algebra.n, algebra.mode
     maps = cayley_graph(n, mode).maps
     unit = set(walk.worlds)
@@ -263,7 +263,7 @@ def full_representation(algebra):
         raise ValueError("trivial algebra has no atoms to represent at")
     worlds = algebra.unit_points        # the worlds of the atoms
     n, mode = algebra.n, algebra.mode
-    work = walk_steps(n, mode, len(worlds) + 1) + BLOCK_STEPS * len(worlds)
+    work = len(worlds) * (monoid_size(n, mode) + 20)
     if work > REPRESENT_BUDGET:
         raise ValueError("representing %d atoms (about %d steps) exceeds "
                          "budget %d" % (len(worlds), work, REPRESENT_BUDGET))
@@ -425,7 +425,7 @@ def check_quasi(algebra):
                          "T: %s" % NotGenerated(swap(n - 2, n - 1).tr(n),
                                                 algebra.mode))
     # a square's point action is a right action by definition; a frame
-    # keeps the verdict of its Cayley walk (frames.action_tables)
+    # keeps its row certificate (frames.row_certificate)
     if not algebra.space.coherent():
         return False
     return algebra.one == algebra.zero or all(

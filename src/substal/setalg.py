@@ -51,11 +51,11 @@ kernels right to left along canonical_word(τ), since S_{σ∘τ} = S_σ∘S_τ.
 World tables come from the generator tables alone, on either space.  The
 table of τ folds them left to right along canonical_word(τ)
 (`fold_tables`).  The orbit of a world, its images under every element,
-is read off one walk of the right Cayley graph per unit,
-`frames.action_tables`, which the space keeps in `walks`.  The walk also
-certifies that the fold does not depend on the word: a frame's
-`coherent()` reads it, while the square's point action is a right action
-by definition.
+is read off one walk of the right Cayley graph's breadth-first tree per
+unit, `frames.action_tables`, which the space keeps in `walks`.  That
+the fold does not depend on the word is a frame's `coherent()`, which
+reads the frame's row certificate, while the square's point action is a
+right action by definition.
 """
 
 from functools import cached_property
@@ -195,7 +195,7 @@ class Square:
         self.mode = normalize_mode(mode)
         self.copies = copies
         self.num_worlds = copies * k**n
-        self.walks = {}       # unit -> its frames.ActionWalk
+        self.walks = {}       # unit -> its ActionWalk and intern (frames._walk)
         self._tables = {}
         self._diag = {}
 

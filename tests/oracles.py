@@ -5,18 +5,21 @@ with its own recursion, sharing no code paths with substal internals beyond
 the public AST node types.  These exceptions read the library's own
 code.  `hom_report`, the atom certificate of a map between any two algebra
 handles, reads the handles' own operations: it is the reference of the
-library's world-map certificates.  `ref_square_witness` evaluates a
-witness over the whole square with the library's set algebra: it is the
-reference of the point-local re-check in `logic.satisfiable`.
+library's world-map certificates.  `ref_holds` evaluates a term over
+every world of the library's set algebra, and `ref_square_witness` so
+evaluates a witness over the whole square: it is the reference of the
+point-local re-check in `logic.satisfiable`.
 `ref_action_walk` is the edge-by-edge walk of the library's Cayley graph
-over a space's world tables: the reference of the row-at-a-time walk of
-`frames.action_tables`.  `ref_quasi_sweep` is the T-generic
+over a space's world tables: the reference of the tree walk of
+`frames.action_tables` and of the row-at-a-time
+`frames.row_certificate`.  `ref_quasi_sweep` is the T-generic
 quasi-equation check that `represent.check_quasi` replaced, built on the
 library's `SubMonoidCtx`: the reference of its fixed T.
 """
 
 import itertools
 import re
+from collections import defaultdict
 
 from substal.monoid import cayley_graph, generators, has_diagonals
 from substal.setalg import FAILURES_KEPT, ConcreteAlgebra, mask_points
@@ -253,12 +256,14 @@ def ref_frame_coherent(frame):
 
 
 def ref_action_walk(space, unit):
-    """The Cayley walk that frames.action_tables replaced: every edge
-    tau -> tau∘g, in (tau, g) order, steps tau's table by g and compares
-    it with the table already set for tau∘g, which its breadth-first tree
-    edge set first.  Returns (worlds, tables, number, failures, edges) in
-    the shape of frames.ActionWalk: the first FAILURES_KEPT failures, and
-    the edges up to the last of them, or all edges."""
+    """The Cayley walk that frames.action_tables and
+    frames.row_certificate replaced: every edge tau -> tau∘g, in (tau, g)
+    order, steps tau's table by g and compares it with the table already
+    set for tau∘g, which its breadth-first tree edge set first.  Returns
+    (worlds, tables, number), in the shape of frames.ActionWalk, and
+    (failures, edges), in the shape of the row certificate: the first
+    FAILURES_KEPT failures, and the edges up to the last of them, or all
+    edges."""
     worlds = tuple(mask_points(unit))
     graph = cayley_graph(space.n, space.mode)
     steps = [(g.token(), space.act(g), row)
@@ -345,18 +350,27 @@ def ref_kernel_satisfiable(term, n):
     return False
 
 
+def ref_holds(algebra, term, valuation, world):
+    """Whether `term` holds at `world` of a set algebra when variable v
+    denotes the bitmask valuation[v], or the empty set if v is not
+    listed: the whole term evaluated over every world, one operation of
+    the algebra per subterm (terms.eval_term)."""
+    from substal.terms import eval_term
+
+    value = eval_term(algebra, term, defaultdict(int, valuation))
+    return bool(value >> world & 1)
+
+
 def ref_square_witness(term, n, mode, witness):
     """Whether a witness of `logic.satisfiable` holds when it is rebuilt as
     a valuation in the full set algebra ℘(ⁿk) of its base k and the whole
     term is evaluated there over every point: one word-parallel preimage
     per substitution on bitmasks of kⁿ bits.  Variables the witness does
     not list denote the empty set."""
-    from substal.logic import Model, model_check
-
     valuation = {int(name[1:]): sum(1 << p for p in points)
                  for name, points in witness["valuation"].items()}
-    model = Model(ConcreteAlgebra(n, witness["k"], mode), valuation)
-    return model_check(model, term, witness["world"])
+    return ref_holds(ConcreteAlgebra(n, witness["k"], mode), term, valuation,
+                     witness["world"])
 
 
 _REF_TOKEN = re.compile(
@@ -527,14 +541,10 @@ def ref_check_quasi(algebra, T):
     s_f(x) = −x for f in G (unless 0 = 1), and when, for every xi in G and
     every choice of elements x_sigma, a zero meet of the s_sigma(x_sigma)
     keeps a zero meet of the s_{xi∘sigma}(x_sigma)."""
-    from substal.monoid import Transformation
-
     T = sorted(set(tuple(t) for t in T))
     G = ref_bijective_stabilizer(len(T[0]), T)
     els = algebra.elements()
-
-    def s(t, x):
-        return algebra.subst(Transformation(t), x)
+    s = algebra.subst
 
     def meet_of(values):
         out = algebra.one

@@ -17,7 +17,6 @@ import time
 
 from substal.cli import run
 from substal.monoid import (
-    Transformation,
     canonical_word,
     generators,
     hat,
@@ -150,13 +149,11 @@ def test_c03_canonical_words():
     count = 0
     for n in range(1, 5):
         for tmap in itertools.product(range(n), repeat=n):
-            tau = Transformation(tmap)
-            assert hat(canonical_word(tau, "full"), n) == tau, tmap
+            assert hat(canonical_word(tmap, "full"), n) == tmap, tmap
             count += 1
     for n in range(1, 7):
         for perm in itertools.permutations(range(n)):
-            tau = Transformation(perm)
-            assert hat(canonical_word(tau, "transpositions"), n) == tau, perm
+            assert hat(canonical_word(perm, "transpositions"), n) == perm, perm
             count += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0, "budget exceeded: %.1fs" % elapsed
@@ -280,23 +277,30 @@ def test_c06_representation_engine():
 
 def test_represent_full_square_ceilings(tmp_path):
     """A cold `represent` (a fresh interpreter) of the whole ⁴4 and ⁵2
-    square algebras is PASS within 3 s each.  The whole 5⁵ square is over
-    the representation budget and exits 2 within 1 s."""
-    for (n, k), code, first, ceiling in (((4, 4), 0, "PASS", 3.0),
-                                         ((5, 2), 0, "PASS", 3.0),
-                                         ((5, 5), 2, "", 1.0)):
+    square algebras is PASS within 3 s each, and of the whole ⁵3 square
+    within 1.5 s, or 3 s with --json.  The whole 5⁵ and ⁶2 squares are
+    over the representation budget and exit 2 within 1 s."""
+    for (n, k), flags, code, first, ceiling in (
+            ((4, 4), [], 0, "PASS", 3.0),
+            ((5, 2), [], 0, "PASS", 3.0),
+            ((5, 3), [], 0, "PASS", 1.5),
+            ((5, 3), ["--json"], 0, "PASS", 3.0),
+            ((5, 5), [], 2, "", 1.0),
+            ((6, 2), [], 2, "", 1.0)):
         path = tmp_path / ("full%d%d.json" % (k, n))
         path.write_text(json.dumps({"n": n, "k": k, "mode": "full",
                                     "unit": list(range(k**n))}))
         t0 = time.monotonic()
         proc = subprocess.run(
-            [sys.executable, "-m", "substal.cli", "represent", str(path)],
+            [sys.executable, "-m", "substal.cli", "represent", *flags,
+             str(path)],
             capture_output=True, text=True)
         elapsed = time.monotonic() - t0
         assert proc.returncode == code, (n, k, proc.stderr)
         assert proc.stdout.split("\n")[0] == first, (n, k)
-        assert elapsed < ceiling, "%d^%d took %.2fs" % (k, n, elapsed)
-    assert "budget" in proc.stderr
+        assert elapsed < ceiling, "%d^%d %s took %.2fs" % (k, n, flags,
+                                                          elapsed)
+        assert ("budget" in proc.stderr) == (code == 2), (n, k)
 
 
 def test_represent_transpositions_square_ceiling(tmp_path):
@@ -493,7 +497,7 @@ def test_c14_quasi_equation_checker():
         x = 0
         for idx in report["witness_points"]:
             x |= 1 << idx
-        f = Transformation(tuple(report["f"]))
+        f = tuple(report["f"])
         assert alg.subst(f, x) == alg.compl(x), n
     elapsed = time.monotonic() - t0
     print("criterion 14: PASS — quasi-equations hold on squares, fail on "

@@ -23,8 +23,7 @@ from substal.setalg import (FAILURES_KEPT, Square, Subalgebra,
                             algebra_from_json, fold_tables,
                             generate_subalgebra, morphism_report,
                             small_algebra)
-from substal.monoid import (MODES, Transformation, cayley_graph, generators,
-                            repl, swap)
+from substal.monoid import MODES, cayley_graph, generators, repl, swap
 from substal.terms import equation_holds_exhaustive, sigma_axioms, word_pair
 
 from oracles import (hom_report, ref_action_walk, ref_frame_coherent,
@@ -420,10 +419,10 @@ def test_orbits_along_the_tree_match_the_word_fold():
         n, m = frame.n, frame.num_worlds
         graph = cayley_graph(n, frame.mode)
         walk = action_tables(frame)
-        assert walk.failures == []
+        assert frame.coherent()
         orbits = [walk.orbit(w) for w in range(m)]
         for t, (tau, word) in enumerate(zip(graph.maps, graph.words)):
-            folded = fold_tables(frame, Transformation(tau), range(m))
+            folded = fold_tables(frame, tau, range(m))
             assert [orbits[w][t] for w in range(m)] == folded, (frame, tau)
             if k is None:
                 continue
@@ -450,9 +449,10 @@ def _closed_unit(n, k, mode, rng):
 
 
 def test_row_walk_matches_the_edge_walk():
-    """The row-at-a-time walk gives the edge-by-edge reference's failures
-    and edge count on every space, and on a coherent one its tables and
-    their numbering too."""
+    """The walk along the tree gives the edge-by-edge reference's tables
+    and their numbering on every coherent space, and each element's table
+    on a broken frame; the row certificate of every frame, broken ones
+    included, gives the reference's failures and edge count."""
     rng = random.Random(2024)
     coherent, broken = [], []
     for n in (1, 2, 3, 4):
@@ -482,16 +482,21 @@ def test_row_walk_matches_the_edge_walk():
             coherent.append((algebra.space, algebra.unit))
     for space, unit in coherent:
         unit = (1 << space.num_worlds) - 1 if unit is None else unit
-        want = ref_action_walk(space, unit)
-        assert want[3] == []
-        assert tuple(action_tables(space, unit)) == want, space
+        *want, failures, edges = ref_action_walk(space, unit)
+        assert failures == []
+        worlds, tables, number = action_tables(space, unit)
+        assert [worlds, list(map(tuple, tables)), number] == want, space
+        if isinstance(space, Frame):
+            assert space.certificate == (failures, edges), space
     assert sum(1 for f in broken if not ref_frame_coherent(f)) > 10
     for frame in broken:
         unit = (1 << frame.num_worlds) - 1
         got = action_tables(frame)
-        _, _, _, failures, edges = ref_action_walk(frame, unit)
-        assert (got.failures, got.edges) == (failures, edges), frame
-        assert (got.failures == []) == ref_frame_coherent(frame)
+        _, tables, number, failures, edges = ref_action_walk(frame, unit)
+        assert [tuple(got.tables[a]) for a in got.number] == [
+            tables[a] for a in number], frame
+        assert frame.certificate == (failures, edges), frame
+        assert frame.coherent() == ref_frame_coherent(frame)
 
 
 def test_walk_stops_at_the_last_kept_failure():

@@ -1,4 +1,4 @@
-"""Satisfiability, validity, and model checking over the point semantics."""
+"""Satisfiability and validity over the point semantics."""
 
 import itertools
 import math
@@ -9,16 +9,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from substal.frames import ComplexAlgebra, point_frame
-from substal.logic import (BDD, FALSE, TRUE, Model, check_at, equation_valid,
-                           equations_valid, model_check, satisfiable, unfold,
-                           valid)
+from substal.logic import (BDD, FALSE, TRUE, check_at, equation_valid,
+                           equations_valid, satisfiable, unfold, valid)
 from substal.monoid import apply_point, generators, partitions
 from substal.setalg import point_coords, point_index, small_algebra
 from substal.terms import (Compl, Diag, Equation, Join, Meet, One, Sub, Var,
                            Zero, equation_holds_exhaustive, iff, modality_count,
                            parse, parse_equation, sigma_axioms, variables)
 
-from oracles import (brute_formula_satisfiable, ref_eval,
+from oracles import (brute_formula_satisfiable, ref_eval, ref_holds,
                      ref_kernel_satisfiable, ref_square_witness)
 
 
@@ -148,26 +147,6 @@ def test_bdd_matches_truth_tables():
                 assert _eval_prop(f, total)
 
 
-# ------------------------------------------------------------ model checking
-
-def test_model_check_examples():
-    frame = point_frame(2, 2, "full")
-    w = point_index((0, 1), 2)
-    model = Model(ComplexAlgebra(frame), {0: 1 << w})
-    assert model_check(model, parse("p0", 2), w)
-    # the replacement moves (0, 1) to (1, 1), which is outside V(p0)
-    assert not model_check(model, parse("s[0|1] p0", 2), w)
-    assert model_check(model, One(), 0)
-    assert model_check(model, One(), 3)
-
-
-def test_model_check_unknown_variable_is_empty():
-    frame = point_frame(2, 2, "full")
-    model = Model(ComplexAlgebra(frame), {})
-    assert not model_check(model, parse("p7", 2), 0)
-    assert model_check(model, parse("~p7", 2), 0)
-
-
 # ---------------------------------------------------------------- truth lemma
 
 def _random_term(rng, n, mode, budget, gens):
@@ -192,7 +171,8 @@ def _random_term(rng, n, mode, budget, gens):
 
 
 def test_truth_lemma_on_point_frames():
-    """model_check agrees with the propositional truth of the unfolding.
+    """The term evaluated over the whole point frame agrees with the
+    propositional truth of the unfolding.
 
     The atom (v, p) of the unfolded formula is read as "p lies in V(v)".
     """
@@ -222,8 +202,8 @@ def test_truth_lemma_on_point_frames():
             for atom in bdd.atoms
         }
         expected = _truth(bdd, node, asg)
-        got = model_check(Model(ComplexAlgebra(frames[key]), valuation), term,
-                          point_index(q, k))
+        got = ref_holds(ComplexAlgebra(frames[key]), term, valuation,
+                        point_index(q, k))
         assert got == expected
 
 
@@ -273,8 +253,8 @@ def test_satisfiable_witnesses_check_out():
             int(name[1:]): sum(1 << p for p in points)
             for name, points in wit["valuation"].items()
         }
-        model = Model(ComplexAlgebra(point_frame(n, wit["k"], mode)), valuation)
-        assert model_check(model, term, wit["world"])
+        assert ref_holds(ComplexAlgebra(point_frame(n, wit["k"], mode)),
+                         term, valuation, wit["world"])
     assert seen_sat > 100
 
 

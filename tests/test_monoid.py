@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from substal.monoid import (
     NotGenerated,
-    Transformation,
     apply_point,
     bijective_stabilizer,
     canonical_word,
@@ -47,14 +46,13 @@ maps3 = st.tuples(*[st.integers(0, 2)] * 3)
 
 @given(maps3, maps3)
 def test_compose_convention(s, t):
-    got = compose(Transformation(s), Transformation(t))
+    got = compose(s, t)
     assert got == ref_compose(s, t)
     assert all(got[i] == s[t[i]] for i in range(3))
 
 
 @given(maps3, maps3, maps3)
-def test_right_action_law(q, s, t):
-    sigma, tau = Transformation(s), Transformation(t)
+def test_right_action_law(q, sigma, tau):
     assert apply_point(apply_point(q, sigma), tau) == \
         apply_point(q, compose(sigma, tau))
 
@@ -132,18 +130,16 @@ def test_word_equiv_examples():
 
 def test_canonical_word_examples():
     assert canonical_word(identity(3), "full") == ()
-    assert canonical_word(Transformation((1, 0)), "full") == (swap(0, 1),)
-    assert canonical_word(Transformation((1, 1, 2)), "full") == (repl(0, 1),)
+    assert canonical_word((1, 0), "full") == (swap(0, 1),)
+    assert canonical_word((1, 1, 2), "full") == (repl(0, 1),)
 
 
 def test_canonical_word_round_trip_small():
     for n in (1, 2, 3):
-        for tmap in itertools.product(range(n), repeat=n):
-            tau = Transformation(tmap)
+        for tau in itertools.product(range(n), repeat=n):
             assert hat(canonical_word(tau, "full"), n) == tau
     for n in (2, 3, 4):
-        for perm in itertools.permutations(range(n)):
-            tau = Transformation(perm)
+        for tau in itertools.permutations(range(n)):
             word = canonical_word(tau, "transpositions")
             assert all(g.kind == "transposition" for g in word)
             assert hat(word, n) == tau
@@ -155,12 +151,12 @@ def test_canonical_word_round_trip_small():
 
 def test_canonical_word_rejects_outsiders():
     with pytest.raises(NotGenerated):
-        canonical_word(Transformation((1, 1)), "transpositions")
+        canonical_word((1, 1), "transpositions")
     with pytest.raises(NotGenerated):
-        canonical_word(Transformation((1, 0)), "replacements")
+        canonical_word((1, 0), "replacements")
     # non-identity permutations are never products of replacements
     with pytest.raises(NotGenerated):
-        canonical_word(Transformation((0, 2, 1)), "replacements")
+        canonical_word((0, 2, 1), "replacements")
 
 
 def test_monoid_sizes():
@@ -225,7 +221,7 @@ def test_cayley_graph_matches_a_breadth_first_reference():
                 assert len(row) == len(graph.maps)
                 for idx, t in enumerate(graph.maps):
                     assert row[idx] == \
-                        number[compose(Transformation(t), g.tr(n))]
+                        number[compose(t, g.tr(n))]
             for idx in range(1, len(graph.maps)):
                 up = graph.parent[idx]
                 assert up < idx

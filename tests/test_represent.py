@@ -17,7 +17,7 @@ from substal import cli
 from substal.frames import (ComplexAlgebra, Frame, atom_frame, frame_to_json,
                             point_frame, random_coherent_frame)
 from substal.gallery import not_a_variety_witness
-from substal.monoid import (MODES, Transformation, cayley_graph,
+from substal.monoid import (MODES, cayley_graph,
                             enumerate_monoid, generators, has_diagonals,
                             identity)
 from substal.represent import (SubMonoidCtx, atom_below, canonical_extension,
@@ -35,7 +35,7 @@ from oracles import (hom_report, ref_check_quasi, ref_hom_sweep,
                      ref_product_hom, ref_quasi_sweep)
 from test_acceptance import _relabeled, representation_corpus
 
-SWAP = Transformation((1, 0))
+SWAP = (1, 0)
 
 
 def test_atom_below():
@@ -349,9 +349,9 @@ def test_sub_monoid_ctx_validation():
     assert sorted(ctx.G) == sorted([identity(2), SWAP])
 
     with pytest.raises(ValueError, match="identity"):
-        SubMonoidCtx(2, [Transformation((0, 0))])
+        SubMonoidCtx(2, [(0, 0)])
     with pytest.raises(ValueError, match="closed"):
-        SubMonoidCtx(2, [identity(2), SWAP, Transformation((1, 1))])
+        SubMonoidCtx(2, [identity(2), SWAP, (1, 1)])
 
 
 def test_special_quasi_witness():

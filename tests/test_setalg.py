@@ -10,8 +10,8 @@ from hypothesis import given, strategies as st
 
 from substal.cli import run
 from substal.gallery import not_a_variety_witness
-from substal.monoid import (NotGenerated, Transformation, apply_point,
-                            generators, repl, swap)
+from substal.monoid import (NotGenerated, apply_point, generators, repl,
+                            swap)
 from substal.setalg import (
     ConcreteAlgebra,
     NotLocallySquare,
@@ -78,11 +78,11 @@ def test_subst_examples():
 
 def test_subst_accepts_monoid_transformations():
     alg = small_algebra(2, 2)
-    assert alg.subst(Transformation((1, 1)), alg.one) == alg.one
-    assert alg.subst(Transformation((0, 1)), 5) == 5
+    assert alg.subst((1, 1), alg.one) == alg.one
+    assert alg.subst((0, 1), 5) == 5
     pinter = small_algebra(2, 2, "replacements")
     with pytest.raises(NotGenerated):
-        pinter.subst(Transformation((1, 0)), 5)
+        pinter.subst((1, 0), 5)
 
 
 @given(st.integers(0, 511), st.integers(0, 511))
@@ -96,13 +96,13 @@ def test_subst_is_boolean_endomorphism(x, y):
 
 def test_subst_word_composes():
     alg = small_algebra(2, 3)
-    tau = Transformation((1, 1))
-    sigma = Transformation((1, 0))
+    tau = (1, 1)
+    sigma = (1, 0)
     rng = random.Random(3)
     for _ in range(25):
         x = rng.getrandbits(9)
         # s_sigma(s_tau(x)) = s_{sigma∘tau}(x)
-        composed = Transformation(tuple(sigma[v] for v in tau))
+        composed = tuple(sigma[v] for v in tau)
         assert alg.subst(sigma, alg.subst(tau, x)) == alg.subst(composed, x)
 
 
@@ -356,7 +356,7 @@ def _check_algebra(n, k, mode, unit, rng):
                 assert _points(got, n, k) == ref_eval(Sub(g, Var(0)), n, k,
                                                       {0: xs})
         for t in monoid:
-            assert alg.subst(Transformation(t), x) == \
+            assert alg.subst(t, x) == \
                 _mask(ref_preimage(unit, xs, t), k), (n, k, mode, t)
     if mode == "full_diagonal":
         for i in range(n):
@@ -410,7 +410,7 @@ def test_subst_folds_a_word_right_to_left():
             tau = ref_hat([(g.kind, g.i, g.j) for g in word], n)
             want = _mask(ref_preimage(_square(n, k), _points(x, n, k), tau), k)
             assert nested == want
-            assert alg.subst(Transformation(tau), x) == want
+            assert alg.subst(tau, x) == want
 
 
 def test_subst_edge_cases_k1_empty_unit_and_k0():
@@ -427,7 +427,7 @@ def test_subst_edge_cases_k1_empty_unit_and_k0():
         assert alg.num_points == 0 and alg.size() == 1
         for g in generators(3, mode):
             assert alg.subst(g, 0) == 0 and alg.subst(g, 7) == 0
-        assert alg.subst(Transformation((0, 1, 2)), 5) == 0
+        assert alg.subst((0, 1, 2), 5) == 0
         if mode == "full_diagonal":
             assert alg.diag(1, 2) == 0
     assert coordinate_masks(3, 0) == [[], [], []]
@@ -474,8 +474,7 @@ def test_stacked_copies_match_each_block():
                                    for idx, b in enumerate(blocks))
 
                     x = rng.getrandbits(c * span)
-                    taus = [Transformation(t) for t in
-                            rng.sample(monoid, min(4, len(monoid)))]
+                    taus = rng.sample(monoid, min(4, len(monoid)))
                     for g in list(generators(n, mode)) + taus:
                         assert stacked.subst(g, x) == per_block(
                             lambda b, part: b.subst(g, part), x), (n, k, c, g)
@@ -504,7 +503,7 @@ def test_moves_match_points_moved_one_by_one():
                 for unit in (_square(n, k), _orbit(seeds, n, mode)):
                     alg = ConcreteAlgebra(n, k, mode, unit=_mask(unit, k))
                     for t in _monoid(n, mode):
-                        tab = alg.moves(Transformation(t))
+                        tab = alg.moves(t)
                         for q in unit:
                             moved = tuple(q[t[i]] for i in range(n))
                             assert tab[_index(q, k)] == _index(moved, k), \

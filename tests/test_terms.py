@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from substal.monoid import Transformation, enumerate_monoid, identity, repl, swap
+from substal.monoid import enumerate_monoid, identity, repl, swap
 from substal.setalg import small_algebra
 from substal.terms import (
     Compl,
@@ -348,8 +348,7 @@ def test_quasi_axioms_shape():
 
 def test_quasi_axioms_validate_t():
     with pytest.raises(ValueError):
-        quasi_axioms(2, [Transformation((1, 0))])  # missing identity
+        quasi_axioms(2, [(1, 0)])  # missing identity
     with pytest.raises(ValueError):
         # not composition-closed: swap*swap = id is fine, but repl*swap isn't in
-        quasi_axioms(2, [identity(2), Transformation((0, 0)),
-                         Transformation((1, 0))])
+        quasi_axioms(2, [identity(2), (0, 0), (1, 0)])
