@@ -142,7 +142,9 @@ def _word(args):
 
 def _frame_check(args):
     from . import frames
-    report = frames.frame_check(frames.frame_from_json(_read_json(args.file)))
+    # without --json only the verdict is printed, so no failure is listed
+    report = frames.frame_check(frames.frame_from_json(_read_json(args.file)),
+                                listing=args.as_json)
     payload = {"ok": report.ok, "pairs_checked": report.pairs_checked,
                "failures": report.failures[:10]}
     return _emit("PASS" if report.ok else "FAIL", payload, args.as_json)

@@ -8,16 +8,22 @@ setalg.ComplexAlgebra (the square ⁿk is the other): Cm(F) = ComplexAlgebra(F)
 is every subset of its worlds, with substitution by action preimage,
 S_g(X) = {w : act_g(w) in X}.  A frame holds one table per generator; the
 table of any other element is folded from them (setalg.fold_tables).
-action_tables walks monoid.cayley_graph once per space and unit, on
-either kind of space, and the space keeps the walk: every element's world
-table, numbered along the graph's breadth-first tree, which gives the
-orbit of every world.  Whether that fold depends on the word is a frame's
-question (a square's point action is a right action by definition):
-row_certificate steps each distinct table by each generator once and
-checks each generator's whole row of Cayley edges in one comparison of
-table numbers, and the frame keeps the result (frame_check,
-Frame.coherent).  A coherent action makes every orbit map of represent
-equivariant.  point_frame is the square's generator tables written out.
+Whether that fold depends on the word is a frame's question (a square's
+point action is a right action by definition).  The generator tables
+extend to a right action exactly when they satisfy a set of defining
+relations of the monoid, so `relations_hold` checks the word pairs of
+monoid.relations on them, one table step per letter.  A failing pair is
+an exact FAIL in every mode; a PASS is exact where monoid.presented
+proves those pairs a presentation.  Elsewhere, and to list where an
+action fails, row_certificate steps each distinct table by each
+generator once and checks each generator's whole row of Cayley edges in
+one comparison of table numbers.  The frame keeps both results
+(frame_check, Frame.coherent).  action_tables walks monoid.cayley_graph
+once per space and unit, on either kind of space, and the space keeps
+the walk: every element's world table, numbered along the graph's
+breadth-first tree, which gives the orbit of every world.  A coherent
+action makes every orbit map of represent equivariant.  point_frame is
+the square's generator tables written out.
 """
 
 import random
@@ -35,6 +41,8 @@ from .monoid import (
     has_diagonals,
     monoid_size,
     normalize_mode,
+    presented,
+    relations,
 )
 from .setalg import (FAILURES_KEPT, ComplexAlgebra, Square, fold_tables,
                      gather_map, json_int, json_ints, lowest_bit, mask_points,
@@ -92,9 +100,34 @@ class Frame:
         edges checked)."""
         return row_certificate(self)
 
+    @cached_property
+    def relation_verdict(self):
+        """What the word pairs of monoid.relations decide, computed once:
+        True when every pair holds on the generator tables and the pairs
+        present the monoid (monoid.presented), False when a pair fails,
+        which is exact in every mode, for both words of a pair name one
+        element, and None when they decide nothing: every pair holds in
+        a mode or dimension they are not proved to present, or the check,
+        one table step per letter and world, would exceed
+        COHERENCE_BUDGET."""
+        rels = relations(self.n, self.mode)
+        worlds = max(self.num_worlds, 1)
+        # a pair has at most 6 letters, 3 a word, so they are counted only
+        # when that bound passes the budget
+        if 6 * len(rels) * worlds > COHERENCE_BUDGET and sum(
+                len(left) + len(right)
+                for _, _, left, right in rels) * worlds > COHERENCE_BUDGET:
+            return None
+        if not relations_hold(self, rels):
+            return False
+        return True if presented(self.n, self.mode) else None
+
     def coherent(self):
-        """Is the generated action a right action (`row_certificate`)?"""
-        return not self.certificate[0]
+        """Is the generated action a right action?  The word pairs decide
+        where they can (`relation_verdict`), the row certificate
+        elsewhere."""
+        verdict = self.relation_verdict
+        return not self.certificate[0] if verdict is None else verdict
 
     def diag_mask(self, i, j):
         if self.diag is None:
@@ -107,8 +140,44 @@ class Frame:
         return "Frame(n=%d, mode=%s, worlds=%d)" % (self.n, self.mode, self.num_worlds)
 
 
-# The certificate moves each world along each Cayley edge at most once.
+# The row certificate moves each world along each Cayley edge at most
+# once, the relation check along each letter of each word pair once; each
+# runs only within this many world moves.
 COHERENCE_BUDGET = 2 * 10**6
+
+
+def relations_hold(frame, rels):
+    """Does every word pair of `rels` (monoid.relations) give one world
+    table on the frame?  A word's table is its first letter's table
+    stepped by each further letter: one translate while every world fits
+    a byte, else one tuple gather.  No word has more than three letters,
+    so the steps are written out."""
+    gtabs = [frame.act(g) for g in generators(frame.n, frame.mode)]
+    if frame.num_worlds <= 256:
+        first = list(map(bytes, gtabs))
+        moves = [tab.ljust(256, b"\0") for tab in first]
+        identity = bytes(range(frame.num_worlds))
+        step = bytes.translate
+    else:
+        first = moves = gtabs
+        identity = tuple(range(frame.num_worlds))
+
+        def step(table, gtab):
+            return tuple(map(gtab.__getitem__, table))
+    for _, _, left, right in rels:
+        a = first[left[0]] if left else identity
+        if len(left) > 1:
+            a = step(a, moves[left[1]])
+            if len(left) > 2:
+                a = step(a, moves[left[2]])
+        b = first[right[0]] if right else identity
+        if len(right) > 1:
+            b = step(b, moves[right[1]])
+            if len(right) > 2:
+                b = step(b, moves[right[2]])
+        if a != b:
+            return False
+    return True
 
 
 class ActionWalk(namedtuple("ActionWalk", "worlds tables number")):
@@ -231,25 +300,34 @@ class FrameReport(Record):
     def __init__(self, ok, failures, pairs_checked):
         self.ok = ok
         self.failures = failures
-        self.pairs_checked = pairs_checked    # Cayley edges (tau, g) checked
+        self.pairs_checked = pairs_checked    # Cayley edges (tau, g) certified
 
     def __bool__(self):
         return self.ok
 
 
-def frame_check(frame):
+def frame_check(frame, listing=True):
     """Semantic coherence: the generated action must be a genuine right
-    action, certified once per edge of the right Cayley graph
-    (`row_certificate`); diagonal markings must satisfy their
-    correspondents.  At most FAILURES_KEPT failures are reported, and the
-    certificate is at most COHERENCE_BUDGET world moves."""
+    action (`Frame.relation_verdict`, else `row_certificate`), and
+    diagonal markings must satisfy their correspondents.  A frame the word
+    pairs pass certifies all |M|·|G| Cayley edges without a walk.  A
+    failing frame lists its first FAILURES_KEPT failures from the row
+    certificate, which walks at most COHERENCE_BUDGET world moves; with
+    `listing` False it lists none (failures empty, no edge checked) when
+    a word pair already fails."""
     n, mode = frame.n, frame.mode
-    work = monoid_size(n, mode) * len(generators(n, mode)) * max(
-        frame.num_worlds, 1)
-    if work > COHERENCE_BUDGET:
-        raise ValueError("the action walk (%d steps) exceeds budget %d"
-                         % (work, COHERENCE_BUDGET))
-    failures, edges = frame.certificate
+    verdict = frame.relation_verdict
+    if verdict is False and not listing:
+        return FrameReport(False, [], 0)
+    if verdict:
+        failures, edges = [], monoid_size(n, mode) * len(generators(n, mode))
+    else:
+        work = monoid_size(n, mode) * len(generators(n, mode)) * max(
+            frame.num_worlds, 1)
+        if work > COHERENCE_BUDGET:
+            raise ValueError("the action walk (%d steps) exceeds budget %d"
+                             % (work, COHERENCE_BUDGET))
+        failures, edges = frame.certificate
     failures = list(failures)
     if frame.diag is not None and len(failures) < FAILURES_KEPT:
         for i in range(n):
@@ -473,16 +551,19 @@ def superamalgam(A, B, C, f, h):
 
 def random_coherent_frame(n, mode="full", max_worlds=8, rng=None):
     """A random quotient of (a disjoint union of copies of) the monoid's
-    regular right action — coherent by construction."""
+    regular right action — coherent by construction.  The pieces share
+    max_worlds worlds, and each is merged down to its drawn size without
+    falling below two worlds where it can, so that most frames have
+    several worlds on which the generators act apart."""
     mode = normalize_mode(mode)
     if has_diagonals(mode):
         raise ValueError("random diagonal frames are not supported")
     rng = rng or random.Random()
     graph = cayley_graph(n, mode)
     pieces = []
-    worlds_left = rng.randint(1, max_worlds)
+    worlds_left = max_worlds
     while worlds_left > 0:
-        target = rng.randint(1, worlds_left)
+        target = rng.randint(min(2, worlds_left), worlds_left)
         pieces.append(_quotient_of_regular(graph, n, mode, target, rng))
         worlds_left -= pieces[-1].num_worlds
         if rng.random() < 0.5:
@@ -497,19 +578,24 @@ def random_coherent_frame(n, mode="full", max_worlds=8, rng=None):
 
 
 def _quotient_of_regular(graph, n, mode, target_classes, rng):
-    """A random quotient of the right regular action, whose generator
-    tables are the Cayley graph's edge rows."""
+    """A random quotient of the right regular action with at most
+    target_classes classes, whose generator tables are the Cayley graph's
+    edge rows.  Each step merges a random pair and closes the merge under
+    the action.  The pair is drawn from two classes, and where the
+    target allows two classes, a step that would leave fewer is drawn
+    again, at most max(|M|, 32) times in a row."""
     gtabs = graph.edges
     size = len(graph.maps)
-    parent = list(range(size))
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def merged(parent, a, b):
+        """Each element's class root once a and b are merged."""
+        parent = parent[:]
 
-    def union(a, b):
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
         queue = [(a, b)]
         while queue:
             x, y = queue.pop()
@@ -519,16 +605,20 @@ def _quotient_of_regular(graph, n, mode, target_classes, rng):
             parent[ry] = rx
             for tab in gtabs:
                 queue.append((tab[rx], tab[ry]))
+        return [find(x) for x in range(size)]
 
-    classes = len({find(x) for x in range(size)})
-    while classes > target_classes:
-        union(rng.randrange(size), rng.randrange(size))
-        classes = len({find(x) for x in range(size)})
-    roots = sorted({find(x) for x in range(size)})
+    parent, roots, redraws = list(range(size)), list(range(size)), 0
+    while len(roots) > target_classes:
+        trial = merged(parent, *rng.sample(roots, 2))
+        kept = sorted(set(trial))
+        if len(kept) >= min(2, target_classes) or redraws == max(size, 32):
+            parent, roots, redraws = trial, kept, 0
+        else:
+            redraws += 1
     world = {r: i for i, r in enumerate(roots)}
     action = {}
     for g, tab in zip(graph.gens, gtabs):
-        action[g] = tuple(world[find(tab[r])] for r in roots)
+        action[g] = tuple(world[parent[tab[r]]] for r in roots)
     return Frame(n, mode, len(roots), action)
 
 
@@ -556,11 +646,12 @@ def frame_from_json(data):
     tables = data.get("action")
     if not isinstance(tables, dict):
         raise ValueError("frame file needs an \"action\" object")
-    gens = generators(n, mode)
+    by_token = {g.token(): g for g in generators(n, mode)}
     action = {}
     for tok, tab in tables.items():
-        g = gensym_from_token(tok)
-        if g not in gens:
+        # another spelling of a generator, such as s[1,0], is parsed
+        g = by_token.get(tok) or by_token.get(gensym_from_token(tok).token())
+        if g is None:
             raise ValueError("%s is not a generator of mode %s at n=%d"
                              % (tok, mode, n))
         if g in action:

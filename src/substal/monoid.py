@@ -10,13 +10,16 @@ so applying a composite equals applying its factors left to right.
 
 `cayley_graph` walks a mode's monoid breadth first and records its right
 Cayley graph; every world table of the monoid is read from generator
-tables along it.
+tables along it.  `relations` lists a mode's defining word pairs by
+generator index, and `PRESENTED` the dimensions at which a coset
+enumeration proves them a presentation of the monoid.
 
 `Record` and `FrozenRecord` are the plain ``__slots__`` base of the
 package's record classes (terms, models, reports), with the == and repr
 that dataclasses would give them.
 """
 
+import itertools
 import math
 import re
 from array import array
@@ -167,6 +170,94 @@ def generators(n, mode):
     if mode in ("replacements", "full", "full_diagonal"):
         gens.extend(repl(i, j) for i in range(n) for j in range(n) if i != j)
     return tuple(gens)
+
+
+@lru_cache(maxsize=None)
+def relations(n, mode):
+    """The word pairs of the mode's perm:* and subst:* axioms, in the
+    order of terms.sigma_axioms, as (tag format, tag arguments, left
+    word, right word).  A word is a tuple of indices into
+    generators(n, mode), read as `hat` reads it, of at most three
+    letters, and both words of a pair name one element of the monoid.
+    Built by index arithmetic: no generator symbol, term or tag is made
+    per pair."""
+    mode = normalize_mode(mode)
+    pairs = list(itertools.combinations(range(n), 2))
+    # sw[i][j] is the index of s[i,j], rp[i][j] that of s[i|j]
+    sw = [[0] * n for _ in range(n)]
+    for idx, (i, j) in enumerate(pairs):
+        sw[i][j] = sw[j][i] = idx
+    swaps = 0 if mode == "replacements" else len(pairs)
+    rp = [[swaps + i * (n - 1) + j - (j > i) for j in range(n)]
+          for i in range(n)]
+    out = []
+    add = out.append
+    if mode != "replacements":
+        for i, j in pairs:
+            add(("perm:involution:%d,%d", (i, j), (sw[i][j],) * 2, ()))
+        for i, k in pairs:
+            for j in range(n):
+                if j != i and j != k:
+                    add(("perm:conjugation:%d,%d,%d", (i, j, k),
+                         (sw[i][j], sw[j][k], sw[i][j]), (sw[i][k],)))
+        for (i, j), (k, l) in itertools.combinations(pairs, 2):
+            if i != k and i != l and j != k and j != l:
+                add(("perm:commute:%d,%d;%d,%d", (i, j, k, l),
+                     (sw[i][j], sw[k][l]), (sw[k][l], sw[i][j])))
+    if mode == "transpositions":
+        return tuple(out)
+    moved = [(j, i) for j in range(n) for i in range(n) if i != j]
+    for j, i in moved:
+        r = rp[j][i]
+        add(("subst:repl-idempotent:%d,%d", (j, i), (r, r), (r,)))
+        add(("subst:repl-return:%d,%d", (j, i), (r, rp[i][j]), (r,)))
+    for (j, i), (k, l) in itertools.combinations(moved, 2):
+        if j != k and j != l and i != k and i != l:
+            add(("subst:repl-commute-disjoint:%d,%d;%d,%d", (j, i, k, l),
+                 (rp[j][i], rp[k][l]), (rp[k][l], rp[j][i])))
+    for i in range(n):
+        for j, k in pairs:
+            if i != j and i != k:
+                add(("subst:repl-shared-target-commute:%d;%d,%d", (i, j, k),
+                     (rp[j][i], rp[k][i]), (rp[k][i], rp[j][i])))
+    for i, j, k in itertools.permutations(range(n), 3):
+        add(("subst:repl-shared-target-chain:%d;%d,%d", (i, j, k),
+             (rp[j][i], rp[k][i]), (rp[j][i], rp[k][j])))
+        add(("subst:repl-overwrite:%d,%d,%d", (j, i, k),
+             (rp[j][i], rp[j][k]), (rp[j][k],)))
+    if mode == "replacements":
+        return tuple(out)
+    for j, i in moved:
+        r, s = rp[j][i], sw[i][j]
+        add(("subst:repl-collapse-swap:%d,%d", (j, i), (r, s), (r,)))
+        add(("subst:swap-conj-pair:%d,%d", (j, i), (s, r, s), (rp[i][j],)))
+        for k, l in pairs:
+            if k != i and k != j and l != i and l != j:
+                add(("subst:swap-conj-disjoint:%d,%d;%d,%d", (j, i, k, l),
+                     (sw[k][l], r, sw[k][l]), (r,)))
+        for k in range(n):
+            if k != i and k != j:
+                add(("subst:swap-conj-source:%d,%d,%d", (j, i, k),
+                     (sw[j][k], r, sw[j][k]), (rp[k][i],)))
+                add(("subst:swap-conj-target:%d,%d,%d", (j, i, k),
+                     (sw[k][i], r, sw[k][i]), (rp[j][k],)))
+                add(("subst:repl-chain-swap:%d,%d,%d", (j, i, k),
+                     (r, rp[i][k]), (rp[j][k], s)))
+    return tuple(out)
+
+
+# The largest n at which the pairs of `relations` present the mode's
+# monoid, proved by coset enumeration in tests/test_monoid.py.  They do
+# not present it in replacement mode from n = 3 on; full mode at n = 6 is
+# unproved.
+PRESENTED = {"replacements": 2, "transpositions": 6, "full": 5,
+             "full_diagonal": 5}
+
+
+def presented(n, mode):
+    """Is every map of generator tables that satisfies `relations` a
+    right action of the monoid, by a proof that covers (n, mode)?"""
+    return n <= PRESENTED.get(normalize_mode(mode), 0)
 
 
 def hat(syms, n):

@@ -13,18 +13,17 @@ every block is a bit gather h(z) = {p : f(p) ∈ z} read off the orbit of w,
 from the world tables that the space keeps per unit (frames.action_tables).
 By Jónsson-Tarski duality such a map is a homomorphism exactly when its
 world map f is equivariant and keeps the diagonals.  A coherent action
-(`coherent()` of the space: by definition on a square, by the frame's row
-certificate on a frame) makes every orbit map equivariant, so one
-builder (`_represent`) checks per block only what coherence cannot know
-and writes one report for the whole product.  Any other handle reaches
-the engine through `canonical_extension`, Cm of its atom frame, whose
-world map is equivariant by the construction of the atom frame; its
-report checks that the atoms partition the unit and that the diagonals
-are kept.  Maps between two set algebras that are no representations
-are certified by their world maps (setalg.morphism_report).
+(`coherent()` of the space: by definition on a square, by the word pairs
+of monoid.relations or the row certificate on a frame) makes every orbit
+map equivariant, so one builder (`_represent`) checks per block only
+what coherence cannot know and writes one report for the whole product.
+Any other handle reaches the engine through `canonical_extension`, Cm of
+its atom frame, whose world map is equivariant by the construction of
+the atom frame; its report checks that the atoms partition the unit and
+that the diagonals are kept.  Maps between two set algebras that are no
+representations are certified by their world maps
+(setalg.morphism_report).
 """
-
-import itertools
 
 from .monoid import (
     NotGenerated,
@@ -399,6 +398,25 @@ def special_quasi_witness(algebra, f):
     return mask
 
 
+def cycle_types(n):
+    """One permutation of {0..n-1} per cycle type, so one per conjugacy
+    class of Sₙ: the cycles, longest first, on runs of consecutive
+    indices."""
+    def lengths(left, top):
+        if not left:
+            yield ()
+        for size in range(min(left, top), 0, -1):
+            for rest in lengths(left - size, size):
+                yield (size,) + rest
+    for sizes in lengths(n, n):
+        perm, start = [], 0
+        for size in sizes:
+            perm += range(start + 1, start + size)
+            perm.append(start)
+            start += size
+        yield tuple(perm)
+
+
 def check_quasi(algebra):
     """Do the quasi-equations for T = S_n hold in the algebra?
 
@@ -415,8 +433,12 @@ def check_quasi(algebra):
       under any xi in G) hold exactly when the action is coherent:
       pulling a world back along act_xi turns a conclusion witness into a
       premise witness;
-    - alternating forms s_f(x) = −x → 0 = 1, one per permutation f,
-      by coloring the cycles of w ↦ w·f (`special_quasi_witness`).
+    - alternating forms s_f(x) = −x → 0 = 1, one per cycle type of f
+      (`cycle_types`), by coloring the cycles of w ↦ w·f
+      (`special_quasi_witness`).  On a coherent unit w ↦ w·xi is a
+      bijection that conjugates the world maps of f and xi⁻¹∘f∘xi, so
+      conjugate permutations have cycles of the same lengths, and one
+      coloring per class decides them all.
     """
     n = algebra.n
     if not all(mode_allows(algebra.mode, g)
@@ -425,9 +447,9 @@ def check_quasi(algebra):
                          "T: %s" % NotGenerated(swap(n - 2, n - 1).tr(n),
                                                 algebra.mode))
     # a square's point action is a right action by definition; a frame
-    # keeps its row certificate (frames.row_certificate)
+    # asks its word pairs, or its row certificate where they cannot decide
+    # (frames.Frame.coherent)
     if not algebra.space.coherent():
         return False
     return algebra.one == algebra.zero or all(
-        special_quasi_witness(algebra, f) is None
-        for f in itertools.permutations(range(n)))
+        special_quasi_witness(algebra, f) is None for f in cycle_types(n))

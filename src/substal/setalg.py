@@ -54,8 +54,9 @@ table of τ folds them left to right along canonical_word(τ)
 is read off one walk of the right Cayley graph's breadth-first tree per
 unit, `frames.action_tables`, which the space keeps in `walks`.  That
 the fold does not depend on the word is a frame's `coherent()`, which
-reads the frame's row certificate, while the square's point action is a
-right action by definition.
+checks the monoid's defining word pairs on the generator tables or reads
+the frame's row certificate, while the square's point action is a right
+action by definition.
 """
 
 from functools import cached_property

@@ -20,9 +20,8 @@ from .monoid import (
     has_diagonals,
     mode_allows,
     normalize_mode,
-    repl as _repl,
+    relations,
     set_field,
-    swap as _swap,
 )
 
 
@@ -534,33 +533,22 @@ def _bool_axioms():
     return [Equation(l, r, tag) for tag, l, r in eqs]
 
 
-def _one_object_each(make):
-    """`make` returning one object per pair of arguments, so that the walks
-    that key a generator symbol by its identity meet each one once."""
-    made = {}
-
-    def once(i, j):
-        g = made.get((i, j))
-        if g is None:
-            g = made[i, j] = make(i, j)
-        return g
-    return once
-
-
 def sigma_axioms(n, mode="full"):
     """The finite axiom list for dimension n in the given mode, tagged.
 
     Groups: bool:* (Boolean algebra), endo:* (each substitution operator is
     a bounded lattice endomorphism), perm:* (transposition group relations),
     subst:* (interaction laws between replacements and transpositions, all
-    of which are word-pair equations), diag:* (diagonal constants).
+    of which are word-pair equations), diag:* (diagonal constants).  The
+    perm:* and subst:* pairs are monoid.relations, the pairs that certify
+    a frame's coherence (frames.Frame.coherent).
     """
     mode = normalize_mode(mode)
-    swap, repl = _one_object_each(_swap), _one_object_each(_repl)
+    gens = generators(n, mode)
     x, y = Var(0), Var(1)
     eqs = list(_bool_axioms())
 
-    for g in generators(n, mode):
+    for g in gens:
         t = g.token()
         eqs.append(Equation(Sub(g, Meet(x, y)), Meet(Sub(g, x), Sub(g, y)),
                             "endo:meet:%s" % t))
@@ -569,87 +557,10 @@ def sigma_axioms(n, mode="full"):
         eqs.append(Equation(Sub(g, Zero()), Zero(), "endo:zero:%s" % t))
         eqs.append(Equation(Sub(g, One()), One(), "endo:one:%s" % t))
 
-    def wt(*syms):
-        return word_term(syms, x)
-
-    if mode in ("transpositions", "full", "full_diagonal"):
-        for i, j in itertools.combinations(range(n), 2):
-            eqs.append(Equation(wt(swap(i, j), swap(i, j)), x,
-                                "perm:involution:%d,%d" % (i, j)))
-        for i, k in itertools.combinations(range(n), 2):
-            for j in range(n):
-                if j in (i, k):
-                    continue
-                eqs.append(Equation(
-                    wt(swap(i, j), swap(j, k), swap(i, j)), wt(swap(i, k)),
-                    "perm:conjugation:%d,%d,%d" % (i, j, k)))
-        for (i, j), (k, l) in itertools.combinations(
-                itertools.combinations(range(n), 2), 2):
-            if {i, j} & {k, l}:
-                continue
-            eqs.append(Equation(
-                wt(swap(i, j), swap(k, l)), wt(swap(k, l), swap(i, j)),
-                "perm:commute:%d,%d;%d,%d" % (i, j, k, l)))
-
-    if mode in ("replacements", "full", "full_diagonal"):
-        pairs = [(j, i) for j in range(n) for i in range(n) if i != j]
-        for j, i in pairs:
-            eqs.append(Equation(wt(repl(j, i), repl(j, i)), wt(repl(j, i)),
-                                "subst:repl-idempotent:%d,%d" % (j, i)))
-            eqs.append(Equation(wt(repl(j, i), repl(i, j)), wt(repl(j, i)),
-                                "subst:repl-return:%d,%d" % (j, i)))
-        for (j, i), (k, l) in itertools.combinations(pairs, 2):
-            if {j, i} & {k, l}:
-                continue
-            eqs.append(Equation(
-                wt(repl(j, i), repl(k, l)), wt(repl(k, l), repl(j, i)),
-                "subst:repl-commute-disjoint:%d,%d;%d,%d" % (j, i, k, l)))
-        for i in range(n):
-            for j, k in itertools.combinations(range(n), 2):
-                if i in (j, k):
-                    continue
-                eqs.append(Equation(
-                    wt(repl(j, i), repl(k, i)), wt(repl(k, i), repl(j, i)),
-                    "subst:repl-shared-target-commute:%d;%d,%d" % (i, j, k)))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if len({i, j, k}) < 3:
-                        continue
-                    eqs.append(Equation(
-                        wt(repl(j, i), repl(k, i)), wt(repl(j, i), repl(k, j)),
-                        "subst:repl-shared-target-chain:%d;%d,%d" % (i, j, k)))
-                    eqs.append(Equation(
-                        wt(repl(j, i), repl(j, k)), wt(repl(j, k)),
-                        "subst:repl-overwrite:%d,%d,%d" % (j, i, k)))
-
-    if mode in ("full", "full_diagonal"):
-        pairs = [(j, i) for j in range(n) for i in range(n) if i != j]
-        for j, i in pairs:
-            eqs.append(Equation(
-                wt(repl(j, i), swap(i, j)), wt(repl(j, i)),
-                "subst:repl-collapse-swap:%d,%d" % (j, i)))
-            eqs.append(Equation(
-                wt(swap(i, j), repl(j, i), swap(i, j)), wt(repl(i, j)),
-                "subst:swap-conj-pair:%d,%d" % (j, i)))
-            for k, l in itertools.combinations(range(n), 2):
-                if {k, l} & {i, j}:
-                    continue
-                eqs.append(Equation(
-                    wt(swap(k, l), repl(j, i), swap(k, l)), wt(repl(j, i)),
-                    "subst:swap-conj-disjoint:%d,%d;%d,%d" % (j, i, k, l)))
-            for k in range(n):
-                if k in (i, j):
-                    continue
-                eqs.append(Equation(
-                    wt(swap(j, k), repl(j, i), swap(j, k)), wt(repl(k, i)),
-                    "subst:swap-conj-source:%d,%d,%d" % (j, i, k)))
-                eqs.append(Equation(
-                    wt(swap(k, i), repl(j, i), swap(k, i)), wt(repl(j, k)),
-                    "subst:swap-conj-target:%d,%d,%d" % (j, i, k)))
-                eqs.append(Equation(
-                    wt(repl(j, i), repl(i, k)), wt(repl(j, k), swap(i, j)),
-                    "subst:repl-chain-swap:%d,%d,%d" % (j, i, k)))
+    for tag, args, left, right in relations(n, mode):
+        eqs.append(Equation(word_term(map(gens.__getitem__, left), x),
+                            word_term(map(gens.__getitem__, right), x),
+                            tag % args))
 
     if mode == "full_diagonal":
         for i in range(n):
@@ -663,7 +574,7 @@ def sigma_axioms(n, mode="full"):
                 both = Meet(Diag(i, k), Diag(k, j))
                 eqs.append(Equation(Meet(both, Diag(i, j)), both,
                                     "diag:chain:%d,%d,%d" % (i, k, j)))
-        for g in generators(n, mode):
+        for g in gens:
             gt = g.tr(n)
             for i, j in itertools.combinations(range(n), 2):
                 eqs.append(Equation(

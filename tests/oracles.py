@@ -12,9 +12,13 @@ point-local re-check in `logic.satisfiable`.
 `ref_action_walk` is the edge-by-edge walk of the library's Cayley graph
 over a space's world tables: the reference of the tree walk of
 `frames.action_tables` and of the row-at-a-time
-`frames.row_certificate`.  `ref_quasi_sweep` is the T-generic
-quasi-equation check that `represent.check_quasi` replaced, built on the
-library's `SubMonoidCtx`: the reference of its fixed T.
+`frames.row_certificate`.  `ref_presented_size` enumerates cosets over
+the tree of coset definitions it is given, which the tests take from the
+library's Cayley graph; any tree serves for its proof.
+`ref_quasi_sweep` is the T-generic quasi-equation check that
+`represent.check_quasi` replaced, built on the library's `SubMonoidCtx`:
+the reference of its fixed T, and with its sweep over every permutation
+the reference of `check_quasi`'s one permutation per cycle type.
 """
 
 import itertools
@@ -291,6 +295,55 @@ def ref_action_walk(space, unit):
                 if len(failures) == FAILURES_KEPT:
                     edges = t * len(steps) + g + 1
     return worlds, tables, number, failures, edges
+
+
+def ref_presented_size(num_gens, pairs, parent, via):
+    """Coset enumeration of the monoid presented by `num_gens` generators
+    and the word pairs `pairs` (tuples of generator indices, read left to
+    right), over a given tree of coset definitions: coset t > 0 is coset
+    parent[t] times generator via[t].  Returns the number of cosets when
+    every entry of the coset table follows from the pairs, else None.
+
+    Each pass scans every pair (u, v) at every coset c at once: where c·u
+    is known and c·v is known up to its last letter g, reached at coset e,
+    the entry e·g is c·u (and with u and v exchanged).  Every entry so
+    set holds in the presented monoid P, so when the table is complete
+    the cosets are closed under every generator and hold the identity:
+    they are all of P, and |P| is at most their number.  Any prefix-closed
+    tree serves; with one word per element of a monoid M in which every
+    pair holds, P maps onto M, so a complete table proves that the pairs
+    present M.  A pass that sets no entry ends the enumeration."""
+    size = len(parent)
+    unknown = size               # a coset past the table: entries not set
+    cols = [[unknown] * (size + 1) for _ in range(num_gens)]
+    for t in range(1, size):
+        cols[via[t]][parent[t]] = t
+    todo = [{c for c in range(size) if col[c] == unknown} for col in cols]
+    scans = [(u, v[:-1], v[-1]) for pair in pairs
+             for u, v in (pair, pair[::-1]) if v]
+    start = list(range(size))
+
+    def trace(word):
+        cosets = start
+        for g in word:
+            cosets = list(map(cols[g].__getitem__, cosets))
+        return cosets
+
+    while any(todo):
+        missing = sum(map(len, todo))
+        for u, head, g in scans:
+            if not todo[g]:
+                continue
+            ends = trace(u)
+            kept = list(map(unknown.__ne__, ends))
+            known = dict(zip(itertools.compress(trace(head), kept),
+                             itertools.compress(ends, kept)))
+            for e in todo[g].intersection(known):
+                cols[g][e] = known[e]
+            todo[g].difference_update(known)
+        if sum(map(len, todo)) == missing:
+            return None
+    return size
 
 
 def ref_kernel_satisfiable(term, n):

@@ -48,6 +48,7 @@ from substal.frames import (
     ComplexAlgebra,
     Frame,
     disjoint_union,
+    frame_to_json,
     point_frame,
     random_coherent_frame,
     superamalgam,
@@ -301,6 +302,36 @@ def test_represent_full_square_ceilings(tmp_path):
         assert elapsed < ceiling, "%d^%d %s took %.2fs" % (k, n, flags,
                                                           elapsed)
         assert ("budget" in proc.stderr) == (code == 2), (n, k)
+
+
+def test_frame_check_point_frame_ceilings(tmp_path):
+    """A cold `frame-check` of the full ⁵2 point frame, 32 worlds under a
+    monoid of 3,125 elements, is PASS within 1 s, with and without
+    --json: its word pairs hold on the generator tables, and they present
+    the monoid at n = 5, so no Cayley edge is walked and all 93,750 are
+    certified.  The ⁶2 point frame's pairs hold too, but they are not
+    proved to present the n = 6 monoid, and its row walk is over the
+    budget: exit 2 within 1 s."""
+    for n, flags, code, first in ((5, [], 0, "PASS"),
+                                  (5, ["--json"], 0, "PASS"),
+                                  (6, [], 2, "")):
+        path = tmp_path / ("point%d.json" % n)
+        path.write_text(json.dumps(frame_to_json(point_frame(n, 2, "full"))))
+        t0 = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "substal.cli", "frame-check", *flags,
+             str(path)],
+            capture_output=True, text=True)
+        elapsed = time.monotonic() - t0
+        assert proc.returncode == code, (n, proc.stderr)
+        lines = proc.stdout.split("\n")
+        assert lines[0] == first, n
+        if flags:
+            assert json.loads("\n".join(lines[1:])) == {
+                "failures": [], "ok": True, "pairs_checked": 3125 * 30}
+        assert ("budget" in proc.stderr) == (code == 2), n
+        assert elapsed < 1.0, "the %d-dimensional point frame %s took " \
+            "%.2fs" % (n, flags, elapsed)
 
 
 def test_represent_transpositions_square_ceiling(tmp_path):

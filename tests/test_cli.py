@@ -543,6 +543,35 @@ def test_frame_check_refuses_an_over_budget_monoid_quickly(tmp_path, capsys):
     assert elapsed < 0.5, "took %.2fs" % elapsed
 
 
+def test_frame_check_without_json_prints_the_verdict_of_a_failing_pair(
+        tmp_path, capsys):
+    """A frame whose s[0,1] table is constant fails the word pair
+    s[0,1] s[0,1] = 1: without --json `frame-check` prints FAIL alone and
+    lists nothing, so it walks no Cayley edge, even at n = 6, where the
+    row walk is over the budget.  With --json the failures are listed
+    from the row walk: the ⁵2 frame's first ten, up to edge 331, and at
+    n = 6 the budget refusal."""
+    for n, listed in ((5, 331), (6, None)):
+        gens = generators(n, "full")
+        action = {g: (0, 1) for g in gens}
+        action[gens[0]] = (0, 0)            # s[0,1]
+        path = _write(tmp_path, "broken%d.json" % n,
+                      frame_to_json(Frame(n, "full", 2, action)))
+        assert run(["frame-check", path]) == 1
+        out, err = _lines(capsys)
+        assert out == ["FAIL"] and err == ""
+        if listed is None:
+            assert run(["frame-check", "--json", path]) == 2
+            _, err = _lines(capsys)
+            assert "budget" in err
+            continue
+        assert run(["frame-check", "--json", path]) == 1
+        out, _ = _lines(capsys)
+        payload = json.loads("\n".join(out[1:]))
+        assert len(payload["failures"]) == 10
+        assert payload["pairs_checked"] == listed
+
+
 def test_frame_check_missing_file(capsys):
     assert run(["frame-check", "/no/such/file.json"]) == 2
     _, err = _lines(capsys)
@@ -791,6 +820,28 @@ def test_not_a_variety_json_is_unchanged(capsys):
         assert run(["gallery", "--json", "not-a-variety", "-n", str(n)]) == 0
         out, _ = capsys.readouterr()
         assert hashlib.sha256(out.encode()).hexdigest() == digest, n
+
+
+# sha256 of the stdout of `axioms -n N --mode M`, then with --json, for
+# N = 2..6 in turn, recorded while sigma_axioms still built its perm:* and
+# subst:* equations from generator symbols rather than monoid.relations
+AXIOMS_LISTING = {
+    "replacements": "e35e6cd16b083f7e1244defdc8ce80d45f2a9ed85a3e7f78c9341078f6c6e2a1",
+    "transpositions": "4566f329c3867d850b93198dcd769c3c95f636e2d3d0c17594afbc372557908f",
+    "full": "142edf78ff8c7891b3bfbe64a4402a9ba5c7fd42eb9643479778f1b475240d30",
+    "full_diagonal": "7540e2a1d048d87d7289358263232926cd27c5de66e973713edf189b7e8f1680",
+}
+
+
+def test_axioms_listing_is_unchanged(capsys):
+    for mode, digest in AXIOMS_LISTING.items():
+        listing = hashlib.sha256()
+        for n in range(2, 7):
+            for flags in ([], ["--json"]):
+                assert run(["axioms", "-n", str(n), "--mode", mode,
+                            *flags]) == 0
+                listing.update(capsys.readouterr()[0].encode())
+        assert listing.hexdigest() == digest, mode
 
 
 def test_gallery_sizes_over_budget_exit_quickly(capsys):

@@ -6,8 +6,10 @@ import random
 import pytest
 
 from substal.frames import (
+    COHERENCE_BUDGET,
     ComplexAlgebra,
     Frame,
+    FrameReport,
     action_tables,
     atom_frame,
     disjoint_union,
@@ -23,7 +25,8 @@ from substal.setalg import (FAILURES_KEPT, Square, Subalgebra,
                             algebra_from_json, fold_tables,
                             generate_subalgebra, morphism_report,
                             small_algebra)
-from substal.monoid import MODES, cayley_graph, generators, repl, swap
+from substal.monoid import (MODES, cayley_graph, generators, presented,
+                           relations, repl, swap)
 from substal.terms import equation_holds_exhaustive, sigma_axioms, word_pair
 
 from oracles import (hom_report, ref_action_walk, ref_frame_coherent,
@@ -114,9 +117,10 @@ def _word_equations():
 
 def test_frame_check_matches_axiom_satisfaction_exhaustively():
     """Cross-validation on every frame with at most 3 worlds (n = 2): the
-    coherence verdict coincides with all substitution axioms holding in
-    the complex algebra (the Boolean and endomorphism groups hold in any
-    preimage algebra, so the word-pair groups decide the rest)."""
+    coherence verdict and the row certificate coincide with all
+    substitution axioms holding in the complex algebra (the Boolean and
+    endomorphism groups hold in any preimage algebra, so the word-pair
+    groups decide the rest)."""
     syms = generators(2, "full")
     word_eqs = _word_equations()
     accepted = rejected = 0
@@ -129,7 +133,7 @@ def test_frame_check_matches_axiom_satisfaction_exhaustively():
                 _act_of_word(frame, w1) == _act_of_word(frame, w2)
                 for w1, w2 in word_eqs
             )
-            assert ok == axioms_ok, (m, combo)
+            assert ok == axioms_ok == (not frame.certificate[0]), (m, combo)
             accepted += ok
             rejected += not ok
     assert accepted and rejected  # both verdicts actually occur
@@ -400,8 +404,112 @@ def test_random_coherent_frames():
             assert frame.num_worlds <= 8
             assert frame.mode == mode
             assert frame_check(frame).ok
+            assert not frame.certificate[0]
     with pytest.raises(ValueError):
         random_coherent_frame(2, "full_diagonal", rng=rng)
+    # drawn as c09 draws them, most frames have two worlds on which the
+    # generators do not all act alike
+    rng = random.Random(1)
+    several = distinct = 0
+    for _ in range(200):
+        frame = random_coherent_frame(rng.choice([2, 3]), "full",
+                                      max_worlds=2, rng=rng)
+        several += frame.num_worlds == 2
+        distinct += len(set(frame.action.values())) > 1
+    assert several >= 170 and distinct >= 150, (several, distinct)
+
+
+def _broken_involution(frame):
+    """A copy whose first generator table is constant, as the certify
+    benchmark breaks s[0,1]: on two worlds or more a constant table is no
+    involution."""
+    action = dict(frame.action)
+    action[generators(frame.n, frame.mode)[0]] = (0,) * frame.num_worlds
+    return Frame(frame.n, frame.mode, frame.num_worlds, action, frame.diag)
+
+
+def _diagonal(frame):
+    """A full-mode frame's action in full_diagonal mode, with no world on
+    any diagonal."""
+    diag = {(i, j): 0 for i in range(frame.n) for j in range(i + 1, frame.n)}
+    return Frame(frame.n, "full_diagonal", frame.num_worlds, frame.action,
+                 diag)
+
+
+def test_relation_verdict_agrees_with_the_row_certificate():
+    """The word pairs' verdict is the row certificate's in every mode where
+    they are proved a presentation, and in replacement mode a failing
+    pair is a failing row, on random coherent frames, their broken-
+    involution and one-entry mutants, random tables and wide frames."""
+    rng = random.Random(2601)
+    frames = []
+    for n in (1, 2, 3, 4):
+        for mode in ("full", "transpositions", "replacements"):
+            for _ in range(12 if n < 4 else 4):
+                frames.append(random_coherent_frame(n, mode, 6, rng))
+    frames += [_diagonal(f) for f in frames if f.mode == "full"]
+    frames += [point_frame(n, k, mode) for n in (2, 3) for k in (2, 3)
+               for mode in MODES]
+    frames.append(point_frame(2, 17, "full"))      # 289 worlds: tuples
+    mutants = []
+    for frame in frames:
+        if frame.num_worlds > 1 and frame.action:
+            mutants.append(_broken_involution(frame))
+            mutants += [_perturbed(frame, rng) for _ in range(2)]
+    for n, mode in itertools.product((2, 3), MODES):
+        gens = generators(n, mode)
+        for m in (2, 3, 4):
+            action = {g: [rng.randrange(m) for _ in range(m)] for g in gens}
+            diag = {(i, j): rng.getrandbits(m)
+                    for i in range(n) for j in range(i + 1, n)}
+            mutants.append(Frame(n, mode, m, action, diag))
+    counts = {True: 0, False: 0, None: 0}
+    for frame in frames + mutants:
+        rows = not frame.certificate[0]
+        verdict = frame.relation_verdict
+        counts[verdict] += 1
+        if presented(frame.n, frame.mode):
+            assert verdict == rows, frame
+        else:
+            assert verdict is not True and (verdict is None or not rows)
+        assert frame.coherent() == rows
+        if frame.n <= 3 and frame.num_worlds <= 9:
+            assert rows == ref_frame_coherent(frame), frame
+    assert counts[True] > 150 and counts[False] > 350 and counts[None] > 20
+
+
+def test_frame_check_lists_failures_only_when_asked():
+    frame = _broken_involution(point_frame(3, 2, "full"))
+    assert frame_check(frame, listing=False) == FrameReport(False, [], 0)
+    report = frame_check(frame)
+    assert not report.ok
+    assert report.failures == frame.certificate[0][:FAILURES_KEPT]
+    coherent = point_frame(3, 2, "full")
+    assert frame_check(coherent, listing=False) == frame_check(coherent) \
+        == FrameReport(True, [], 27 * 9)
+    # a pass by the word pairs walks no Cayley edge
+    assert "certificate" not in vars(coherent)
+
+
+def test_coherence_budget_counts_letters_and_worlds():
+    """The word pairs are checked only within COHERENCE_BUDGET letters
+    times worlds.  Past it the row certificate decides, where it fits the
+    budget, so every frame it admits is still admitted; where neither
+    fits, frame_check refuses."""
+    gens = generators(2, "full")
+    letters = sum(len(left) + len(right)
+                  for _, _, left, right in relations(2, "full"))
+    assert letters == 28 > 4 * len(gens)
+    worlds = COHERENCE_BUDGET // letters + 1      # 71,429 worlds
+    still = Frame(2, "full", worlds, {g: range(worlds) for g in gens})
+    assert still.relation_verdict is None
+    assert frame_check(still) == FrameReport(True, [], 12)
+    worlds = 300_000
+    huge = Frame(2, "full", worlds, {g: range(worlds) for g in gens})
+    with pytest.raises(ValueError, match="exceeds budget"):
+        frame_check(huge)
+    assert huge.relation_verdict is None
+    assert "certificate" not in vars(huge)
 
 
 def test_orbits_along_the_tree_match_the_word_fold():
@@ -546,7 +654,7 @@ def _perturbed(frame, rng):
     tab[w] = rng.choice([v for v in range(frame.num_worlds) if v != tab[w]])
     action = dict(frame.action)
     action[g] = tab
-    return Frame(frame.n, frame.mode, frame.num_worlds, action)
+    return Frame(frame.n, frame.mode, frame.num_worlds, action, frame.diag)
 
 
 def test_frame_check_agrees_with_pair_sweep():

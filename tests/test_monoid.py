@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from substal.monoid import (
+    MODES,
+    PRESENTED,
     NotGenerated,
     apply_point,
     bijective_stabilizer,
@@ -25,11 +27,14 @@ from substal.monoid import (
     num_blocks,
     parse_word,
     partitions,
+    presented,
+    relations,
     repl,
     restricted_growth,
     swap,
     word_equiv,
 )
+from substal.terms import sigma_axioms, word_pair
 from oracles import (
     BELL,
     ref_bfs_words,
@@ -38,6 +43,7 @@ from oracles import (
     ref_gen_tuple,
     ref_hat,
     ref_monoid_closure,
+    ref_presented_size,
     rgs_of_point,
 )
 
@@ -301,3 +307,55 @@ def test_monoid_size_closed_forms():
     for n in range(1, 6):
         for mode in ("replacements", "transpositions", "full", "full_diagonal"):
             assert monoid_size(n, mode) == len(enumerate_monoid(n, mode)), (n, mode)
+
+
+def test_relations_are_the_axiom_word_pairs_by_index():
+    """The index words of monoid.relations name the generators of the
+    perm:* and subst:* axioms of sigma_axioms, pair for pair and tag for
+    tag (c02 checks that both words of each pair name one map)."""
+    for n in range(1, 7):
+        for mode in ("replacements", "transpositions", "full",
+                     "full_diagonal"):
+            gens = generators(n, mode)
+            want = [(eq.tag, word_pair(eq)) for eq in sigma_axioms(n, mode)
+                    if eq.tag.startswith(("perm:", "subst:"))]
+            got = [(tag % args, (tuple(gens[g] for g in left),
+                                 tuple(gens[g] for g in right)))
+                   for tag, args, left, right in relations(n, mode)]
+            assert got == want, (n, mode)
+            assert all(len(left) <= 3 and len(right) <= 3
+                       for _, _, left, right in relations(n, mode))
+    assert relations(5, "full_diagonal") == relations(5, "full")
+
+
+def test_relations_present_the_monoid_where_presented_says():
+    """For every (n, mode) that monoid.PRESENTED covers, coset
+    enumeration of the word pairs of monoid.relations closes at exactly
+    monoid_size(n, mode): every pair holds in the monoid, so the
+    presented monoid maps onto it, and every Cayley edge over a
+    breadth-first tree of that many words follows from the pairs.  The
+    table claims no other (n, mode)."""
+    closed = {}
+    for mode, top in PRESENTED.items():
+        for n in range(1, top + 1):
+            assert presented(n, mode)
+            triples = [(g.kind, g.i, g.j) for g in generators(n, mode)]
+            pairs = tuple((left, right)
+                          for _, _, left, right in relations(n, mode))
+            assert all(ref_hat([triples[g] for g in left], n)
+                       == ref_hat([triples[g] for g in right], n)
+                       for left, right in pairs), (n, mode)
+            if (n, pairs) not in closed:
+                graph = cayley_graph(n, mode)
+                assert len(graph.maps) == monoid_size(n, mode)
+                closed[n, pairs] = ref_presented_size(
+                    len(triples), pairs, graph.parent, graph.via)
+            assert closed[n, pairs] == monoid_size(n, mode), (n, mode)
+        assert not presented(top + 1, mode)
+    assert set(PRESENTED) == set(MODES)
+    # the enumeration does not close where the pairs are known to fall
+    # short: replacement mode at n = 3 (22 elements)
+    graph = cayley_graph(3, "replacements")
+    assert ref_presented_size(
+        6, [(left, right) for _, _, left, right in relations(3, "replacements")],
+        graph.parent, graph.via) is None

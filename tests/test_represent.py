@@ -23,7 +23,7 @@ from substal.monoid import (MODES, cayley_graph,
 from substal.represent import (SubMonoidCtx, atom_below, canonical_extension,
                                check_complete_additivity, check_psi,
                                check_psi_witnesses, check_quasi,
-                               complete_representation, diag_represent,
+                               complete_representation, cycle_types, diag_represent,
                                full_representation, represent_at,
                                special_quasi_witness)
 from substal.setalg import (ConcreteAlgebra, Subalgebra, algebra_to_json,
@@ -399,6 +399,76 @@ def test_check_quasi_generic_path():
         verdicts.append(want)
     assert verdicts[:2] == [True, False]
     assert len(verdicts) > 10
+
+
+def test_cycle_types_are_one_permutation_per_conjugacy_class():
+    for n in range(1, 7):
+        reps = list(cycle_types(n))
+        shapes = [tuple(sorted(_cycle_lengths(p))) for p in reps]
+        every = {tuple(sorted(_cycle_lengths(p)))
+                 for p in itertools.permutations(range(n))}
+        assert len(set(shapes)) == len(shapes) == len(every)
+        assert set(shapes) == every
+    assert [len(list(cycle_types(n))) for n in range(1, 7)] == \
+        [1, 2, 3, 5, 7, 11]
+
+
+def _cycle_lengths(perm):
+    seen, lengths = set(), []
+    for start in range(len(perm)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i = perm[i]
+            length += 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+def test_check_quasi_by_cycle_type_matches_every_permutation():
+    """One coloring per cycle type gives the verdict of a coloring per
+    permutation, with coherence read off the row certificate, on
+    certify-style frames (quotients of the regular action as the
+    benchmark sizes them, relabelled point frames and their broken
+    involutions), square algebras and the not-a-variety units."""
+    rng = random.Random(7919)
+    frames = []
+    for n, sizes in ((2, (2, 4, 6, 10)), (3, (3, 5, 6, 11)), (4, (3, 12))):
+        for mode in ("full", "transpositions"):
+            frames += [random_coherent_frame(n, mode, m, rng) for m in sizes]
+    frames += [_relabeled(point_frame(n, k, mode), rng)[0]
+               for n, k, mode in ((2, 2, "full"), (2, 3, "full"),
+                                  (3, 2, "full"), (4, 2, "transpositions"),
+                                  (3, 3, "transpositions"))]
+    frames += [point_frame(n, 2, "full_diagonal") for n in (2, 3)]
+    for frame in list(frames):
+        if frame.num_worlds > 1:
+            action = dict(frame.action)
+            action[generators(frame.n, frame.mode)[0]] = \
+                (0,) * frame.num_worlds
+            frames.append(Frame(frame.n, frame.mode, frame.num_worlds,
+                                action, frame.diag))
+    algebras = [ComplexAlgebra(frame) for frame in frames]
+    algebras += [small_algebra(n, k, "full")
+                 for n, k in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3))]
+    for n in range(2, 7):
+        report = not_a_variety_witness(n)
+        algebras.append(make_relativized(n, report["base"], report["unit"],
+                                         "transpositions"))
+    verdicts = []
+    for algebra in algebras:
+        space = algebra.space
+        coherent = not space.certificate[0] if isinstance(space, Frame) \
+            else True
+        want = coherent and (algebra.one == algebra.zero or all(
+            special_quasi_witness(algebra, f) is None
+            for f in itertools.permutations(range(algebra.n))))
+        assert check_quasi(algebra) == want, algebra
+        verdicts.append((coherent, want))
+    assert verdicts.count((True, True)) > 20
+    assert verdicts.count((True, False)) >= 10
+    assert verdicts.count((False, False)) > 20
 
 
 def _quasi_outcome(check, algebra):
