@@ -17,9 +17,8 @@ _EXPORTS = {
     "monoid": """MODES NotGenerated apply_point canonical_word
         compose enumerate_monoid generators hat identity normalize_mode
         parse_word partitions point_index repl swap word_equiv""",
-    "terms": """Equation ParseError QuasiEquation equation_holds_exhaustive
-        eval_term format_equation format_term parse parse_equation
-        quasi_axioms sigma_axioms""",
+    "terms": """Equation ParseError equation_holds_exhaustive eval_term
+        format_equation format_term parse parse_equation sigma_axioms""",
     "setalg": """ComplexAlgebra ConcreteAlgebra NotLocallySquare Square
         Subalgebra alternating_coloring algebra_from_json algebra_to_json
         generate_subalgebra make_relativized point_coords small_algebra""",

@@ -21,9 +21,14 @@ one comparison of table numbers.  The frame keeps both results
 (frame_check, Frame.coherent).  action_tables walks monoid.cayley_graph
 once per space and unit, on either kind of space, and the space keeps
 the walk: every element's world table, numbered along the graph's
-breadth-first tree, which gives the orbit of every world.  A coherent
-action makes every orbit map of represent equivariant.  point_frame is
-the square's generator tables written out.
+breadth-first tree, which gives the orbit of every world, with the
+table index and the generator moves that made it.  One stepper
+(`_stepper`: a bytes translate while every world fits a byte, else a
+tuple gather) serves the relation check, the walk and the row
+certificate, which looks its stepped tables up in the walk's index and
+never adds to the walk.  A coherent action makes every orbit map of
+represent equivariant.  point_frame is the square's generator tables
+written out.
 """
 
 import random
@@ -67,7 +72,7 @@ class Frame:
                     0 <= min(tab) and max(tab) < num_worlds):
                 raise ValueError("bad action table for %s" % g.token())
             self.action[g] = tab
-        self.walks = {}       # unit -> its ActionWalk and intern (_walk)
+        self.walks = {}       # unit -> its ActionWalk (action_tables)
         self.diag = None
         if has_diagonals(self.mode):
             self.diag = {}
@@ -146,24 +151,27 @@ class Frame:
 COHERENCE_BUDGET = 2 * 10**6
 
 
+def _stepper(space, gens):
+    """(pack, moves, step) for the world tables of a space: pack makes a
+    table of a sequence of worlds, and step(table, moves[g]) is that table
+    followed by the g-th of `gens`.  While every world fits a byte a table
+    is bytes and a step one translate, else a tuple and a step one
+    gather."""
+    gtabs = [space.act(g) for g in gens]
+    if space.num_worlds <= 256:
+        return (bytes, [bytes(tab).ljust(256, b"\0") for tab in gtabs],
+                bytes.translate)
+    return tuple, gtabs, lambda tab, gtab: tuple(map(gtab.__getitem__, tab))
+
+
 def relations_hold(frame, rels):
     """Does every word pair of `rels` (monoid.relations) give one world
     table on the frame?  A word's table is its first letter's table
-    stepped by each further letter: one translate while every world fits
-    a byte, else one tuple gather.  No word has more than three letters,
+    stepped by each further letter.  No word has more than three letters,
     so the steps are written out."""
-    gtabs = [frame.act(g) for g in generators(frame.n, frame.mode)]
-    if frame.num_worlds <= 256:
-        first = list(map(bytes, gtabs))
-        moves = [tab.ljust(256, b"\0") for tab in first]
-        identity = bytes(range(frame.num_worlds))
-        step = bytes.translate
-    else:
-        first = moves = gtabs
-        identity = tuple(range(frame.num_worlds))
-
-        def step(table, gtab):
-            return tuple(map(gtab.__getitem__, table))
+    pack, moves, step = _stepper(frame, generators(frame.n, frame.mode))
+    identity = pack(range(frame.num_worlds))
+    first = [step(identity, move) for move in moves]
     for _, _, left, right in rels:
         a = first[left[0]] if left else identity
         if len(left) > 1:
@@ -180,12 +188,12 @@ def relations_hold(frame, rels):
     return True
 
 
-class ActionWalk(namedtuple("ActionWalk", "worlds tables number")):
+class ActionWalk(namedtuple("ActionWalk",
+                            "worlds tables number index moves step")):
     """The unit's worlds in order, each distinct world table over them
-    (bytes when every world of the space fits a byte, else a tuple), and
-    the number of every element's table (in the order of
-    monoid.cayley_graph).  A frame's `row_certificate` appends the tables
-    it steps to off the tree; only an incoherent action has any."""
+    (`_stepper`'s tables), the number of every element's table (in the
+    order of monoid.cayley_graph), the number of each table (index), and
+    the generator moves and step that made them."""
 
     def orbit(self, w):
         """w·tau for every element tau, w a world of the unit."""
@@ -198,7 +206,7 @@ def action_tables(space, unit=None):
     """The world tables of every element of the monoid on a space, a
     `Frame` or a `setalg.Square`, restricted to a unit of its worlds (all
     of them by default).  It runs once per space and unit; the space
-    keeps the result.
+    keeps the result, and nothing changes it after.
 
     Every element's table is numbered along the breadth-first tree of
     monoid.cayley_graph: element t gets the table of parent[t] followed
@@ -208,40 +216,16 @@ def action_tables(space, unit=None):
     word per element; they are the action of the element when the action
     is coherent (a square, or a frame whose `row_certificate` finds no
     failure), and then the orbit of every world is read off them."""
-    return _walk(space, unit)[0]
-
-
-def _walk(space, unit=None):
-    """The kept (ActionWalk, intern) of a unit, made on first use:
-    intern(a, g) is the number of the walk's table a stepped by the g-th
-    generator of the graph, appended to the walk's tables when new.  A
-    table is bytes, stepped by one translate, when every world of the
-    space fits a byte, else a tuple."""
     if unit is None:
         unit = (1 << space.num_worlds) - 1
-    kept = space.walks.get(unit)
-    if kept is not None:
-        return kept
+    walk = space.walks.get(unit)
+    if walk is not None:
+        return walk
     worlds = tuple(mask_points(unit))
     graph = cayley_graph(space.n, space.mode)
-    gtabs = [space.act(g) for g in graph.gens]
-    if space.num_worlds <= 256:
-        pack, step = bytes, bytes.translate
-        moves = [bytes(tab).ljust(256, b"\0") for tab in gtabs]
-    else:
-        pack, moves = tuple, gtabs
-
-        def step(table, gtab):
-            return tuple(map(gtab.__getitem__, table))
+    pack, moves, step = _stepper(space, graph.gens)
     tables = [pack(worlds)]
     index = {tables[0]: 0}
-
-    def intern(a, g):
-        derived = step(tables[a], moves[g])
-        b = index.setdefault(derived, len(tables))
-        if b == len(tables):
-            tables.append(derived)
-        return b
     # a parent precedes its children in the walk order, so its table is
     # numbered first
     number, on_tree, width = [0], {}, len(moves)
@@ -249,10 +233,14 @@ def _walk(space, unit=None):
         a = number[parent]
         b = on_tree.get(a * width + g)
         if b is None:
-            b = on_tree[a * width + g] = intern(a, g)
+            derived = step(tables[a], moves[g])
+            b = on_tree[a * width + g] = index.setdefault(derived, len(tables))
+            if b == len(tables):
+                tables.append(derived)
         number.append(b)
-    kept = space.walks[unit] = ActionWalk(worlds, tables, number), intern
-    return kept
+    walk = space.walks[unit] = ActionWalk(worlds, tables, number, index,
+                                          moves, step)
+    return walk
 
 
 def row_certificate(frame):
@@ -261,32 +249,35 @@ def row_certificate(frame):
     up to the last of them, or all edges.
 
     Each table of the frame's walk (`action_tables`) is stepped by each
-    generator once, through the walk's own interning.  The edge
-    tau -> tau∘g is coherent when the number of tau∘g's table is the
+    generator once and looked up in the walk's index; a table the index
+    lacks is no element's table, so every edge it stands for fails.  The
+    edge tau -> tau∘g is coherent when the number of tau∘g's table is the
     number of tau's table stepped by g, so a generator's whole row of
     edges is certified by one comparison of two lists of table numbers.
-    Only a row that disagrees makes it look at single edges, and it
-    stops at the FAILURES_KEPT-th failure.  When no edge disagrees,
-    act(sigma∘tau) = act(sigma) followed by act(tau) for every pair, by
-    induction on the length of tau's word."""
-    walk, intern = _walk(frame)
+    Only a row that disagrees makes it look at single edges, stepping a
+    table again to name the world of a failure, and it stops at the
+    FAILURES_KEPT-th failure.  The walk is only read.  When no edge
+    disagrees, act(sigma∘tau) = act(sigma) followed by act(tau) for every
+    pair, by induction on the length of tau's word."""
+    walk = action_tables(frame)
     graph = cayley_graph(frame.n, frame.mode)
     number, tables, width = walk.number, walk.tables, len(graph.gens)
-    reached = range(len(tables))
-    rows = [(sym, row, [intern(a, g) for a in reached])
-            for g, (sym, row) in enumerate(zip(graph.gens, graph.edges))]
+    step, missing = walk.step, len(tables)
+    rows = [(sym, row, move, [walk.index.get(step(tab, move), missing)
+                              for tab in tables])
+            for sym, row, move in zip(graph.gens, graph.edges, walk.moves)]
     edges = len(number) * width
     if all(list(map(number.__getitem__, row)) == list(
-            map(by_g.__getitem__, number)) for _, row, by_g in rows):
+            map(by_g.__getitem__, number)) for _, row, _, by_g in rows):
         return [], edges
     failures = []
     for t, a in enumerate(number):
-        for g, (sym, row, by_g) in enumerate(rows):
-            u, b = number[row[t]], by_g[a]
-            if u == b:
+        for g, (sym, row, move, by_g) in enumerate(rows):
+            u = number[row[t]]
+            if u == by_g[a]:
                 continue
             i = next(i for i, (x, y) in enumerate(
-                zip(tables[u], tables[b])) if x != y)
+                zip(tables[u], step(tables[a], move))) if x != y)
             failures.append(("coherence", graph.maps[t], sym.token(),
                              walk.worlds[i]))
             if len(failures) == FAILURES_KEPT:

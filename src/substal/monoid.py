@@ -292,7 +292,8 @@ def format_word(syms):
     return " ".join(g.token() for g in syms)
 
 
-CayleyGraph = namedtuple("CayleyGraph", "gens maps words edges parent via")
+CayleyGraph = namedtuple("CayleyGraph",
+                         "gens maps words edges parent via keys")
 
 
 @lru_cache(maxsize=None)
@@ -303,7 +304,9 @@ def cayley_graph(n, mode):
     Elements are numbered in walk order, the identity first.  gens are the
     mode's generator symbols; maps[t] is element t as a tuple and words[t]
     a shortest word for it; edges[g][t] is the number of t∘gens[g]; each
-    element t > 0 is parent[t]∘gens[via[t]], its breadth-first tree edge."""
+    element t > 0 is parent[t]∘gens[via[t]], its breadth-first tree edge;
+    keys[t] is the sum of maps[t][i]·n^i, the number of element t's point
+    in ⁿn (point_index)."""
     gens = generators(n, mode)
     size = monoid_size(n, mode)
     # element numbers fit two bytes for every n up to DIM_LIMIT
@@ -334,7 +337,7 @@ def cayley_graph(n, mode):
                 parent[idx] = t
                 via[idx] = g
             row[t] = idx
-    return CayleyGraph(gens, maps, words, edges, parent, via)
+    return CayleyGraph(gens, maps, words, edges, parent, via, keys)
 
 
 @lru_cache(maxsize=None)

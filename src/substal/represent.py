@@ -11,6 +11,9 @@ The engine acts on set algebras (setalg.ComplexAlgebra) only.  There the
 atom of a world w lies below s_tau(z) exactly when w·tau lies in z, so
 every block is a bit gather h(z) = {p : f(p) ∈ z} read off the orbit of w,
 from the world tables that the space keeps per unit (frames.action_tables).
+Its target points are numbered once, in the base of the product square
+(the monoid's points as monoid.cayley_graph keys them), and each block is
+placed in its copy by an offset.
 By Jónsson-Tarski duality such a map is a homomorphism exactly when its
 world map f is equivariant and keeps the diagonals.  A coherent action
 (`coherent()` of the space: by definition on a square, by the word pairs
@@ -25,6 +28,8 @@ representations are certified by their world maps
 (setalg.morphism_report).
 """
 
+from operator import getitem
+
 from .monoid import (
     NotGenerated,
     Record,
@@ -37,10 +42,9 @@ from .monoid import (
     monoid_size,
     swap,
 )
-from .setalg import (FAILURES_KEPT, ComplexAlgebra, ConcreteAlgebra,
+from .setalg import (FAILURES_KEPT, ComplexAlgebra, ConcreteAlgebra, Square,
                      algebra_to_json, alternating_coloring, gather_map,
-                     lowest_bit, mask_points, point_coords, point_index,
-                     points_mask, small_algebra)
+                     lowest_bit, mask_points, points_mask, small_algebra)
 from .frames import action_tables, atom_frame
 
 
@@ -68,12 +72,13 @@ class RepMap(Record):
         self.image = gather_map(*gather)
 
     def to_json(self):
-        """The report (with its failures, if any), the target one block
-        at a time, the points of each source atom and the points of its
-        image.  The atoms determine every other image: a homomorphism
-        sends z to the union of the images of the atoms below z.  Blocks
-        that are all one algebra are given as their number and that
-        algebra's file."""
+        """A representation's report (with its failures, if any), its
+        target one block at a time, the points of each source atom and
+        the points of its image.  The source is a set algebra, whose atoms
+        are the points of its unit, and the atoms determine every other
+        image: a homomorphism sends z to the union of the images of the
+        atoms below z.  Blocks that are all one algebra are given as their
+        number and that algebra's file."""
         data = {"report": {
             k: self.report.get(k)
             for k in ("homomorphism", "injective", "atom_cover")}}
@@ -88,13 +93,13 @@ class RepMap(Record):
                 data["target"]["block"] = files[self.blocks[0]]
             else:
                 data["target"]["block_files"] = [files[b] for b in self.blocks]
-        images = {}
+        # a gather sends each target point from one source point
+        images = {p: [] for p in self.source.unit_points}
         for s, d in zip(*self.gather):
-            images.setdefault(s, set()).add(d)
-        data["atoms"] = [mask_points(x) for x in self.source.atoms()]
-        data["atom_images"] = [
-            sorted({d for p in pts for d in images.get(p, ())})
-            for pts in data["atoms"]]
+            if s in images:
+                images[s].append(d)
+        data["atoms"] = [[p] for p in images]
+        data["atom_images"] = [sorted(ds) for ds in images.values()]
         return data
 
 
@@ -135,7 +140,11 @@ def _represent(algebra, worlds, quotient):
     point block∘tau of ⁿm, the indices merged where w lies on the
     diagonal (diag_represent).  A quotient block over ⁿm sits in its copy
     as the points whose coordinates are all below m, a closed unit of ⁿK
-    on which the action and the diagonals are those of ⁿm.
+    on which the action and the diagonals are those of ⁿm.  Every world's
+    quotient classes are found first, so that K is known before any point
+    is numbered: each block numbers its points in base K (for K = n the
+    point of tau is its key in monoid.cayley_graph), and block b is placed
+    at offset b·Kⁿ.
 
     The product is h(z) = {p : f(p) ∈ z}, f the blocks' world maps side
     by side, and it is a homomorphism exactly when f is a function from
@@ -158,39 +167,47 @@ def _represent(algebra, worlds, quotient):
                          "substitution algebra")
     walk = action_tables(algebra.space, algebra.unit)
     n, mode = algebra.n, algebra.mode
-    maps = cayley_graph(n, mode).maps
+    graph = cayley_graph(n, mode)
     unit = set(walk.worlds)
     diagonals = {(i, j): set(mask_points(algebra.diag(i, j)))
                  for i in range(n) for j in range(i + 1, n)
                  if has_diagonals(mode)}
-    failures, targets, gathers = [], [], []
+    failures, targets, src, dst = [], [], [], []
     cover = well_defined = diag_onto = True
     # Each target is built once per call, and the blocks over it share
-    # it: the product's placement and RepMap.to_json know a target by its
-    # identity.  With `quotient` it is the full-diagonal square ⁿm for
-    # each m, else the set algebra over the points of ⁿn that are maps of
-    # the monoid, listed in the order of the walk.
-    squares = {}
-    if not quotient:
-        points = [point_index(tau, n) for tau in maps]
+    # it: RepMap.to_json knows a target by its identity.  With `quotient`
+    # it is the full-diagonal square ⁿm for each m, else the set algebra
+    # over the points of ⁿn that are maps of the monoid, listed in the
+    # order of the walk.
+    if quotient:
+        splits = [_quotient(n, lambda i, j: (
+            i == j or w in diagonals[min(i, j), max(i, j)])) for w in worlds]
+        base = max(len(classes) for classes, _, _ in splits)
+        squares = {}
+    else:
+        base = n
+        points = graph.keys
         square = ConcreteAlgebra(n, n, mode, unit=points_mask(points))
+    span, product = base**n, Square(n, base, mode)
 
     def record(*failure):
         if len(failures) < FAILURES_KEPT:
             failures.append(failure)
 
-    for w in worlds:
+    for b, w in enumerate(worlds):
         orbit = walk.orbit(w)
         if quotient:
-            classes, block_of, split = _quotient(n, lambda i, j: (
-                i == j or w in diagonals[min(i, j), max(i, j)]))
+            classes, block_of, split = splits[b]
             m = len(classes)
             if split:
                 record("equivalence", *split)
+            # the point block∘tau of ⁿm, numbered in base K
+            digits = [[block_of[x] * base**i for x in range(n)]
+                      for i in range(n)]
             image, clash = {}, None
-            for tau, v in zip(maps, orbit):
-                u, sigma = image.setdefault(
-                    point_index([block_of[x] for x in tau], m), (v, tau))
+            for tau, v in zip(graph.maps, orbit):
+                u, sigma = image.setdefault(sum(map(getitem, digits, tau)),
+                                            (v, tau))
                 if u != v and clash is None:
                     clash = ("well-defined", sigma, tau)
                     record(*clash)
@@ -198,36 +215,25 @@ def _represent(algebra, worlds, quotient):
             target = squares.get(m)
             if target is None:
                 target = squares[m] = small_algebra(n, m, "full_diagonal")
-            dst = sorted(image)
-            src = [image[p][0] for p in dst]
+            d = sorted(image)
+            s = [image[p][0] for p in d]
         else:
-            target, dst, src = square, points, orbit
-        if not unit.issuperset(src):
+            target, d, s = square, points, orbit
+        if not unit.issuperset(s):
             cover = False
             record("cover")
         for (i, j), on in diagonals.items():
-            dt = target.diag(i, j)
-            if any(dt >> p & 1 != (v in on) for p, v in zip(dst, src)):
+            dt = product.diag_mask(i, j)
+            if any(dt >> p & 1 != (v in on) for p, v in zip(d, s)):
                 diag_onto = False
                 record("diag", i, j)
         targets.append(target)
-        gathers.append((src, dst))
+        src += s
+        dst += [p + b * span for p in d]
     homomorphism = not failures
-    missed = unit.difference(*(src for src, _ in gathers))
+    missed = unit.difference(src)
     if missed:
         record("atom-image-zero", min(missed))
-
-    base = max(t.k for t in targets)
-    span, places = base**n, {}
-    unit_points, src, dst = [], [], []
-    for b, (t, (s, d)) in enumerate(zip(targets, gathers)):
-        place = places.get(t)
-        if place is None:
-            place = places[t] = {p: point_index(point_coords(p, n, t.k), base)
-                                 for p in t.unit_points}
-        unit_points += [q + b * span for q in place.values()]
-        dst += [place[p] + b * span for p in d]
-        src += s
     report = {
         "method": "cayley-walk",
         "homomorphism": homomorphism,
@@ -242,7 +248,9 @@ def _represent(algebra, worlds, quotient):
     if quotient:
         report["well_defined"] = well_defined
         report["diag_onto"] = diag_onto
-    target = ConcreteAlgebra(n, base, mode, unit=points_mask(unit_points))
+    # every block's points are its target's unit: the monoid's points, or
+    # all of ⁿm
+    target = ConcreteAlgebra(n, base, mode, unit=points_mask(dst))
     return RepMap(algebra, target, (src, dst), report, targets)
 
 
@@ -278,27 +286,6 @@ def complete_representation(algebra):
     rep.report["complete"] = rep.report["atom_cover"]
     rep.report["completely_additive"] = True
     return rep
-
-
-def check_complete_additivity(algebra):
-    """s_g of a join of atoms equals the join of the s_g-images, for every
-    generator and every element of any algebra handle, checked on every
-    join of its atoms, which is every element of a finite algebra;
-    ValueError above 20 atoms."""
-    ats = algebra.atoms()
-    if len(ats) > 20:
-        raise ValueError("too many elements to check (2^%d)" % len(ats))
-    for g in generators(algebra.n, algebra.mode):
-        images = [algebra.subst(g, x) for x in ats]
-        for bits in range(1 << len(ats)):
-            z = total = algebra.zero
-            for idx, (x, sx) in enumerate(zip(ats, images)):
-                if bits >> idx & 1:
-                    z = algebra.join(z, x)
-                    total = algebra.join(total, sx)
-            if total != algebra.subst(g, z):
-                return False
-    return True
 
 
 def check_psi(algebra):

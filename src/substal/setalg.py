@@ -196,7 +196,7 @@ class Square:
         self.mode = normalize_mode(mode)
         self.copies = copies
         self.num_worlds = copies * k**n
-        self.walks = {}       # unit -> its ActionWalk and intern (frames._walk)
+        self.walks = {}       # unit -> its frames.ActionWalk
         self._tables = {}
         self._diag = {}
 

@@ -11,10 +11,6 @@ import re
 from .monoid import (
     FrozenRecord,
     GenSym,
-    bijective_stabilizer,
-    canonical_word,
-    check_submonoid,
-    compose,
     generators,
     gensym_from_token,
     has_diagonals,
@@ -93,28 +89,12 @@ def iff(a, b):
     return Meet(implies(a, b), implies(b, a))
 
 
-def meet_all(items):
-    items = list(items)
-    if not items:
-        return One()
-    out = items[0]
-    for t in items[1:]:
-        out = Meet(out, t)
-    return out
-
-
 def word_term(syms, arg):
     """s_{g1}(s_{g2}(... s_{gm}(arg))) for the word g1 g2 ... gm."""
     out = arg
     for g in reversed(tuple(syms)):
         out = Sub(g, out)
     return out
-
-
-def sub_tau(tau, arg):
-    """Substitution by an arbitrary transformation, spelled as its
-    canonical word over the full mode's generators."""
-    return word_term(canonical_word(tau, "full"), arg)
 
 
 def subterms(term):
@@ -582,29 +562,3 @@ def sigma_axioms(n, mode="full"):
                     "diag:subst:%s:%d,%d" % (g.token(), i, j)))
 
     return eqs
-
-
-class QuasiEquation(FrozenRecord):
-    __slots__ = _fields = ("premises", "conclusion", "tag")
-
-    def __init__(self, premises, conclusion, tag=""):
-        set_field(self, "premises", premises)
-        set_field(self, "conclusion", conclusion)
-        set_field(self, "tag", tag)
-
-
-def quasi_axioms(n, allowed):
-    """Quasi-equations: a zero meet of substituted variables stays zero when
-    every subscript is shifted by a bijective stabilizer element."""
-    allowed = check_submonoid(n, allowed)
-    out = []
-    xs = {sigma: Var(idx) for idx, sigma in enumerate(allowed)}
-    for xi in bijective_stabilizer(n, allowed):
-        premise = Equation(
-            meet_all(sub_tau(sigma, xs[sigma]) for sigma in allowed), Zero())
-        conclusion = Equation(
-            meet_all(sub_tau(compose(xi, sigma), xs[sigma]) for sigma in allowed),
-            Zero())
-        out.append(QuasiEquation((premise,), conclusion,
-                                 "quasi:xi=%s" % (list(xi),)))
-    return out

@@ -560,7 +560,9 @@ def test_row_walk_matches_the_edge_walk():
     """The walk along the tree gives the edge-by-edge reference's tables
     and their numbering on every coherent space, and each element's table
     on a broken frame; the row certificate of every frame, broken ones
-    included, gives the reference's failures and edge count."""
+    included, gives the reference's failures and edge count, and leaves
+    a broken frame's walk (tables, numbers and index) as it was, bytes
+    and tuple tables alike."""
     rng = random.Random(2024)
     coherent, broken = [], []
     for n in (1, 2, 3, 4):
@@ -592,19 +594,23 @@ def test_row_walk_matches_the_edge_walk():
         unit = (1 << space.num_worlds) - 1 if unit is None else unit
         *want, failures, edges = ref_action_walk(space, unit)
         assert failures == []
-        worlds, tables, number = action_tables(space, unit)
-        assert [worlds, list(map(tuple, tables)), number] == want, space
+        walk = action_tables(space, unit)
+        assert [walk.worlds, list(map(tuple, walk.tables)),
+                walk.number] == want, space
         if isinstance(space, Frame):
             assert space.certificate == (failures, edges), space
     assert sum(1 for f in broken if not ref_frame_coherent(f)) > 10
     for frame in broken:
         unit = (1 << frame.num_worlds) - 1
         got = action_tables(frame)
+        before = list(got.tables), list(got.number), dict(got.index)
         _, tables, number, failures, edges = ref_action_walk(frame, unit)
         assert [tuple(got.tables[a]) for a in got.number] == [
             tables[a] for a in number], frame
         assert frame.certificate == (failures, edges), frame
         assert frame.coherent() == ref_frame_coherent(frame)
+        assert action_tables(frame) is got
+        assert (got.tables, got.number, got.index) == before, frame
 
 
 def test_walk_stops_at_the_last_kept_failure():

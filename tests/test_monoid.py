@@ -207,8 +207,9 @@ MODES = ("replacements", "transpositions", "full", "full_diagonal")
 def test_cayley_graph_matches_a_breadth_first_reference():
     """For n ≤ 4 and every mode: enumerate_monoid and monoid_table follow
     the reference walk's order and words, every recorded edge is the
-    number of compose(tau, g), and every tree edge leads from an earlier
-    element by one generator."""
+    number of compose(tau, g), every tree edge leads from an earlier
+    element by one generator, and every key is the element's point in ⁿn
+    with its coordinates read as base-n digits."""
     for n in range(1, 5):
         for mode in MODES:
             graph = cayley_graph(n, mode)
@@ -222,6 +223,8 @@ def test_cayley_graph_matches_a_breadth_first_reference():
             assert [tuple(gens.index(g) for g in w) for w in table.values()] \
                 == [w for _, w in want]
             assert graph.words == list(table.values())
+            assert list(graph.keys) == [sum(t[i] * n**i for i in range(n))
+                                        for t in graph.maps]
             number = {t: idx for idx, t in enumerate(graph.maps)}
             for g, row in zip(gens, graph.edges):
                 assert len(row) == len(graph.maps)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from substal.monoid import enumerate_monoid, identity, repl, swap
+from substal.monoid import repl, swap
 from substal.setalg import small_algebra
 from substal.terms import (
     Compl,
@@ -24,7 +24,6 @@ from substal.terms import (
     modality_count,
     parse,
     parse_equation,
-    quasi_axioms,
     sigma_axioms,
     subterms,
     term_size,
@@ -330,25 +329,3 @@ def test_word_pair():
     assert [g.token() for g in w2] == ["s[0|1]"]
     assert word_pair(parse_equation("s[0|1] p0 = p1", 2)) is None
     assert word_pair(parse_equation("s[0|1] ~p0 = p0", 2)) is None
-
-
-def test_quasi_axioms_shape():
-    full = enumerate_monoid(2, "full")
-    qs = quasi_axioms(2, full)
-    assert len(qs) == 2  # one per permutation of {0,1}
-    for q in qs:
-        assert len(q.premises) == 1
-        assert q.premises[0].rhs == Zero()
-        assert q.conclusion.rhs == Zero()
-        assert variables(q.premises[0].lhs) == set(range(len(full)))
-
-    only_id = quasi_axioms(2, [identity(2)])
-    assert len(only_id) == 1  # the stabilizer collapses to the identity
-
-
-def test_quasi_axioms_validate_t():
-    with pytest.raises(ValueError):
-        quasi_axioms(2, [(1, 0)])  # missing identity
-    with pytest.raises(ValueError):
-        # not composition-closed: swap*swap = id is fine, but repl*swap isn't in
-        quasi_axioms(2, [identity(2), (0, 0), (1, 0)])
