@@ -293,9 +293,6 @@ class FrameReport(Record):
         self.failures = failures
         self.pairs_checked = pairs_checked    # Cayley edges (tau, g) certified
 
-    def __bool__(self):
-        return self.ok
-
 
 def frame_check(frame, listing=True):
     """Semantic coherence: the generated action must be a genuine right

@@ -179,17 +179,18 @@ def relations(n, mode):
     word, right word).  A word is a tuple of indices into
     generators(n, mode), read as `hat` reads it, of at most three
     letters, and both words of a pair name one element of the monoid.
-    Built by index arithmetic: no generator symbol, term or tag is made
-    per pair."""
+    Each generator's index is read once from generators(n, mode): no
+    generator symbol, term or tag is made per pair."""
     mode = normalize_mode(mode)
     pairs = list(itertools.combinations(range(n), 2))
-    # sw[i][j] is the index of s[i,j], rp[i][j] that of s[i|j]
+    # sw[i][j] = sw[j][i] is the index of s[i,j], rp[i][j] that of s[i|j]
     sw = [[0] * n for _ in range(n)]
-    for idx, (i, j) in enumerate(pairs):
-        sw[i][j] = sw[j][i] = idx
-    swaps = 0 if mode == "replacements" else len(pairs)
-    rp = [[swaps + i * (n - 1) + j - (j > i) for j in range(n)]
-          for i in range(n)]
+    rp = [[0] * n for _ in range(n)]
+    for idx, g in enumerate(generators(n, mode)):
+        if g.kind == "transposition":
+            sw[g.i][g.j] = sw[g.j][g.i] = idx
+        else:
+            rp[g.i][g.j] = idx
     out = []
     add = out.append
     if mode != "replacements":

@@ -23,7 +23,8 @@ Every algebra handle keeps one contract: its elements are bitmasks, meet
 is & and join is |.  `ComplexAlgebra` and `Subalgebra` keep it, as must
 any other object with the operations.  So an element contains an atom
 exactly when it contains the atom's lowest bit, and every map that reads
-atoms is a bit gather z ↦ {dst : src ∈ z} (`gather_map`).  Only a set
+atoms is a bit gather z ↦ {dst : src ∈ z} (`gather_map`, which reads its
+two position lists in place, so each gather is held once).  Only a set
 algebra has a world action; represent reads any other handle through its
 canonical extension.  A map between set algebras is the inverse image of
 a world map from the target's unit to the source's worlds, and
@@ -72,6 +73,13 @@ from .monoid import (
     point_index,
 )
 
+# Limits: points of ⁿk, atoms or regions whose 2^m joins are listed, and
+# elements of a generated subalgebra; and the failures a report keeps.
+POINT_LIMIT = 10**6
+ENUMERATION_LIMIT = 20
+SUBALGEBRA_BUDGET = 1 << 16
+FAILURES_KEPT = 10
+
 
 def point_coords(idx, n, k):
     out = []
@@ -107,12 +115,12 @@ def lowest_bit(mask):
 
 
 def gather_map(src_bits, dst_bits):
-    """The bit gather z ↦ {dst : src ∈ z}, over paired bit positions."""
-    pairs = list(zip(src_bits, dst_bits))
+    """The bit gather z ↦ {dst : src ∈ z} over paired bit positions, read
+    in place from the two sequences on each call: change neither after."""
 
     def h(z):
         out = 0
-        for s, d in pairs:
+        for s, d in zip(src_bits, dst_bits):
             if z >> s & 1:
                 out |= 1 << d
         return out
@@ -365,9 +373,9 @@ class ComplexAlgebra:
     def atoms(self):
         return [1 << p for p in self.unit_points]
 
-    def elements(self, limit=20):
+    def elements(self):
         pts = self.unit_points
-        if len(pts) > limit:
+        if len(pts) > ENUMERATION_LIMIT:
             raise ValueError("too many elements to enumerate (2^%d)" % len(pts))
         if self.unit == (1 << len(pts)) - 1:
             return list(range(1 << len(pts)))
@@ -386,34 +394,30 @@ def ConcreteAlgebra(n, k, mode="full", unit=None):
     return ComplexAlgebra(Square(n, k, mode, copies), unit)
 
 
-def small_algebra(n, k, mode="full", budget=10**6):
-    """A_nk: the full set algebra over every point of ⁿk."""
-    if k**n > budget:
+def _check_point_space(n, k):
+    if k**n > POINT_LIMIT:
         raise ValueError("point space %d exceeds budget" % (k**n,))
+
+
+def small_algebra(n, k, mode="full"):
+    """A_nk: the full set algebra over every point of ⁿk."""
+    _check_point_space(n, k)
     return ConcreteAlgebra(n, k, mode)
 
 
-def _relativized(n, k, unit, mode):
-    """℘(V) over one copy of ⁿk, once V is checked to lie in the square
-    and to be closed under the mode's generators."""
+def make_relativized(n, k, unit, mode="full"):
+    """℘(V) over one copy of ⁿk for V given as a bitmask or an iterable of
+    point indices, once V is checked to lie in the square and to be closed
+    under the mode's generators."""
+    _check_point_space(n, k)
+    if not isinstance(unit, int):
+        unit = points_mask(unit)
     if unit >> k**n:
         raise ValueError("unit has points outside the square %d^%d" % (k, n))
     witness = is_locally_square(n, k, unit, mode)
     if witness is not None:
         raise NotLocallySquare(*witness)
     return ComplexAlgebra(Square(n, k, mode), unit)
-
-
-def make_relativized(n, k, unit, mode="full", budget=10**6):
-    """℘(V) for V given as a bitmask or an iterable of point indices."""
-    if k**n > budget:
-        raise ValueError("point space %d exceeds budget" % (k**n,))
-    if not isinstance(unit, int):
-        unit = points_mask(unit)
-    return _relativized(n, k, unit, mode)
-
-
-FAILURES_KEPT = 10
 
 
 def morphism_report(source, target, world_of):
@@ -455,7 +459,7 @@ def relativization_hom(algebra, unit):
     return B, morphism_report(algebra, B, {p: p for p in B.unit_points})
 
 
-def generate_subalgebra(algebra, gens, budget=1 << 16):
+def generate_subalgebra(algebra, gens):
     """Closure of gens ∪ {0,1} under meet, complement, and substitution."""
     els = {algebra.zero, algebra.one}
     els.update(gens)
@@ -475,7 +479,7 @@ def generate_subalgebra(algebra, gens, budget=1 << 16):
                 if c not in els:
                     els.add(c)
                     fresh.append(c)
-                    if len(els) > budget:
+                    if len(els) > SUBALGEBRA_BUDGET:
                         raise ValueError("subalgebra closure exceeds budget")
         frontier = fresh
     return sorted(els)
@@ -490,7 +494,7 @@ def substitution_orbit(algebra, xs):
     return sorted(out)
 
 
-def boolean_closure(algebra, seeds, limit=20):
+def boolean_closure(algebra, seeds):
     """All Boolean combinations of the seed elements (with 0 and 1)."""
     atoms = algebra.atoms()
     regions = {}
@@ -498,15 +502,11 @@ def boolean_closure(algebra, seeds, limit=20):
         key = tuple(1 if algebra.meet(a, s) == a else 0 for s in seeds)
         regions[key] = regions.get(key, algebra.zero) | a
     parts = sorted(regions.values())
-    if len(parts) > limit:
+    if len(parts) > ENUMERATION_LIMIT:
         raise ValueError("too many regions to enumerate (2^%d)" % len(parts))
-    out = []
-    for bits in range(1 << len(parts)):
-        m = algebra.zero
-        for i, r in enumerate(parts):
-            if bits >> i & 1:
-                m |= r
-        out.append(m)
+    out = [algebra.zero]
+    for r in parts:
+        out += [m | r for m in out]
     return sorted(set(out))
 
 
@@ -546,16 +546,13 @@ class Subalgebra:
     def size(self):
         return len(self.universe)
 
-    def elements(self, limit=None):
+    def elements(self):
         return list(self.universe)
 
     def atoms(self):
         nonzero = [x for x in self.universe if x != self.zero]
-        out = []
-        for x in nonzero:
-            if not any(y != x and self.meet(x, y) == y for y in nonzero):
-                out.append(x)
-        return out
+        return [x for x in nonzero
+                if not any(y != x and self.meet(x, y) == y for y in nonzero)]
 
     def __repr__(self):
         return "Subalgebra(%d elements of %r)" % (len(self.universe), self.parent)
@@ -604,14 +601,13 @@ def algebra_from_json(data):
     CLOSURE_BUDGET and a unit that is not closed under the mode's
     generators."""
     n = json_int(data, "n", 1, DIM_LIMIT)
-    k = json_int(data, "k", 0, 10**6)
-    if k**n > 10**6:
-        raise ValueError("point space %d exceeds budget" % (k**n,))
+    k = json_int(data, "k", 0, POINT_LIMIT)
+    _check_point_space(n, k)
     mode = normalize_mode(data.get("mode", "full"))
     work = k**n * sum(k * k if g.kind == "transposition" else 2 * k
                       for g in generators(n, mode))
     if work > CLOSURE_BUDGET:
         raise ValueError("closure check of %d^%d (about %.1e steps) exceeds "
                          "budget %.0e" % (k, n, work, CLOSURE_BUDGET))
-    mask = points_mask(json_ints(data.get("unit"), 0, k**n - 1, "unit"))
-    return _relativized(n, k, mask, mode)
+    return make_relativized(
+        n, k, json_ints(data.get("unit"), 0, k**n - 1, "unit"), mode)

@@ -459,11 +459,14 @@ def eval_term(algebra, term, assignment):
     return value[id(term)]
 
 
-def equation_holds_exhaustive(algebra, eq, budget=10**6):
+ASSIGNMENT_BUDGET = 10**6     # the most assignments tried exhaustively
+
+
+def equation_holds_exhaustive(algebra, eq):
     """Check an equation over every assignment of algebra elements."""
     vs = sorted(variables(eq.lhs) | variables(eq.rhs))
     els = list(algebra.elements())
-    if len(els) ** len(vs) > budget:
+    if len(els) ** len(vs) > ASSIGNMENT_BUDGET:
         raise ValueError("assignment space exceeds budget")
     for choice in itertools.product(els, repeat=len(vs)):
         asg = dict(zip(vs, choice))

@@ -315,7 +315,9 @@ def test_monoid_size_closed_forms():
 def test_relations_are_the_axiom_word_pairs_by_index():
     """The index words of monoid.relations name the generators of the
     perm:* and subst:* axioms of sigma_axioms, pair for pair and tag for
-    tag (c02 checks that both words of each pair name one map)."""
+    tag, and both words of each pair fold (`hat`) to one map in every
+    mode for n ≤ 6.  sigma_axioms builds its pairs from relations, so the
+    `hat` check is the one that reads the pairs against the monoid."""
     for n in range(1, 7):
         for mode in ("replacements", "transpositions", "full",
                      "full_diagonal"):
@@ -326,6 +328,8 @@ def test_relations_are_the_axiom_word_pairs_by_index():
                                  tuple(gens[g] for g in right)))
                    for tag, args, left, right in relations(n, mode)]
             assert got == want, (n, mode)
+            for tag, (left, right) in got:
+                assert hat(left, n) == hat(right, n), (n, mode, tag)
             assert all(len(left) <= 3 and len(right) <= 3
                        for _, _, left, right in relations(n, mode))
     assert relations(5, "full_diagonal") == relations(5, "full")

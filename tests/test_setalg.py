@@ -8,6 +8,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from substal import setalg
 from substal.cli import run
 from substal.gallery import not_a_variety_witness
 from substal.monoid import (NotGenerated, apply_point, generators, repl,
@@ -61,8 +62,8 @@ def test_small_algebra_shapes():
     assert a20.size() == 1
     assert a20.one == a20.zero
     assert len(small_algebra(3, 3).atoms()) == 27
-    with pytest.raises(ValueError):
-        small_algebra(4, 10, budget=10**3)
+    with pytest.raises(ValueError, match="point space 1048576 exceeds"):
+        small_algebra(4, 32)            # 32⁴ > POINT_LIMIT
 
 
 def test_subst_examples():
@@ -242,10 +243,11 @@ def test_generate_subalgebra_matches_boolean_closure_of_orbit():
         assert len(closure) <= subalgebra_size_bound(2, len(gens))
 
 
-def test_generate_subalgebra_budget():
+def test_generate_subalgebra_budget(monkeypatch):
     alg = small_algebra(2, 3)
-    with pytest.raises(ValueError):
-        generate_subalgebra(alg, [5, 17, 129], budget=4)
+    monkeypatch.setattr(setalg, "SUBALGEBRA_BUDGET", 4)
+    with pytest.raises(ValueError, match="closure exceeds budget"):
+        generate_subalgebra(alg, [5, 17, 129])
 
 
 def test_subalgebra_handle():
@@ -525,13 +527,15 @@ def test_mask_points_round_trip():
     assert mask_points(0) == [] and points_mask([]) == 0
     assert mask_points(0b1011) == [0, 1, 3]
     assert points_mask([3, 0, 3, 1]) == 0b1011
+    assert points_mask(p for p in (5, 2, 5)) == 0b100100
     for _ in range(50):
         mask = rng.getrandbits(rng.randint(1, 5000))
         pts = mask_points(mask)
         assert pts == [p for p in range(mask.bit_length()) if mask >> p & 1]
         assert points_mask(pts) == mask
-    with pytest.raises(ValueError):
-        points_mask([2, -1])
+    for bad in ([2, -1], [-1, 2, 3], iter([-3, 0])):
+        with pytest.raises(ValueError):
+            points_mask(bad)
 
 
 def test_closure_witness_matches_the_reference_loop():

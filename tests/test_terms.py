@@ -269,9 +269,10 @@ def test_equation_holds_exhaustive():
     assert equation_holds_exhaustive(alg, parse_equation("p0 = p0", 2))
     moved = parse_equation("p0 = s[0,1] p0", 2)
     assert not equation_holds_exhaustive(alg, moved)
-    with pytest.raises(ValueError):
-        equation_holds_exhaustive(alg, parse_equation("p0 & p1 = p2", 2),
-                                  budget=10)
+    # two variables over the 2¹⁶ elements of ²4: 2³² assignments
+    with pytest.raises(ValueError, match="assignment space exceeds budget"):
+        equation_holds_exhaustive(small_algebra(2, 4),
+                                  parse_equation("p0 & p1 = p1 & p0", 2))
 
 
 def test_sigma_axiom_counts_and_tags():
