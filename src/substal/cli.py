@@ -87,12 +87,7 @@ def _sat(args):
     mode = normalize_mode(args.mode)
     term = terms.parse(args.formula, args.n, mode)
     sat, witness = logic.satisfiable(term, args.n, mode)
-    if sat:
-        print("SAT")
-        print(json.dumps(witness, indent=2, sort_keys=True))
-        return 0
-    print("UNSAT")
-    return 1
+    return _emit("SAT" if sat else "UNSAT", witness, True)
 
 
 def _valid(args):
@@ -112,24 +107,15 @@ def _valid(args):
     if args.formula is None:
         raise ValueError("give a formula or --axioms")
     ok, witness = logic.valid(terms.parse(args.formula, n, mode), n, mode)
-    return _counterexample(ok, witness)
+    return _emit("VALID" if ok else "INVALID", witness, True)
 
 
 def _eq(args):
     from . import logic, terms
     mode = normalize_mode(args.mode)
     eq = terms.parse_equation(args.equation, args.n, mode)
-    return _counterexample(*logic.equation_valid(eq, args.n, mode))
-
-
-def _counterexample(ok, witness):
-    if ok:
-        print("VALID")
-        return 0
-    print("INVALID")
-    if witness is not None:
-        print(json.dumps(witness, indent=2, sort_keys=True))
-    return 1
+    ok, witness = logic.equation_valid(eq, args.n, mode)
+    return _emit("VALID" if ok else "INVALID", witness, True)
 
 
 def _word(args):

@@ -39,6 +39,7 @@ from itertools import islice
 
 from .monoid import (
     DIM_LIMIT,
+    RELATION_WORD_LIMIT,
     Record,
     cayley_graph,
     generators,
@@ -117,12 +118,13 @@ class Frame:
         COHERENCE_BUDGET."""
         rels = relations(self.n, self.mode)
         worlds = max(self.num_worlds, 1)
-        # a pair has at most 6 letters, 3 a word, so they are counted only
-        # when that bound passes the budget
-        if 6 * len(rels) * worlds > COHERENCE_BUDGET and sum(
-                len(left) + len(right)
-                for _, _, left, right in rels) * worlds > COHERENCE_BUDGET:
-            return None
+        # a pair has at most twice RELATION_WORD_LIMIT letters, so they are
+        # counted only when that bound passes the budget
+        letters = 2 * RELATION_WORD_LIMIT * len(rels)
+        if letters * worlds > COHERENCE_BUDGET:
+            letters = sum(len(left) + len(right) for _, _, left, right in rels)
+            if letters * worlds > COHERENCE_BUDGET:
+                return None
         if not relations_hold(self, rels):
             return False
         return True if presented(self.n, self.mode) else None
@@ -166,23 +168,16 @@ def _stepper(space, gens):
 
 def relations_hold(frame, rels):
     """Does every word pair of `rels` (monoid.relations) give one world
-    table on the frame?  A word's table is its first letter's table
-    stepped by each further letter.  No word has more than three letters,
-    so the steps are written out."""
+    table on the frame?  A word's table is the identity table stepped by
+    each of its letters in turn, whatever its length."""
     pack, moves, step = _stepper(frame, generators(frame.n, frame.mode))
     identity = pack(range(frame.num_worlds))
-    first = [step(identity, move) for move in moves]
     for _, _, left, right in rels:
-        a = first[left[0]] if left else identity
-        if len(left) > 1:
-            a = step(a, moves[left[1]])
-            if len(left) > 2:
-                a = step(a, moves[left[2]])
-        b = first[right[0]] if right else identity
-        if len(right) > 1:
-            b = step(b, moves[right[1]])
-            if len(right) > 2:
-                b = step(b, moves[right[2]])
+        a = b = identity
+        for g in left:
+            a = step(a, moves[g])
+        for g in right:
+            b = step(b, moves[g])
         if a != b:
             return False
     return True

@@ -9,10 +9,10 @@ sigma(tau(i))``, and points act on the right: ``(q.tau)(i) = q(tau(i))``,
 so applying a composite equals applying its factors left to right.
 
 `cayley_graph` walks a mode's monoid breadth first and records its right
-Cayley graph; every world table of the monoid is read from generator
-tables along it.  `relations` lists a mode's defining word pairs by
-generator index, and `PRESENTED` the dimensions at which a coset
-enumeration proves them a presentation of the monoid.
+Cayley graph and tree; every world table of the monoid, and every word
+of `monoid_table`, is read along that tree.  `relations` lists a mode's
+defining word pairs by generator index, and `PRESENTED` the dimensions
+at which a coset enumeration proves them a presentation of the monoid.
 
 `Record` and `FrozenRecord` are the plain ``__slots__`` base of the
 package's record classes (terms, models, reports), with the == and repr
@@ -172,15 +172,21 @@ def generators(n, mode):
     return tuple(gens)
 
 
+# No word of `relations` is longer, at any n or mode; a longer schema
+# raises it.  frames.Frame.relation_verdict bounds its work by it.
+RELATION_WORD_LIMIT = 3
+
+
 @lru_cache(maxsize=None)
 def relations(n, mode):
     """The word pairs of the mode's perm:* and subst:* axioms, in the
     order of terms.sigma_axioms, as (tag format, tag arguments, left
     word, right word).  A word is a tuple of indices into
-    generators(n, mode), read as `hat` reads it, of at most three
-    letters, and both words of a pair name one element of the monoid.
-    Each generator's index is read once from generators(n, mode): no
-    generator symbol, term or tag is made per pair."""
+    generators(n, mode), read as `hat` reads it, of at most
+    RELATION_WORD_LIMIT letters; both words of a pair name one element
+    of the monoid.  Each generator's index is read once from
+    generators(n, mode): no generator symbol, term or tag is made per
+    pair."""
     mode = normalize_mode(mode)
     pairs = list(itertools.combinations(range(n), 2))
     # sw[i][j] = sw[j][i] is the index of s[i,j], rp[i][j] that of s[i|j]
@@ -293,8 +299,7 @@ def format_word(syms):
     return " ".join(g.token() for g in syms)
 
 
-CayleyGraph = namedtuple("CayleyGraph",
-                         "gens maps words edges parent via keys")
+CayleyGraph = namedtuple("CayleyGraph", "gens maps edges parent via keys")
 
 
 @lru_cache(maxsize=None)
@@ -303,12 +308,15 @@ def cayley_graph(n, mode):
     breadth-first walk over map tuples (Froidure and Pin 1997).
 
     Elements are numbered in walk order, the identity first.  gens are the
-    mode's generator symbols; maps[t] is element t as a tuple and words[t]
-    a shortest word for it; edges[g][t] is the number of t∘gens[g]; each
-    element t > 0 is parent[t]∘gens[via[t]], its breadth-first tree edge;
-    keys[t] is the sum of maps[t][i]·n^i, the number of element t's point
-    in ⁿn (point_index)."""
+    mode's generator symbols; maps[t] is element t as a tuple;
+    edges[g][t] is the number of t∘gens[g]; each element t > 0 is
+    parent[t]∘gens[via[t]], its breadth-first tree edge, so a shortest
+    word for t is parent[t]'s followed by gens[via[t]]; keys[t] is the
+    sum of maps[t][i]·n^i, the number of element t's point in ⁿn
+    (point_index).  ValueError past DIM_LIMIT."""
     gens = generators(n, mode)
+    if n > DIM_LIMIT:
+        raise ValueError("dimension %d exceeds limit %d" % (n, DIM_LIMIT))
     size = monoid_size(n, mode)
     # element numbers fit two bytes for every n up to DIM_LIMIT
     rows = [array("H" if size <= 1 << 16 else "I", [0]) * size
@@ -324,7 +332,7 @@ def cayley_graph(n, mode):
     keys[0] = sum(i * n**i for i in range(n))
     number = array("l", [-1]) * n**n
     number[keys[0]] = 0
-    maps, words = [tuple(range(n))], [()]
+    maps = [tuple(range(n))]
     for t, tau in enumerate(maps):          # grows as new elements appear
         key = keys[t]
         for g, (i, j, weight, pick, row) in enumerate(steps):
@@ -333,28 +341,28 @@ def cayley_graph(n, mode):
             if idx < 0:
                 idx = number[nxt] = len(maps)
                 maps.append(pick(tau))
-                words.append(words[t] + (gens[g],))
                 keys[idx] = nxt
                 parent[idx] = t
                 via[idx] = g
             row[t] = idx
-    return CayleyGraph(gens, maps, words, edges, parent, via, keys)
+    return CayleyGraph(gens, maps, edges, parent, via, keys)
 
 
 @lru_cache(maxsize=None)
 def monoid_table(n, mode):
-    """BFS word table: every reachable map tuple -> a shortest word.  The
-    keys are the tuples of cayley_graph(n, mode).maps themselves."""
-    mode = normalize_mode(mode)
-    if n > DIM_LIMIT:
-        raise ValueError("dimension %d exceeds limit %d" % (n, DIM_LIMIT))
-    graph = cayley_graph(n, mode)
-    return dict(zip(graph.maps, graph.words))
+    """BFS word table: each of cayley_graph(n, mode).maps, in walk order
+    -> a shortest word, its tree parent's (a parent precedes its
+    children) followed by its tree edge's generator."""
+    graph = cayley_graph(n, normalize_mode(mode))
+    words = [()]
+    for up, g in itertools.islice(zip(graph.parent, graph.via), 1, None):
+        words.append(words[up] + (graph.gens[g],))
+    return dict(zip(graph.maps, words))
 
 
 def enumerate_monoid(n, mode):
     """All transformations generated by the mode's symbols, BFS order."""
-    return list(monoid_table(n, normalize_mode(mode)))
+    return list(cayley_graph(n, normalize_mode(mode)).maps)
 
 
 def monoid_size(n, mode):

@@ -189,8 +189,11 @@ def _bad_character(text, pos, end):
         pos = m.end()
 
 
-# Parentheses may nest this deep.  The parser keeps its own stack and no
-# longer needs the cap; it stays the documented limit of the input.
+# Parentheses may nest this deep.  The parser keeps its own stack, so the
+# cap is not for recursion but for the group memo: it keeps the text of
+# every remembered group (text[at:pos]), and a character lies in as many
+# groups as nest around it, so the memo holds up to depth × length
+# characters.  The cap bounds that at about MAX_NESTING times the input.
 MAX_NESTING = 100
 
 # A parenthesized group this long or longer is remembered under its first

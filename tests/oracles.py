@@ -9,6 +9,8 @@ library's world-map certificates.  `ref_holds` evaluates a term over
 every world of the library's set algebra, and `ref_square_witness` so
 evaluates a witness over the whole square: it is the reference of the
 point-local re-check in `logic.satisfiable`.
+`ref_word_table` steps a frame's generator tables along a word: the
+reference of `frames.relations_hold`.
 `ref_action_walk` is the edge-by-edge walk of the library's Cayley graph
 over a space's world tables: the reference of the tree walk of
 `frames.action_tables` and of the row-at-a-time
@@ -257,6 +259,18 @@ def ref_frame_coherent(frame):
             if acts[ref_compose(s, t)] != [a_t[a_s[w]] for w in range(m)]:
                 return False
     return True
+
+
+def ref_word_table(frame, word):
+    """The world table of a word of generator indices (a word of
+    monoid.relations) on a frame: every world stepped through frame.act
+    of each letter in turn, as a list."""
+    gens = generators(frame.n, frame.mode)
+    tab = list(range(frame.num_worlds))
+    for idx in word:
+        act = frame.act(gens[idx])
+        tab = [act[w] for w in tab]
+    return tab
 
 
 def ref_action_walk(space, unit):

@@ -19,18 +19,19 @@ from substal.frames import (
     insep_zigzag,
     point_frame,
     random_coherent_frame,
+    relations_hold,
     superamalgam,
 )
 from substal.setalg import (FAILURES_KEPT, Square, Subalgebra,
                             algebra_from_json, fold_tables,
                             generate_subalgebra, morphism_report,
                             small_algebra)
-from substal.monoid import (MODES, cayley_graph, generators, presented,
+from substal.monoid import (MODES, generators, monoid_table, presented,
                            relations, repl, swap)
 from substal.terms import equation_holds_exhaustive, sigma_axioms, word_pair
 
 from oracles import (hom_report, ref_action_walk, ref_frame_coherent,
-                     ref_gen_tuple, ref_hat)
+                     ref_gen_tuple, ref_hat, ref_word_table)
 from test_acceptance import _preimage_hom, _relabeled
 
 
@@ -478,6 +479,62 @@ def test_relation_verdict_agrees_with_the_row_certificate():
     assert counts[True] > 150 and counts[False] > 350 and counts[None] > 20
 
 
+def test_relations_hold_reads_words_of_any_length():
+    """relations_hold agrees with stepping the generator tables along
+    each word (oracles.ref_word_table) on synthetic word pairs of 0 to 6
+    letters a word, pair by pair and over whole lists, for n ≤ 4 in every
+    non-diagonal mode: on random coherent frames, their broken-involution
+    mutants and point frames, with tables as bytes and as tuples.  Many
+    pairs share three letters and differ only after them."""
+    rng = random.Random(2902)
+    frames = []
+    for n in (1, 2, 3, 4):
+        for mode in ("full", "transpositions", "replacements"):
+            for _ in range(4):
+                frames.append(random_coherent_frame(n, mode, 6, rng))
+            frames += [point_frame(n, k, mode) for k in (2, 3)]
+    frames.append(point_frame(2, 17, "full"))      # 289 worlds: tuples
+    frames += [_broken_involution(f) for f in frames if f.num_worlds > 1
+               and f.action]
+    # "past three": pairs whose verdict changes after their third letters
+    counts = {True: 0, False: 0, "past three": 0}
+    for frame in frames:
+        n, gens = frame.n, generators(frame.n, frame.mode)
+        index = {g: i for i, g in enumerate(gens)}
+        shortest = {tau: tuple(map(index.__getitem__, w))
+                    for tau, w in monoid_table(n, frame.mode).items()}
+
+        def word(length):
+            return tuple(rng.randrange(len(gens)) for _ in range(
+                length if gens else 0))
+        pairs = []
+        for _ in range(30):
+            head = word(3)
+            pairs.append((word(rng.randint(0, 6)), word(rng.randint(0, 6))))
+            pairs.append((head + word(rng.randint(0, 3)),
+                          head + word(rng.randint(0, 3))))
+            # a word and the shortest word of its element: the pair holds
+            # on a coherent frame
+            left = head + word(rng.randint(0, 3))
+            pairs.append((left, shortest[ref_hat(
+                [(gens[g].kind, gens[g].i, gens[g].j) for g in left], n)]))
+        rels = [("pair", (), left, right) for left, right in pairs]
+        want = []
+        for rel in rels:
+            _, _, left, right = rel
+            holds = ref_word_table(frame, left) == ref_word_table(frame, right)
+            assert relations_hold(frame, [rel]) == holds, (frame, left, right)
+            counts[holds] += 1
+            counts["past three"] += holds != (
+                ref_word_table(frame, left[:3])
+                == ref_word_table(frame, right[:3]))
+            want.append(holds)
+        assert relations_hold(frame, rels) == all(want)
+        assert relations_hold(frame, [r for r, ok in zip(rels, want) if ok])
+    assert counts[True] > 5000 and counts[False] > 2000, counts
+    assert counts["past three"] > 1000, counts
+
+
 def test_frame_check_lists_failures_only_when_asked():
     frame = _broken_involution(point_frame(3, 2, "full"))
     assert frame_check(frame, listing=False) == FrameReport(False, [], 0)
@@ -517,7 +574,7 @@ def test_orbits_along_the_tree_match_the_word_fold():
     element: each world's orbit along the breadth-first tree is the fold of
     the generator tables along the canonical word, and on a point frame it
     is the point moved by the reference transformation of the element's
-    word."""
+    shortest word in monoid_table, read off the tree."""
     rng = random.Random(41)
     frames = [(point_frame(n, k, mode), k) for n in range(1, 5)
               for k in (1, 2, 3) for mode in MODES]
@@ -525,11 +582,10 @@ def test_orbits_along_the_tree_match_the_word_fold():
                for n in (2, 3, 4) for mode in MODES[:3] for _ in range(3)]
     for frame, k in frames:
         n, m = frame.n, frame.num_worlds
-        graph = cayley_graph(n, frame.mode)
         walk = action_tables(frame)
         assert frame.coherent()
         orbits = [walk.orbit(w) for w in range(m)]
-        for t, (tau, word) in enumerate(zip(graph.maps, graph.words)):
+        for t, (tau, word) in enumerate(monoid_table(n, frame.mode).items()):
             folded = fold_tables(frame, tau, range(m))
             assert [orbits[w][t] for w in range(m)] == folded, (frame, tau)
             if k is None:

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from substal.monoid import (
     MODES,
     PRESENTED,
+    RELATION_WORD_LIMIT,
     NotGenerated,
     apply_point,
     bijective_stabilizer,
@@ -208,8 +209,9 @@ def test_cayley_graph_matches_a_breadth_first_reference():
     """For n ≤ 4 and every mode: enumerate_monoid and monoid_table follow
     the reference walk's order and words, every recorded edge is the
     number of compose(tau, g), every tree edge leads from an earlier
-    element by one generator, and every key is the element's point in ⁿn
-    with its coordinates read as base-n digits."""
+    element by one generator, whose word is its parent's followed by that
+    generator, and every key is the element's point in ⁿn with its
+    coordinates read as base-n digits."""
     for n in range(1, 5):
         for mode in MODES:
             graph = cayley_graph(n, mode)
@@ -220,9 +222,10 @@ def test_cayley_graph_matches_a_breadth_first_reference():
             assert enumerate_monoid(n, mode) == \
                 [t for t, _ in want] == graph.maps
             table = monoid_table(n, mode)
-            assert [tuple(gens.index(g) for g in w) for w in table.values()] \
+            words = list(table.values())
+            assert [tuple(gens.index(g) for g in w) for w in words] \
                 == [w for _, w in want]
-            assert graph.words == list(table.values())
+            assert list(table) == graph.maps
             assert list(graph.keys) == [sum(t[i] * n**i for i in range(n))
                                         for t in graph.maps]
             number = {t: idx for idx, t in enumerate(graph.maps)}
@@ -235,8 +238,7 @@ def test_cayley_graph_matches_a_breadth_first_reference():
                 up = graph.parent[idx]
                 assert up < idx
                 assert graph.edges[graph.via[idx]][up] == idx
-                assert graph.words[idx] == \
-                    graph.words[up] + (gens[graph.via[idx]],)
+                assert words[idx] == words[up] + (gens[graph.via[idx]],)
 
 
 def test_monoid_elements_are_the_graph_tuples():
@@ -274,8 +276,9 @@ def test_bijective_stabilizer_is_the_group_of_units():
 
 
 def test_dimension_limit():
-    with pytest.raises(ValueError):
-        enumerate_monoid(7, "full")
+    for build in (enumerate_monoid, monoid_table, cayley_graph):
+        with pytest.raises(ValueError, match="exceeds limit"):
+            build(7, "full")
 
 
 def test_partitions_as_restricted_growth_strings():
@@ -330,9 +333,22 @@ def test_relations_are_the_axiom_word_pairs_by_index():
             assert got == want, (n, mode)
             for tag, (left, right) in got:
                 assert hat(left, n) == hat(right, n), (n, mode, tag)
-            assert all(len(left) <= 3 and len(right) <= 3
-                       for _, _, left, right in relations(n, mode))
     assert relations(5, "full_diagonal") == relations(5, "full")
+
+
+def test_relation_words_fit_the_word_limit():
+    """No word of monoid.relations has more than RELATION_WORD_LIMIT
+    letters, for n ≤ 6 in every mode, and some word has that many, so the
+    bound that Frame.relation_verdict reads is neither broken nor loose.
+    A longer schema fails here until the limit is raised."""
+    longest = 0
+    for n in range(1, 7):
+        for mode in MODES:
+            for tag, args, left, right in relations(n, mode):
+                assert max(len(left), len(right)) <= RELATION_WORD_LIMIT, \
+                    (n, mode, tag % args)
+                longest = max(longest, len(left), len(right))
+    assert longest == RELATION_WORD_LIMIT
 
 
 def test_relations_present_the_monoid_where_presented_says():
